@@ -252,8 +252,7 @@ def cmd_sparse_check(args) -> int:
     scores = sparse.stub_index_scores(weights, config, expanded, query)
 
     everything = sparse.topk_select(scores, len(expanded))
-    saturated = sparse.sparse_attention(weights, config, expanded, query, everything,
-                                        scale=config.score_scale)
+    saturated = sparse.sparse_attention(weights, config, expanded, query, everything)
     dev_sat = float(np.max(np.abs(saturated - dense[0])))
     bound_sat = 1e-10 * (1.0 + float(np.max(np.abs(dense[0]))))
 
@@ -330,7 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GqlaError as exc:
+        # bad parameters that only the package can judge (lengths, k, s_q)
+        _err(str(exc))
+        return 2
 
 
 def entrypoint() -> None:

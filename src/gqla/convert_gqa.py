@@ -121,8 +121,9 @@ def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     length = tokens.shape[0]
     h, g, d = src.num_heads, src.num_groups, src.head_dim
     spec = src.rope_spec()
-    q = np.stack([apply_folded_rope(spec, src.q_proj @ tokens[t], t) for t in range(length)])
-    k = np.stack([apply_folded_rope(spec, src.k_proj @ tokens[t], t) for t in range(length)])
+    positions = np.arange(length)
+    q = apply_folded_rope(spec, tokens @ src.q_proj.T, positions)
+    k = apply_folded_rope(spec, tokens @ src.k_proj.T, positions)
     v = tokens @ src.v_proj.T
     q = q.reshape(length, h, d)
     k = k.reshape(length, g, d)
@@ -196,11 +197,9 @@ def merge_heads(src: GqaWeights) -> MergedWeights:
 
 def _merged_projections(merged: MergedWeights, tokens: np.ndarray):
     """Per-token rotated key latents and raw value latents."""
-    length = tokens.shape[0]
-    spec = merged.rope_spec()
     c = tokens @ merged.kv_down.T
     c_k, c_v = c[:, : merged.key_width], c[:, merged.key_width:]
-    k_hat = np.stack([apply_folded_rope(spec, c_k[t], t) for t in range(length)])
+    k_hat = apply_folded_rope(merged.rope_spec(), c_k, np.arange(tokens.shape[0]))
     return c_k, c_v, k_hat
 
 

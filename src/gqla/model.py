@@ -196,14 +196,8 @@ def project_token(weights: GqlaWeights, config: GqlaConfig, x, position: int) ->
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (config.model_dim,):
         raise ShapeError(f"token has shape {x.shape}, expected ({config.model_dim},)")
-    spec = config.rope_spec()
-    c_q = weights.q_down @ x
-    kv = weights.kv_down @ x
-    q_nope = (weights.q_up @ c_q).reshape(config.num_heads, config.head_dim)
-    q_rope_raw = weights.q_rope @ c_q
-    q_rope = apply_folded_rope(spec, q_rope_raw, position).reshape(
-        config.num_heads, config.rope_head_dim)
-    k_rope = apply_rope(spec, weights.k_rope @ x, position)
+    q_nope, q_rope = _project_queries(weights, config, x, position)
+    kv, k_rope = _project_keys(weights, config, x, position)
     return ProjectedToken(q_nope=q_nope, q_rope=q_rope, kv=kv, k_rope=k_rope)
 
 
@@ -226,55 +220,148 @@ def _check_tokens(tokens, config: GqlaConfig, s_q: int) -> np.ndarray:
     return tokens
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position):
+    """Per-head queries of tokens x (..., model_dim) at their positions.
+
+    Returns q_nope (..., num_heads, head_dim) and the post-rotary q_rope
+    (..., num_heads, rope_head_dim). position is an int, or one per token of
+    an (n, model_dim) batch.
+    """
+    c_q = x @ weights.q_down.T
+    heads = x.shape[:-1] + (config.num_heads,)
+    q_nope = (c_q @ weights.q_up.T).reshape(heads + (config.head_dim,))
+    q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
+    return q_nope, q_rope.reshape(heads + (config.rope_head_dim,))
 
 
-def _build_caches(weights: GqlaWeights, config: GqlaConfig, tokens: np.ndarray):
-    """Latent and expanded cache arrays for every token of the sequence."""
-    spec = config.rope_spec()
-    kv = tokens @ weights.kv_down.T
-    k_rope_raw = tokens @ weights.k_rope.T
-    k_rope = np.stack([apply_rope(spec, k_rope_raw[t], t) for t in range(tokens.shape[0])])
-    k_nope = kv @ weights.k_up.T
-    v = kv @ weights.v_up.T
-    return kv, k_nope, v, k_rope
+def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position):
+    """Latent kv (..., kv_rank) and post-rotary k_rope (..., rope_head_dim) of tokens x."""
+    return x @ weights.kv_down.T, apply_rope(config.rope_spec(), x @ weights.k_rope.T, position)
 
 
-def _query_at(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position: int):
-    spec = config.rope_spec()
-    c_q = weights.q_down @ x
-    q_nope = (weights.q_up @ c_q).reshape(config.num_heads, config.head_dim)
-    q_rope = apply_folded_rope(spec, weights.q_rope @ c_q, position).reshape(
-        config.num_heads, config.rope_head_dim)
-    return q_nope, q_rope
+# Largest (queries, heads, keys) score array, in float64 elements (8 MiB), that
+# one attention call holds at a time; longer query batches are scored in blocks.
+SCORE_BLOCK_ELEMENTS = 2 ** 20
 
 
-def _attend_expanded(weights, config, q_nope, q_rope, k_nope, v, k_rope) -> np.ndarray:
-    """One query against an expanded prefix; returns the combined model_dim output."""
-    length = k_nope.shape[0]
-    gi = np.arange(config.num_heads) // config.heads_per_group
-    k_g = k_nope.reshape(length, config.num_groups, config.head_dim)[:, gi, :]
-    v_g = v.reshape(length, config.num_groups, config.value_head_dim)[:, gi, :]
-    logits = (np.einsum("hd,shd->hs", q_nope, k_g) + q_rope @ k_rope.T) * config.score_scale
-    attn = _softmax(logits)
-    o = np.einsum("hs,shd->hd", attn, v_g)
-    return weights.out_proj @ o.reshape(-1)
+def _query_blocks(count: int, rows_per_query: int, length: int, positions):
+    """Split count queries into blocks whose scores fit SCORE_BLOCK_ELEMENTS.
+
+    A block holds one query at least. Yields (slice, keys seen, positions):
+    with positions, a block's queries see only the keys up to the last of
+    them, so the later keys are left out of its scores.
+    """
+    step = max(1, SCORE_BLOCK_ELEMENTS // (rows_per_query * length))
+    for start in range(0, count, step):
+        block = slice(start, min(start + step, count))
+        if positions is None:
+            yield block, length, None
+        else:
+            yield block, int(positions[block].max()) + 1, positions[block]
 
 
-def _attend_latent(weights, config, q_nope, q_rope, kv, k_rope) -> np.ndarray:
-    """One query against a latent prefix, up-projections folded into Q/O."""
-    k_up_b = weights.k_up.reshape(config.num_groups, config.head_dim, config.kv_rank)
-    v_up_b = weights.v_up.reshape(config.num_groups, config.value_head_dim, config.kv_rank)
-    gi = np.arange(config.num_heads) // config.heads_per_group
-    q_abs = np.einsum("hd,hdr->hr", q_nope, k_up_b[gi])  # (num_heads, kv_rank)
-    logits = (q_abs @ kv.T + q_rope @ k_rope.T) * config.score_scale
-    attn = _softmax(logits)
-    o_hat = attn @ kv  # (num_heads, kv_rank)
-    o = np.einsum("hvr,hr->hv", v_up_b[gi], o_hat)
-    return weights.out_proj @ o.reshape(-1)
+def _softmax(logits: np.ndarray, positions=None) -> np.ndarray:
+    """Softmax over the last axis.
+
+    With positions, logits are (..., n, k, L) for n queries and each query
+    sees only the keys at or before its position. Key 0 stays visible to
+    every query, so no row is fully masked.
+    """
+    if positions is not None:
+        hidden = np.arange(logits.shape[-1]) > positions[:, None]
+        logits = logits + np.where(hidden, -np.inf, 0.0)[:, None, :]
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _expanded_core(q_nope, q_rope, cache: ExpandedCache, scale: float, positions=None):
+    """Grouped attention over an expanded cache.
+
+    Queries are (g, n, heads_per_group, .): each group's heads for n
+    queries. Each group's K/V is a strided view of the cache and one matmul
+    batched over the group axis scores all of its heads. Returns the value
+    reads (g, n, heads_per_group, value_head_dim).
+    """
+    groups, count, hpg, dim = q_nope.shape
+    length = len(cache)
+    keys = cache.k_nope.reshape(length, groups, dim).transpose(1, 2, 0)
+    values = cache.v.reshape(length, groups, -1).transpose(1, 0, 2)
+    out = np.empty((groups, count, hpg, values.shape[-1]))
+    for block, seen, pos in _query_blocks(count, groups * hpg, length, positions):
+        q_n = q_nope[:, block].reshape(groups, -1, dim)
+        q_r = q_rope[:, block].reshape(-1, q_rope.shape[-1])
+        scores = q_n @ keys[..., :seen]
+        scores += (q_r @ cache.k_rope[:seen].T).reshape(scores.shape)
+        scores *= scale
+        attn = _softmax(scores.reshape(groups, -1, hpg, seen), pos)
+        out[:, block] = (attn.reshape(groups, -1, seen) @ values[:, :seen]).reshape(
+            out[:, block].shape)
+    return out
+
+
+def _latent_core(q_latent, q_rope, cache: LatentCache, scale: float, positions=None):
+    """Attention of latent-space queries (..., n, k, kv_rank) over a latent cache.
+
+    Every head reads the same latent, so all query rows are scored in one
+    matmul whatever their layout. Returns the latent reads, shaped like
+    q_latent.
+    """
+    count, rank = q_latent.shape[-3], q_latent.shape[-1]
+    length = len(cache)
+    out = np.empty(q_latent.shape)
+    for block, seen, pos in _query_blocks(count, q_latent.size // (count * rank), length,
+                                          positions):
+        q_l = q_latent[..., block, :, :]
+        q_r = q_rope[..., block, :, :]
+        scores = q_l.reshape(-1, rank) @ cache.kv[:seen].T
+        scores += q_r.reshape(-1, q_r.shape[-1]) @ cache.k_rope[:seen].T
+        scores *= scale
+        attn = _softmax(scores.reshape(q_l.shape[:-1] + (seen,)), pos)
+        out[..., block, :, :] = (attn.reshape(-1, seen) @ cache.kv[:seen]).reshape(q_l.shape)
+    return out
+
+
+def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, scale: float,
+               positions=None) -> np.ndarray:
+    """Attention of n queries (n, num_heads, .) over a cache of either layout.
+
+    A latent cache gets each group's key up-projection folded into its heads'
+    queries and its value up-projection into their reads. positions, if
+    given, holds each query's position for the causal mask. Returns
+    (n, model_dim).
+    """
+    c = config
+    count = q_nope.shape[0]
+    grouped = (count, c.num_groups, c.heads_per_group)
+    q_nope = q_nope.reshape(grouped + (-1,)).transpose(1, 0, 2, 3)
+    q_rope = q_rope.reshape(grouped + (-1,)).transpose(1, 0, 2, 3)
+    if isinstance(cache, LatentCache):
+        k_up = weights.k_up.reshape(c.num_groups, c.head_dim, c.kv_rank)
+        v_up = weights.v_up.reshape(c.num_groups, c.value_head_dim, c.kv_rank)
+        q_latent = q_nope.reshape(c.num_groups, -1, c.head_dim) @ k_up
+        reads = _latent_core(q_latent.reshape(q_nope.shape[:-1] + (c.kv_rank,)), q_rope,
+                             cache, scale, positions)
+        o = reads.reshape(c.num_groups, -1, c.kv_rank) @ v_up.transpose(0, 2, 1)
+    else:
+        o = _expanded_core(q_nope, q_rope, cache, scale, positions)
+    o = o.reshape(c.num_groups, count, c.heads_per_group, -1).transpose(1, 0, 2, 3)
+    return o.reshape(count, -1) @ weights.out_proj.T
+
+
+def _token_attention(weights: GqlaWeights, config: GqlaConfig, x, position: int, cache,
+                     scale: float) -> np.ndarray:
+    """Output of token x, queried at position, over every row of cache."""
+    q_nope, q_rope = _project_queries(weights, config, x[None], position)
+    return _attention(weights, config, q_nope, q_rope, cache, scale)[0]
+
+
+def _prefill(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int, cache) -> np.ndarray:
+    """Outputs of the trailing s_q tokens, scored in one causally masked batch."""
+    positions = np.arange(tokens.shape[0] - s_q, tokens.shape[0])
+    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions)
+    return _attention(weights, config, q_nope, q_rope, cache, config.score_scale, positions)
 
 
 def forward_gqa_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1):
@@ -283,14 +370,9 @@ def forward_gqa_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int 
     Returns (outputs (s_q, model_dim), ExpandedCache over the whole sequence).
     """
     tokens = _check_tokens(tokens, config, s_q)
-    length = tokens.shape[0]
-    _, k_nope, v, k_rope = _build_caches(weights, config, tokens)
-    outputs = np.empty((s_q, config.model_dim))
-    for idx, t in enumerate(range(length - s_q, length)):
-        q_nope, q_rope = _query_at(weights, config, tokens[t], t)
-        outputs[idx] = _attend_expanded(
-            weights, config, q_nope, q_rope, k_nope[: t + 1], v[: t + 1], k_rope[: t + 1])
-    return outputs, ExpandedCache(k_nope=k_nope, v=v, k_rope=k_rope)
+    kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
+    cache = ExpandedCache(k_nope=kv @ weights.k_up.T, v=kv @ weights.v_up.T, k_rope=k_rope)
+    return _prefill(weights, config, tokens, s_q, cache), cache
 
 
 def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1):
@@ -299,40 +381,29 @@ def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: i
     Returns (outputs (s_q, model_dim), LatentCache over the whole sequence).
     """
     tokens = _check_tokens(tokens, config, s_q)
-    length = tokens.shape[0]
-    kv, _, _, k_rope = _build_caches(weights, config, tokens)
-    outputs = np.empty((s_q, config.model_dim))
-    for idx, t in enumerate(range(length - s_q, length)):
-        q_nope, q_rope = _query_at(weights, config, tokens[t], t)
-        outputs[idx] = _attend_latent(
-            weights, config, q_nope, q_rope, kv[: t + 1], k_rope[: t + 1])
-    return outputs, LatentCache(kv=kv, k_rope=k_rope)
+    kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
+    cache = LatentCache(kv=kv, k_rope=k_rope)
+    return _prefill(weights, config, tokens, s_q, cache), cache
 
 
 def decode_gqa(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache, x):
     """Append one token to an expanded cache and return (output, new cache)."""
     x = np.asarray(x, dtype=np.float64)
     position = len(cache)
-    spec = config.rope_spec()
-    kv = weights.kv_down @ x
-    k_nope = np.vstack([cache.k_nope, weights.k_up @ kv])
-    v = np.vstack([cache.v, weights.v_up @ kv])
-    k_rope = np.vstack([cache.k_rope, apply_rope(spec, weights.k_rope @ x, position)])
-    q_nope, q_rope = _query_at(weights, config, x, position)
-    y = _attend_expanded(weights, config, q_nope, q_rope, k_nope, v, k_rope)
-    return y, ExpandedCache(k_nope=k_nope, v=v, k_rope=k_rope)
+    kv, k_rope = _project_keys(weights, config, x, position)
+    cache = ExpandedCache(k_nope=np.vstack([cache.k_nope, weights.k_up @ kv]),
+                          v=np.vstack([cache.v, weights.v_up @ kv]),
+                          k_rope=np.vstack([cache.k_rope, k_rope]))
+    return _token_attention(weights, config, x, position, cache, config.score_scale), cache
 
 
 def decode_absorb(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache, x):
     """Append one token to a latent cache and return (output, new cache)."""
     x = np.asarray(x, dtype=np.float64)
     position = len(cache)
-    spec = config.rope_spec()
-    kv = np.vstack([cache.kv, weights.kv_down @ x])
-    k_rope = np.vstack([cache.k_rope, apply_rope(spec, weights.k_rope @ x, position)])
-    q_nope, q_rope = _query_at(weights, config, x, position)
-    y = _attend_latent(weights, config, q_nope, q_rope, kv, k_rope)
-    return y, LatentCache(kv=kv, k_rope=k_rope)
+    kv, k_rope = _project_keys(weights, config, x, position)
+    cache = LatentCache(kv=np.vstack([cache.kv, kv]), k_rope=np.vstack([cache.k_rope, k_rope]))
+    return _token_attention(weights, config, x, position, cache, config.score_scale), cache
 
 
 @dataclass(frozen=True)
@@ -381,23 +452,15 @@ def forward_absorbed(absorbed: AbsorbedWeights, config: GqlaConfig, tokens, s_q:
     """Absorbed-path forward using the pre-fused projections."""
     c = config
     tokens = _check_tokens(tokens, c, s_q)
-    length = tokens.shape[0]
-    spec = c.rope_spec()
-    kv = tokens @ absorbed.kv_down.T
-    k_rope_raw = tokens @ absorbed.k_rope.T
-    k_rope = np.stack([apply_rope(spec, k_rope_raw[t], t) for t in range(length)])
-    q_abs_b = absorbed.q_absorbed.reshape(c.num_heads, c.kv_rank, c.q_rank)
-    outputs = np.empty((s_q, c.model_dim))
-    for idx, t in enumerate(range(length - s_q, length)):
-        c_q = absorbed.q_down @ tokens[t]
-        q_abs = np.einsum("hrq,q->hr", q_abs_b, c_q)
-        q_rope = apply_folded_rope(spec, absorbed.q_rope @ c_q, t).reshape(
-            c.num_heads, c.rope_head_dim)
-        logits = (q_abs @ kv[: t + 1].T + q_rope @ k_rope[: t + 1].T) * c.score_scale
-        attn = _softmax(logits)
-        o_hat = attn @ kv[: t + 1]  # (num_heads, kv_rank)
-        outputs[idx] = absorbed.out_absorbed @ o_hat.reshape(-1)
-    return outputs, LatentCache(kv=kv, k_rope=k_rope)
+    positions = np.arange(tokens.shape[0])
+    kv, k_rope = _project_keys(absorbed, c, tokens, positions)
+    cache = LatentCache(kv=kv, k_rope=k_rope)
+    c_q = tokens[-s_q:] @ absorbed.q_down.T
+    q_latent = (c_q @ absorbed.q_absorbed.T).reshape(s_q, c.num_heads, c.kv_rank)
+    q_rope = apply_folded_rope(c.rope_spec(), c_q @ absorbed.q_rope.T, positions[-s_q:])
+    reads = _latent_core(q_latent, q_rope.reshape(s_q, c.num_heads, c.rope_head_dim), cache,
+                         c.score_scale, positions[-s_q:])
+    return reads.reshape(s_q, -1) @ absorbed.out_absorbed.T, cache
 
 
 def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:

@@ -32,11 +32,21 @@ class RopeSpec:
         return self.base ** (-2.0 * k / self.dim)
 
 
-def apply_rope(spec: RopeSpec, v, t: int) -> np.ndarray:
-    """Rotate each coordinate pair of v by its frequency times position t."""
+def apply_rope(spec: RopeSpec, v, t) -> np.ndarray:
+    """Rotate each coordinate pair of v by its frequency times position t.
+
+    t is one integer position, or an integer array giving the position of
+    each entry along v's leading axis.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != spec.dim:
         raise ShapeError(f"vector length {v.shape[-1]} does not match rotary dim {spec.dim}")
+    t = np.asarray(t)
+    if t.ndim:
+        if t.ndim != 1 or v.ndim < 2 or t.shape[0] != v.shape[0]:
+            raise ShapeError(f"positions of shape {t.shape} do not align with the "
+                             f"leading axis of shape {v.shape}")
+        t = t.reshape((-1,) + (1,) * (v.ndim - 1))
     angles = t * spec.frequencies()
     cos, sin = np.cos(angles), np.sin(angles)
     x, y = v[..., 0::2], v[..., 1::2]
@@ -46,11 +56,17 @@ def apply_rope(spec: RopeSpec, v, t: int) -> np.ndarray:
     return out
 
 
-def apply_folded_rope(spec: RopeSpec, v, t: int) -> np.ndarray:
-    """Apply the same rotation independently to each consecutive dim-sized block."""
+def apply_folded_rope(spec: RopeSpec, v, t) -> np.ndarray:
+    """Apply the same rotation independently to each consecutive dim-sized block.
+
+    t is a position or a position per entry along v's leading axis, as in
+    apply_rope.
+    """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[-1]
     if n % spec.dim != 0:
         raise ShapeError(f"length {n} is not a multiple of rotary dim {spec.dim}")
+    if np.ndim(t) and v.ndim < 2:
+        raise ShapeError("a position vector needs a leading position axis on v")
     blocks = v.reshape(v.shape[:-1] + (n // spec.dim, spec.dim))
     return apply_rope(spec, blocks, t).reshape(v.shape)

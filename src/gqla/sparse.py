@@ -2,22 +2,23 @@
 
 The index scores come from a deliberately simple stub (mean over heads of the
 rotary query against cached rotary keys); real hierarchical indexers are out
-of scope. Sparse attention defaults to the 1/sqrt(head_dim) logit scale; pass
-the dense paths' scale to compare against them. A latent-cache twin of the
-sparse step is provided behind the same signature, and the two agree for any
-fixed selection, exactly as the dense paths do.
+of scope. Sparse attention runs the dense paths' grouped attention cores on the
+selected cache rows and defaults to their logit scale, config.score_scale, so
+selecting every position reproduces the dense output without passing a scale.
+A latent-cache twin of the sparse step is provided behind the same signature,
+and the two agree for any fixed selection, exactly as the dense paths do.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache,
-                    _query_at, _softmax)
+                    _project_queries, _softmax, _token_attention)
 
 TILE_M = 16
 
@@ -57,7 +58,7 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
     x = np.asarray(x, dtype=np.float64)
-    _, q_rope = _query_at(weights, config, x, len(cache) - 1)
+    _, q_rope = _project_queries(weights, config, x, len(cache) - 1)
     return (q_rope @ cache.k_rope.T).mean(axis=0)
 
 
@@ -90,6 +91,14 @@ def _check_selection(selected, length: int) -> np.ndarray:
     return sel
 
 
+def _sparse_step(weights: GqlaWeights, config: GqlaConfig, cache, x, selected, scale):
+    sel = _check_selection(selected, len(cache))
+    picked = dataclasses.replace(cache, **{f.name: getattr(cache, f.name)[sel]
+                                           for f in dataclasses.fields(cache)})
+    return _token_attention(weights, config, np.asarray(x, dtype=np.float64), len(cache) - 1,
+                            picked, config.score_scale if scale is None else scale)
+
+
 def sparse_attention(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache,
                      x, selected, scale: float | None = None) -> np.ndarray:
     """Attend only over the selected cache positions along the expanded path.
@@ -97,37 +106,13 @@ def sparse_attention(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     The query token x is the newest cached entry; its position is
     len(cache) - 1. Returns the combined model_dim output.
     """
-    sel = _check_selection(selected, len(cache))
-    if scale is None:
-        scale = 1.0 / math.sqrt(config.head_dim)
-    x = np.asarray(x, dtype=np.float64)
-    q_nope, q_rope = _query_at(weights, config, x, len(cache) - 1)
-    gi = np.arange(config.num_heads) // config.heads_per_group
-    k_g = cache.k_nope[sel].reshape(sel.size, config.num_groups, config.head_dim)[:, gi, :]
-    v_g = cache.v[sel].reshape(sel.size, config.num_groups, config.value_head_dim)[:, gi, :]
-    logits = (np.einsum("hd,shd->hs", q_nope, k_g) + q_rope @ cache.k_rope[sel].T) * scale
-    attn = _softmax(logits)
-    o = np.einsum("hs,shd->hd", attn, v_g)
-    return weights.out_proj @ o.reshape(-1)
+    return _sparse_step(weights, config, cache, x, selected, scale)
 
 
 def sparse_attention_absorbed(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache,
                               x, selected, scale: float | None = None) -> np.ndarray:
     """Latent-cache twin of sparse_attention; identical output for the same selection."""
-    sel = _check_selection(selected, len(cache))
-    if scale is None:
-        scale = 1.0 / math.sqrt(config.head_dim)
-    x = np.asarray(x, dtype=np.float64)
-    q_nope, q_rope = _query_at(weights, config, x, len(cache) - 1)
-    k_up_b = weights.k_up.reshape(config.num_groups, config.head_dim, config.kv_rank)
-    v_up_b = weights.v_up.reshape(config.num_groups, config.value_head_dim, config.kv_rank)
-    gi = np.arange(config.num_heads) // config.heads_per_group
-    q_abs = np.einsum("hd,hdr->hr", q_nope, k_up_b[gi])
-    logits = (q_abs @ cache.kv[sel].T + q_rope @ cache.k_rope[sel].T) * scale
-    attn = _softmax(logits)
-    o_hat = attn @ cache.kv[sel]
-    o = np.einsum("hvr,hr->hv", v_up_b[gi], o_hat)
-    return weights.out_proj @ o.reshape(-1)
+    return _sparse_step(weights, config, cache, x, selected, scale)
 
 
 def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache,
@@ -140,9 +125,9 @@ def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     """
     sel = _check_selection(selected, len(cache))
     if scale is None:
-        scale = 1.0 / math.sqrt(config.head_dim)
+        scale = config.score_scale
     x = np.asarray(x, dtype=np.float64)
-    q_nope, q_rope = _query_at(weights, config, x, len(cache) - 1)
+    q_nope, q_rope = _project_queries(weights, config, x, len(cache) - 1)
     gi = np.arange(config.num_heads) // config.heads_per_group
     length = len(cache)
     k_g = cache.k_nope.reshape(length, config.num_groups, config.head_dim)[:, gi, :]

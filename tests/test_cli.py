@@ -194,6 +194,20 @@ class TestSparseCheck:
         assert main(["sparse-check", "--checkpoint", str(gqa_ckpt)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seq-len", "0"],
+    ["verify", "--seq-len", "1", "--sq", "2"],
+    ["sparse-check", "--k", "0"],
+    ["roofline", "--seq-len", "0"],
+])
+def test_out_of_range_parameters_are_usage_errors(argv, gqla_ckpt, capsys):
+    if argv[0] != "roofline":
+        argv = argv + ["--checkpoint", str(gqla_ckpt)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSeedHandling:
     def test_env_seed_changes_the_run(self, gqla_ckpt, capsys, monkeypatch):
         monkeypatch.setenv("GQLA_SEED", "1")

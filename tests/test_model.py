@@ -123,12 +123,34 @@ class TestForwardPaths:
         b, _ = M.forward_absorb_path(w, mini_canonical_config, tokens, 2)
         assert np.max(np.abs(a - b)) <= dual_path_bound(a)
 
-    @pytest.mark.parametrize("length,s_q", [(1, 1), (2, 1), (2, 2), (17, 2), (64, 1)])
+    @pytest.mark.parametrize("length,s_q", [(1, 1), (2, 1), (2, 2), (17, 2), (64, 1), (17, 17)])
     def test_dual_path_across_lengths(self, desk_config, desk_weights, length, s_q):
         tokens = M.random_tokens(length, 64, 100 + length)
         a, _ = M.forward_gqa_path(desk_weights, desk_config, tokens, s_q)
         b, _ = M.forward_absorb_path(desk_weights, desk_config, tokens, s_q)
         assert np.max(np.abs(a - b)) <= dual_path_bound(a)
+
+    @pytest.mark.parametrize("num_groups", [8, 1])  # one head per group; one group
+    def test_full_prefill_matches_oracle_on_every_row(self, desk_config, num_groups):
+        cfg = dataclasses.replace(desk_config, num_groups=num_groups)
+        w = M.init_random(cfg, 30 + num_groups)
+        tokens = M.random_tokens(12, 64, 31)
+        oracle = M.oracle_mha(w, cfg, tokens, 12)
+        bound = dual_path_bound(oracle)
+        for forward in (M.forward_gqa_path, M.forward_absorb_path):
+            out, _ = forward(w, cfg, tokens, 12)
+            assert np.max(np.abs(out - oracle), axis=1).max() <= bound
+
+    def test_query_blocks_match_per_prefix_calls(self, desk_config, desk_weights):
+        # enough queries that the score array is split into several blocks
+        length = 544
+        assert length * desk_config.num_heads * length > 2 * M.SCORE_BLOCK_ELEMENTS
+        tokens = M.random_tokens(length, 64, 32)
+        for forward in (M.forward_gqa_path, M.forward_absorb_path):
+            out, _ = forward(desk_weights, desk_config, tokens, length)
+            for t in range(0, length, 7):
+                row, _ = forward(desk_weights, desk_config, tokens[: t + 1], 1)
+                assert np.max(np.abs(out[t] - row[0])) <= dual_path_bound(row)
 
     def test_causality(self, desk_config, desk_weights):
         tokens = M.random_tokens(12, 64, 5)

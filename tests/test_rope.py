@@ -71,6 +71,27 @@ class TestFolded:
             apply_folded_rope(SPEC, np.zeros(12), 1)
 
 
+@pytest.mark.parametrize("rope,shape", [
+    (apply_rope, (40, 8)),          # one vector per position
+    (apply_rope, (40, 3, 8)),       # several vectors per position
+    (apply_folded_rope, (40, 24)),  # three folded blocks per position
+])
+def test_position_vector_matches_per_position_loop(rope, shape):
+    v = np.random.default_rng(7).standard_normal(shape)
+    positions = np.arange(shape[0]) * 37 % 101
+    expect = np.stack([rope(SPEC, v[i], int(t)) for i, t in enumerate(positions)])
+    assert np.array_equal(rope(SPEC, v, positions), expect)
+
+
+def test_position_vector_must_align_with_leading_axis():
+    with pytest.raises(ShapeError):
+        apply_rope(SPEC, np.zeros((4, 8)), np.arange(3))
+    with pytest.raises(ShapeError):
+        apply_rope(SPEC, np.zeros(8), np.arange(1))
+    with pytest.raises(ShapeError):
+        apply_folded_rope(SPEC, np.zeros(16), np.arange(2))
+
+
 def test_per_pair_rotations_commute_with_rope():
     # a block-diagonal rotation acting within each frequency pair commutes
     # with the rotary map; this underpins the converter's score preservation

@@ -54,6 +54,14 @@ class TestSparseAttention:
                                       everything, scale=desk_config.score_scale)
         assert np.max(np.abs(out - dense)) <= 1e-10 * (1 + np.max(np.abs(dense)))
 
+    def test_saturation_matches_dense_at_default_scale(self, desk_config, desk_weights, prefix):
+        tokens, dense, expanded, latent = prefix
+        everything = np.arange(len(expanded))
+        for attend, cache in ((sparse.sparse_attention, expanded),
+                              (sparse.sparse_attention_absorbed, latent)):
+            out = attend(desk_weights, desk_config, cache, tokens[-1], everything)
+            assert np.max(np.abs(out - dense)) <= 1e-10 * (1 + np.max(np.abs(dense)))
+
     def test_single_position_reads_its_values(self, desk_config, desk_weights, prefix):
         tokens, _, expanded, _ = prefix
         out = sparse.sparse_attention(desk_weights, desk_config, expanded, tokens[-1], [3])
