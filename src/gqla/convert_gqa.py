@@ -32,8 +32,8 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
-from .model import GqlaConfig, GqlaWeights, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
+from .model import GqlaConfig, GqlaWeights, _check_tokens, _softmax, random_tokens
+from .numerics import CovarianceAccumulator, accumulate, root_eig, sym_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -98,45 +98,23 @@ def init_random_gqa(num_heads: int, num_groups: int, head_dim: int, model_dim: i
     )
 
 
-def _check_sequence(tokens, model_dim: int, s_q: int):
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[1] != model_dim:
-        raise ShapeError(f"tokens must be (L, {model_dim}), got {tokens.shape}")
-    if tokens.shape[0] < 1:
-        raise ParameterError("token sequence must be non-empty")
-    if not 1 <= s_q <= tokens.shape[0]:
-        raise ParameterError(f"s_q must be in [1, {tokens.shape[0]}], got {s_q}")
-    return tokens
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     """Reference forward of the source block for the trailing s_q positions."""
-    tokens = _check_sequence(tokens, src.model_dim, s_q)
+    tokens = _check_tokens(tokens, src.model_dim, s_q)
     length = tokens.shape[0]
     h, g, d = src.num_heads, src.num_groups, src.head_dim
     spec = src.rope_spec()
     positions = np.arange(length)
-    q = apply_folded_rope(spec, tokens @ src.q_proj.T, positions)
+    q = apply_folded_rope(spec, tokens[-s_q:] @ src.q_proj.T, positions[-s_q:])
     k = apply_folded_rope(spec, tokens @ src.k_proj.T, positions)
     v = tokens @ src.v_proj.T
-    q = q.reshape(length, h, d)
-    k = k.reshape(length, g, d)
-    v = v.reshape(length, g, d)
-    gi = np.arange(h) // src.heads_per_group
-    outputs = np.empty((s_q, src.model_dim))
-    scale = 1.0 / math.sqrt(d)
-    for idx, t in enumerate(range(length - s_q, length)):
-        logits = np.einsum("hd,shd->hs", q[t], k[: t + 1][:, gi, :]) * scale
-        attn = _softmax_rows(logits)
-        o = np.einsum("hs,shd->hd", attn, v[: t + 1][:, gi, :])
-        outputs[idx] = src.out_proj @ o.reshape(-1)
-    return outputs
+    # (g, s_q, heads per group, d) queries against each group's (d, L) keys
+    q = q.reshape(s_q, g, -1, d).transpose(1, 0, 2, 3)
+    logits = (q.reshape(g, -1, d) @ k.reshape(length, g, d).transpose(1, 2, 0)) / math.sqrt(d)
+    attn = _softmax(logits.reshape(q.shape[:-1] + (length,)), positions[-s_q:])
+    o = attn.reshape(g, -1, length) @ v.reshape(length, g, d).transpose(1, 0, 2)
+    o = o.reshape(g, s_q, -1, d).transpose(1, 0, 2, 3)
+    return o.reshape(s_q, h * d) @ src.out_proj.T
 
 
 @dataclass(frozen=True)
@@ -203,46 +181,42 @@ def _merged_projections(merged: MergedWeights, tokens: np.ndarray):
     return c_k, c_v, k_hat
 
 
-def _merged_query(merged: MergedWeights, x: np.ndarray, t: int) -> np.ndarray:
-    """Rotated, selector-embedded queries for one position: (num_heads, key_width)."""
-    spec = merged.rope_spec()
-    q = (merged.q_proj @ x).reshape(merged.num_heads, merged.head_dim)
-    out = np.empty((merged.num_heads, merged.key_width))
-    for i in range(merged.num_heads):
-        j = i // merged.heads_per_group
-        out[i] = apply_folded_rope(spec, merged.k_sel[j].T @ q[i], t)
-    return out
+def _merged_queries(merged: MergedWeights, tokens: np.ndarray, positions: np.ndarray):
+    """Rotated, selector-embedded queries of tokens at positions: (n, num_heads, key_width)."""
+    g, d = merged.num_groups, merged.head_dim
+    q = (tokens @ merged.q_proj.T).reshape(len(tokens), g, -1, d).transpose(1, 0, 2, 3)
+    q_sel = (q.reshape(g, -1, d) @ merged.k_sel).reshape(q.shape[:-1] + (merged.key_width,))
+    q_sel = q_sel.transpose(1, 0, 2, 3).reshape(len(tokens), merged.num_heads, -1)
+    return apply_folded_rope(merged.rope_spec(), q_sel, positions)
+
+
+def _merged_logits(merged: MergedWeights, tokens: np.ndarray, s_q: int):
+    """Pre-softmax logits (s_q, num_heads, L) of the trailing s_q positions,
+    plus those positions and the raw value latents."""
+    _, c_v, k_hat = _merged_projections(merged, tokens)
+    positions = np.arange(tokens.shape[0] - s_q, tokens.shape[0])
+    q_hat = _merged_queries(merged, tokens[-s_q:], positions)
+    return (q_hat @ k_hat.T) / math.sqrt(merged.head_dim), positions, c_v
 
 
 def merged_forward(merged: MergedWeights, tokens, s_q: int = 1) -> np.ndarray:
     """Forward pass of the merged form for the trailing s_q positions."""
-    tokens = _check_sequence(tokens, merged.model_dim, s_q)
-    length = tokens.shape[0]
-    _, c_v, k_hat = _merged_projections(merged, tokens)
-    gi = np.arange(merged.num_heads) // merged.heads_per_group
-    scale = 1.0 / math.sqrt(merged.head_dim)
-    outputs = np.empty((s_q, merged.model_dim))
-    for idx, t in enumerate(range(length - s_q, length)):
-        q_hat = _merged_query(merged, tokens[t], t)
-        logits = (q_hat @ k_hat[: t + 1].T) * scale
-        attn = _softmax_rows(logits)
-        o_hat = attn @ c_v[: t + 1]  # (num_heads, key_width)
-        o = np.einsum("hdw,hw->hd", merged.v_sel[gi], o_hat)
-        outputs[idx] = merged.out_proj @ o.reshape(-1)
-    return outputs
+    tokens = _check_tokens(tokens, merged.model_dim, s_q)
+    g, d = merged.num_groups, merged.head_dim
+    logits, positions, c_v = _merged_logits(merged, tokens, s_q)
+    o_hat = _softmax(logits, positions) @ c_v  # (s_q, num_heads, key_width)
+    o_hat = o_hat.reshape(s_q, g, -1, merged.key_width).transpose(1, 0, 2, 3)
+    o = o_hat.reshape(g, -1, merged.key_width) @ merged.v_sel.transpose(0, 2, 1)
+    o = o.reshape(g, s_q, -1, d).transpose(1, 0, 2, 3)
+    return o.reshape(s_q, -1) @ merged.out_proj.T
 
 
 def merged_scores(merged: MergedWeights, tokens) -> np.ndarray:
     """Causal pre-softmax logits (num_heads, L, L); upper triangle left zero."""
-    tokens = _check_sequence(tokens, merged.model_dim, 1)
+    tokens = _check_tokens(tokens, merged.model_dim, 1)
     length = tokens.shape[0]
-    _, _, k_hat = _merged_projections(merged, tokens)
-    scale = 1.0 / math.sqrt(merged.head_dim)
-    scores = np.zeros((merged.num_heads, length, length))
-    for t in range(length):
-        q_hat = _merged_query(merged, tokens[t], t)
-        scores[:, t, : t + 1] = (q_hat @ k_hat[: t + 1].T) * scale
-    return scores
+    logits, _, _ = _merged_logits(merged, tokens, length)
+    return np.tril(logits.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -458,6 +432,12 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
 
     Without a freqfold result every key coordinate is treated as
     position-free (useful for testing the balancing semantics alone).
+
+    The stacked activations calib·w_map^T have rank at most model_dim, so
+    neither they nor their (d_n + key_width)-square second moment are
+    formed: with the calibration Gram matrix calib^T·calib/N = E·Λ·E^T,
+    b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
+    norms, energies and the PCA basis (numerics.root_eig) all come from b.
     """
     g, d = aligned.num_groups, aligned.head_dim
     width = aligned.key_width
@@ -470,10 +450,12 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
-    act_k = (calib @ aligned.key_rows().T) @ nope_proj     # (N, d_n)
-    act_v = calib @ aligned.value_rows().T                 # (N, key_width)
-    norm_k = float(np.linalg.norm(act_k)) if d_n else 0.0
-    norm_v = float(np.linalg.norm(act_v))
+    root = accumulate(CovarianceAccumulator.empty(aligned.model_dim), calib).root()
+    key_map = nope_proj.T @ aligned.key_rows()        # (d_n, model_dim)
+    root_k = root @ key_map.T                         # (model_dim, d_n)
+    root_v = root @ aligned.value_rows().T            # (model_dim, key_width)
+    norm_k = float(np.linalg.norm(root_k)) if d_n else 0.0
+    norm_v = float(np.linalg.norm(root_v))
     if norm_v == 0.0 or (d_n and norm_k == 0.0):
         raise DegenerateCalibrationError("a side has zero activation energy under calibration")
     # Balancing only makes sense for comparable sides: amplifying a side that
@@ -486,26 +468,27 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
     else:
         scale_k, scale_v = 1.0, 1.0
 
-    w_map = np.vstack([scale_k * (nope_proj.T @ aligned.key_rows()),
-                       scale_v * aligned.value_rows()])
-    stacked = np.hstack([scale_k * act_k, scale_v * act_v])
-    sigma = accumulate(CovarianceAccumulator.empty(d_n + width), stacked)
-    u, v = pca_factor(w_map, sigma, kv_rank)
+    w_map = np.vstack([scale_k * key_map, scale_v * aligned.value_rows()])
+    b = np.hstack([scale_k * root_k, scale_v * root_v])
+    u = root_eig(b, kv_rank).eigenvectors
+    v = u.T @ w_map
     u_k, u_v = u[:d_n], u[d_n:]
 
     k_up = np.vstack([(nope_proj[j * d:(j + 1) * d] @ u_k) / scale_k for j in range(g)]) \
         if d_n else np.zeros((width, kv_rank))
     v_up = np.vstack([u_v[j * d:(j + 1) * d] / scale_v for j in range(g)])
 
-    coords = stacked @ u
-    recon = coords @ u.T
-    def retained(a, b):
-        total = float(np.linalg.norm(a) ** 2)
+    # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
+    # R^T·R = N·root^T·root, so ||calib·X|| = √N·||root·X|| for every X and
+    # the √N cancels in each ratio.
+    recon = (b @ u) @ u.T
+    def retained(full, kept):
+        total = float(np.linalg.norm(full) ** 2)
         if total == 0.0:
             return 1.0
-        return 1.0 - float(np.linalg.norm(a - b) ** 2) / total
-    energy_key = retained(stacked[:, :d_n], recon[:, :d_n]) if d_n else 1.0
-    energy_value = retained(stacked[:, d_n:], recon[:, d_n:])
+        return 1.0 - float(np.linalg.norm(full - kept) ** 2) / total
+    energy_key = retained(b[:, :d_n], recon[:, :d_n]) if d_n else 1.0
+    energy_value = retained(b[:, d_n:], recon[:, d_n:])
     return JointCompression(kv_down=v, k_up=k_up, v_up=v_up,
                             scale_key=scale_k, scale_value=scale_v,
                             energy_key=energy_key, energy_value=energy_value)

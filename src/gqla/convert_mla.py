@@ -20,7 +20,7 @@ import numpy as np
 from . import model as gqla_model
 from .errors import ParameterError, ShapeError
 from .model import GqlaConfig, GqlaWeights, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
+from .numerics import CovarianceAccumulator, accumulate, sym_eig
 from .rope import apply_rope
 
 # A head-indexed source is a GqlaWeights whose config has num_groups == num_heads.
@@ -124,12 +124,13 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
     def side(proj, accs, per_head_dim, rank):
         us, vs, energies = [], [], []
         for j, (lo, hi) in enumerate(_group_row_blocks(config, groups, per_head_dim)):
-            u, v = pca_factor(proj[lo:hi], accs[j], rank)
-            lam = sym_eig(accs[j].normalized()).eigenvalues
-            total = float(lam.sum())
-            energies.append(float(lam[:rank].sum()) / total if total > 0 else 1.0)
+            # pca_factor's basis, with its eigenvalues kept for the energy
+            eig = sym_eig(accs[j].normalized())
+            u = eig.eigenvectors[:, :rank]
+            total = float(eig.eigenvalues.sum())
+            energies.append(float(eig.eigenvalues[:rank].sum()) / total if total > 0 else 1.0)
             us.append(u)
-            vs.append(v)
+            vs.append(u.T @ proj[lo:hi])
         return tuple(us), tuple(vs), tuple(energies)
 
     key_u, key_v, key_energy = side(weights.k_up, stats.key, config.head_dim, key_rank)

@@ -209,10 +209,10 @@ def random_tokens(count: int, dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((count, dim))
 
 
-def _check_tokens(tokens, config: GqlaConfig, s_q: int) -> np.ndarray:
+def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[1] != config.model_dim:
-        raise ShapeError(f"tokens must be (L, {config.model_dim}), got {tokens.shape}")
+    if tokens.ndim != 2 or tokens.shape[1] != model_dim:
+        raise ShapeError(f"tokens must be (L, {model_dim}), got {tokens.shape}")
     if tokens.shape[0] < 1:
         raise ParameterError("token sequence must be non-empty")
     if not 1 <= s_q <= tokens.shape[0]:
@@ -228,10 +228,14 @@ def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, po
     an (n, model_dim) batch.
     """
     c_q = x @ weights.q_down.T
-    heads = x.shape[:-1] + (config.num_heads,)
-    q_nope = (c_q @ weights.q_up.T).reshape(heads + (config.head_dim,))
+    q_nope = (c_q @ weights.q_up.T).reshape(x.shape[:-1] + (config.num_heads, config.head_dim))
+    return q_nope, _rope_queries(weights, config, c_q, position)
+
+
+def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position):
+    """Post-rotary per-head queries (..., num_heads, rope_head_dim) of query latents c_q."""
     q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
-    return q_nope, q_rope.reshape(heads + (config.rope_head_dim,))
+    return q_rope.reshape(c_q.shape[:-1] + (config.num_heads, config.rope_head_dim))
 
 
 def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position):
@@ -369,7 +373,7 @@ def forward_gqa_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int 
 
     Returns (outputs (s_q, model_dim), ExpandedCache over the whole sequence).
     """
-    tokens = _check_tokens(tokens, config, s_q)
+    tokens = _check_tokens(tokens, config.model_dim, s_q)
     kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
     cache = ExpandedCache(k_nope=kv @ weights.k_up.T, v=kv @ weights.v_up.T, k_rope=k_rope)
     return _prefill(weights, config, tokens, s_q, cache), cache
@@ -380,7 +384,7 @@ def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: i
 
     Returns (outputs (s_q, model_dim), LatentCache over the whole sequence).
     """
-    tokens = _check_tokens(tokens, config, s_q)
+    tokens = _check_tokens(tokens, config.model_dim, s_q)
     kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
     cache = LatentCache(kv=kv, k_rope=k_rope)
     return _prefill(weights, config, tokens, s_q, cache), cache
@@ -451,7 +455,7 @@ def absorb(weights: GqlaWeights, config: GqlaConfig) -> AbsorbedWeights:
 def forward_absorbed(absorbed: AbsorbedWeights, config: GqlaConfig, tokens, s_q: int = 1):
     """Absorbed-path forward using the pre-fused projections."""
     c = config
-    tokens = _check_tokens(tokens, c, s_q)
+    tokens = _check_tokens(tokens, c.model_dim, s_q)
     positions = np.arange(tokens.shape[0])
     kv, k_rope = _project_keys(absorbed, c, tokens, positions)
     cache = LatentCache(kv=kv, k_rope=k_rope)
@@ -504,7 +508,7 @@ def oracle_mha(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1) -
     rotations written out longhand. Intentionally shares no code with
     forward_gqa_path / forward_absorb_path so it can serve as their oracle.
     """
-    tokens = _check_tokens(tokens, config, s_q)
+    tokens = _check_tokens(tokens, config.model_dim, s_q)
     c = config
     length = tokens.shape[0]
     hpg = c.heads_per_group

@@ -1,10 +1,12 @@
 """Deterministic dense linear algebra shared by the checkpoint converters.
 
-All matrices are plain float64 numpy arrays in row-major layout. The three
-entry points are a canonicalized symmetric eigendecomposition, an uncentered
-second-moment accumulator, and the covariance-weighted low-rank factorization
-both converters are built on. Everything here is a pure function: inputs are
-never mutated and identical inputs give byte-identical outputs.
+All matrices are plain float64 numpy arrays in row-major layout. The entry
+points are a canonicalized symmetric eigendecomposition, an uncentered
+second-moment accumulator, the covariance-weighted low-rank factorization
+both converters are built on, and its square-root form, which takes the
+leading eigenbasis of a wide second moment from a short factor of it.
+Everything here is a pure function: inputs are never mutated and identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -58,15 +60,16 @@ def sym_eig(m, *, symmetry_rtol: float = 1e-10) -> EigenResult:
     # eigh returns ascending order; flip with a stable sort so exact ties keep
     # their original index order.
     order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    # Fix each column's sign: largest-magnitude component positive (first such
-    # index wins on magnitude ties).
+    return EigenResult(eigenvalues=w[order], eigenvectors=_canonical_signs(v[:, order]))
+
+
+def _canonical_signs(v: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude component is positive (first
+    such index wins on magnitude ties)."""
     lead = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[lead, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
-    v = v * signs
-    return EigenResult(eigenvalues=w, eigenvectors=np.ascontiguousarray(v))
+    return np.ascontiguousarray(v * signs)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,18 @@ class CovarianceAccumulator:
     def normalized(self) -> np.ndarray:
         """Second moment divided by the sample count (zero-safe)."""
         return self.second_moment / max(self.sample_count, 1)
+
+    def root(self) -> np.ndarray:
+        """A square root r (dim x dim) of the normalized moment: r^T·r = normalized().
+
+        r = √Λ·E^T from the eigendecomposition E·Λ·E^T; eigenvalues at rounding
+        level (at most dim·eps times the largest) count as 0, so the rows of r
+        that are not 0 are the moment's numerical rank.
+        """
+        eig = sym_eig(self.normalized())
+        lam = eig.eigenvalues
+        lam = np.where(lam > self.dim * np.finfo(np.float64).eps * lam[0], lam, 0.0)
+        return np.sqrt(lam)[:, None] * eig.eigenvectors.T
 
 
 def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:
@@ -132,3 +147,68 @@ def weighted_error(w, u, v, sigma: CovarianceAccumulator) -> float:
     """Sigma-weighted squared reconstruction error trace((w-u·v)^T Σ (w-u·v))."""
     r = np.asarray(w) - np.asarray(u) @ np.asarray(v)
     return float(np.trace(r.T @ sigma.normalized() @ r))
+
+
+# Largest departure from orthonormality accepted for a completed basis.
+_BASIS_TOL = 1e-12
+
+
+def root_eig(b, rank: int) -> EigenResult:
+    """Leading ``rank`` eigenpairs of the second moment b^T·b, taken from b.
+
+    b (m x D) is a square root of the moment, usually with m much smaller than
+    D: activations x = c·w^T of inputs c whose normalized Gram matrix is
+    E·Λ·E^T have the normalized second moment b^T·b with b = √Λ·E^T·w^T, whose
+    m rows are at most the input width. A thin SVD of b gives the eigenpairs
+    without forming, let alone eigendecomposing, the D x D moment. Signs
+    follow sym_eig: each column's largest-magnitude entry is positive.
+
+    Past the numerical rank r of b (singular values above max(m, D)·eps times
+    the largest) the moment has no preferred direction, so the last rank - r
+    columns follow a fixed rule and get eigenvalue 0: the identity columns
+    least covered by the leading basis (smallest ||u_r^T e_i||, lower index on
+    ties), with the leading basis projected out and then orthonormalized in
+    column order (Gram-Schmidt's result, computed as a Cholesky QR), both done
+    twice. Should those columns be numerically dependent on the leading basis
+    (possible only when r·(rank - r) >= D), so that the result is not
+    orthonormal to 1e-12, the leading columns of the complement from a
+    complete QR of the leading basis are used instead.
+    """
+    b = _as_matrix(b, "b")
+    m, dim = b.shape
+    if not 1 <= rank <= dim:
+        raise ParameterError(f"rank must be in [1, {dim}], got {rank}")
+    try:
+        _, s, vt = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular value decomposition did not converge: {exc}") from exc
+    tol = max(m, dim) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    lead = min(rank, int(np.count_nonzero(s > tol)))
+    u = vt[:lead].T
+    if lead < rank:
+        u = np.hstack([u, _complete_basis(u, rank - lead)])
+    eigenvalues = np.zeros(rank)
+    eigenvalues[:lead] = s[:lead] ** 2
+    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(u))
+
+
+def _complete_basis(u: np.ndarray, count: int) -> np.ndarray:
+    """count orthonormal columns orthogonal to the orthonormal columns of u,
+    by the rule root_eig documents."""
+    dim, lead = u.shape
+    coverage = np.einsum("ij,ij->i", u, u)
+    x = np.zeros((dim, count))
+    x[np.argsort(coverage, kind="stable")[:count], np.arange(count)] = 1.0
+    try:
+        for _ in range(2):
+            x -= u @ (u.T @ x)
+            # Cholesky QR: the Q factor of x whose R has a positive diagonal
+            x = x @ np.linalg.inv(np.linalg.cholesky(x.T @ x)).T
+        valid = (np.max(np.abs(x.T @ x - np.eye(count))) <= _BASIS_TOL
+                 and (lead == 0 or np.max(np.abs(u.T @ x)) <= _BASIS_TOL))
+    except np.linalg.LinAlgError:
+        valid = False
+    if valid:
+        return x
+    q, _ = np.linalg.qr(u, mode="complete")
+    return q[:, lead:lead + count]

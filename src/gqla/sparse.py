@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache,
-                    _project_queries, _softmax, _token_attention)
+                    _project_queries, _rope_queries, _softmax, _token_attention)
 
 TILE_M = 16
 
@@ -57,8 +57,8 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     """
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
-    x = np.asarray(x, dtype=np.float64)
-    _, q_rope = _project_queries(weights, config, x, len(cache) - 1)
+    c_q = np.asarray(x, dtype=np.float64) @ weights.q_down.T
+    q_rope = _rope_queries(weights, config, c_q, len(cache) - 1)
     return (q_rope @ cache.k_rope.T).mean(axis=0)
 
 

@@ -7,6 +7,8 @@ from gqla import convert_gqa as CG
 from gqla import model as M
 from gqla.errors import DegenerateCalibrationError, ParameterError
 from gqla.model import GqlaConfig, random_tokens
+from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor
+from gqla.rope import apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
 
@@ -33,6 +35,22 @@ class TestMergeHeads:
         got = CG.merged_forward(merged, tokens, 2)
         expect = loop_gqa_oracle(desk_gqa, tokens, 2)
         assert np.max(np.abs(got - expect)) <= 1e-10 * (1 + np.max(np.abs(expect)))
+
+    def test_scores_match_per_head_rotary_dot_products(self, desk_gqa):
+        tokens = random_tokens(9, 64, 8)
+        scores = CG.merged_scores(CG.merge_heads(desk_gqa), tokens)
+        spec = desk_gqa.rope_spec()
+        d, hpg = desk_gqa.head_dim, desk_gqa.heads_per_group
+        for i in range(desk_gqa.num_heads):
+            q_rows = desk_gqa.q_proj[i * d:(i + 1) * d]
+            k_rows = desk_gqa.k_proj[(i // hpg) * d:(i // hpg + 1) * d]
+            for t in range(9):
+                q = apply_rope(spec, q_rows @ tokens[t], t)
+                keys = [apply_rope(spec, k_rows @ tokens[s], s) for s in range(t + 1)]
+                expect = np.array(keys) @ q / np.sqrt(d)
+                assert np.max(np.abs(scores[i, t, : t + 1] - expect)) <= 1e-12 * (
+                    1 + np.max(np.abs(expect)))
+                assert np.all(scores[i, t, t + 1:] == 0.0)
 
     def test_selectors_start_as_sparse_identities(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
@@ -192,6 +210,87 @@ class TestBalanceAndJointPca:
         aligned, _ = CG.rorope_align(CG.merge_heads(dead), CALIB)
         with pytest.raises(DegenerateCalibrationError):
             CG.balance_and_joint_pca(aligned, CALIB, kv_rank=16)
+
+
+def dense_joint_pca(aligned, calib, kv_rank, freqfold=None, balance=True):
+    """Referee for balance_and_joint_pca: the wide route, which accumulates the
+    N x (d_n + key_width) stacked activations and runs pca_factor on their
+    second moment. Returns (kv_down, k_up, v_up, energy_key, energy_value)."""
+    g, d, width = aligned.num_groups, aligned.head_dim, aligned.key_width
+    nope = np.eye(width) if freqfold is None else freqfold.nope_basis
+    d_n = nope.shape[1]
+    act_k = (calib @ aligned.key_rows().T) @ nope
+    act_v = calib @ aligned.value_rows().T
+    scale_k = scale_v = 1.0
+    if balance:
+        norm_k, norm_v = np.linalg.norm(act_k), np.linalg.norm(act_v)
+        target = np.sqrt(norm_k * norm_v)
+        scale_k, scale_v = target / norm_k, target / norm_v
+    w_map = np.vstack([scale_k * (nope.T @ aligned.key_rows()), scale_v * aligned.value_rows()])
+    stacked = np.hstack([scale_k * act_k, scale_v * act_v])
+    sigma = accumulate(CovarianceAccumulator.empty(d_n + width), stacked)
+    u, v = pca_factor(w_map, sigma, kv_rank)
+    k_up = np.vstack([nope[j * d:(j + 1) * d] @ u[:d_n] / scale_k for j in range(g)])
+    v_up = u[d_n:] / scale_v
+    recon = stacked @ u @ u.T
+    def retained(cols):
+        return 1.0 - np.linalg.norm(stacked[:, cols] - recon[:, cols]) ** 2 / \
+            np.linalg.norm(stacked[:, cols]) ** 2
+    return v, k_up, v_up, retained(slice(0, d_n)), retained(slice(d_n, None))
+
+
+def composed(k_up, v_up, kv_down):
+    return np.vstack([k_up, v_up]) @ kv_down
+
+
+class TestIntrinsicJointPca:
+    """balance_and_joint_pca against the dense accumulate + pca_factor route."""
+
+    def setup_method(self):
+        self.src = CG.init_random_gqa(8, 2, 16, 64, seed=5)
+        self.aligned, _ = CG.rorope_align(CG.merge_heads(self.src), CALIB)
+        self.folded = CG.freqfold_compress(self.aligned, CALIB, kv_rank=24, rope_dim=8)
+
+    @pytest.mark.parametrize("kv_rank", [6, 24, 40])
+    def test_leading_subspace_and_energies(self, kv_rank):
+        joint = CG.balance_and_joint_pca(self.aligned, CALIB, kv_rank, freqfold=self.folded)
+        kv_down, k_up, v_up, e_k, e_v = dense_joint_pca(self.aligned, CALIB, kv_rank,
+                                                         self.folded)
+        ref = composed(k_up, v_up, kv_down)
+        got = composed(joint.k_up, joint.v_up, joint.kv_down)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * (1 + np.max(np.abs(ref)))
+        assert joint.energy_key == pytest.approx(e_k, abs=1e-12)
+        assert joint.energy_value == pytest.approx(e_v, abs=1e-12)
+        assert joint.energy_key < 1.0 and joint.energy_value < 1.0
+
+    def test_full_rank_composed_map(self):
+        full = self.folded.nope_basis.shape[1] + self.aligned.key_width
+        joint = CG.balance_and_joint_pca(self.aligned, CALIB, full, freqfold=self.folded)
+        kv_down, k_up, v_up, _, _ = dense_joint_pca(self.aligned, CALIB, full, self.folded)
+        assert np.max(np.abs(composed(joint.k_up, joint.v_up, joint.kv_down) -
+                             composed(k_up, v_up, kv_down))) <= 1e-10
+
+    def test_rank_above_numerical_rank(self):
+        # 16 calibration tokens: the stacked activations have rank 16 < kv_rank.
+        calib = random_tokens(16, 64, 41)
+        target = desk_target(kv_rank=40, rope_dim=8)
+        aligned, _ = CG.rorope_align(CG.merge_heads(self.src), calib)
+        folded = CG.freqfold_compress(aligned, calib, target.kv_rank, 8)
+        joint = CG.balance_and_joint_pca(aligned, calib, target.kv_rank, freqfold=folded)
+        again = CG.balance_and_joint_pca(aligned, calib, target.kv_rank, freqfold=folded)
+        for name in ("kv_down", "k_up", "v_up"):
+            assert np.array_equal(getattr(joint, name), getattr(again, name))
+        u = np.vstack([folded.nope_basis.T @ joint.k_up * joint.scale_key,
+                       joint.v_up * joint.scale_value])
+        assert np.max(np.abs(u.T @ u - np.eye(target.kv_rank))) <= 1e-12
+
+        weights, _ = CG.convert(self.src, calib, target)
+        kv_down, k_up, v_up, _, _ = dense_joint_pca(aligned, calib, target.kv_rank, folded)
+        dense = dataclasses.replace(weights, kv_down=kv_down, k_up=k_up, v_up=v_up)
+        tokens = calib[:12]  # inside the calibrated subspace, where both routes are exact
+        got, _ = M.forward_gqa_path(weights, target, tokens, 12)
+        ref, _ = M.forward_gqa_path(dense, target, tokens, 12)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
 
 
 class TestConvert:

@@ -7,7 +7,7 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import ParameterError
 from gqla.model import random_tokens
-from gqla.numerics import sym_eig
+from gqla.numerics import pca_factor, sym_eig
 
 from conftest import dual_path_bound, plant_group_structured_mla
 
@@ -79,6 +79,16 @@ class TestFactor:
             for _ in range(20):
                 b, _ = np.linalg.qr(rng.standard_normal((64, 16)))
                 assert err <= weighted_error(block, b, b.T @ block, stats.key[j]) + 1e-9
+
+    def test_matches_pca_factor_and_eigenvalue_energy(self, mla_config, mla_weights):
+        stats = CM.calibrate(mla_weights, mla_config, CALIB, 2)
+        fact = CM.factor(mla_weights, mla_config, stats)
+        d = mla_config.head_dim
+        for j, acc in enumerate(stats.key):
+            u, v = pca_factor(mla_weights.k_up[j * 4 * d:(j + 1) * 4 * d], acc, d)
+            assert np.array_equal(fact.key_u[j], u) and np.array_equal(fact.key_v[j], v)
+            lam = sym_eig(acc.normalized()).eigenvalues
+            assert fact.key_energy[j] == lam[:d].sum() / lam.sum()
 
     def test_rank_bounds(self, mla_config, mla_weights):
         stats = CM.calibrate(mla_weights, mla_config, CALIB[:64], 2)

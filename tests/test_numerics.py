@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gqla.errors import ParameterError, ShapeError
-from gqla.numerics import (CovarianceAccumulator, accumulate, pca_factor, sym_eig,
+from gqla.numerics import (CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig,
                            weighted_error)
 
 
@@ -112,6 +112,20 @@ class TestAccumulate:
         lam = sym_eig(acc.normalized()).eigenvalues
         assert np.all(lam >= -1e-9 * np.trace(acc.normalized()))
 
+    def test_root_squares_to_the_moment(self):
+        rng = np.random.default_rng(6)
+        acc = accumulate(CovarianceAccumulator.empty(12), rng.standard_normal((30, 12)))
+        r = acc.root()
+        assert np.max(np.abs(r.T @ r - acc.normalized())) <= 1e-12
+
+    def test_root_rank_is_the_sample_rank(self):
+        rng = np.random.default_rng(7)
+        acc = accumulate(CovarianceAccumulator.empty(64), rng.standard_normal((16, 64)))
+        r = acc.root()
+        assert np.count_nonzero(np.any(r != 0.0, axis=1)) == 16
+        assert np.max(np.abs(r.T @ r - acc.normalized())) <= 1e-12
+        assert np.array_equal(CovarianceAccumulator.empty(3).root(), np.zeros((3, 3)))
+
     def test_input_not_mutated(self):
         acc = CovarianceAccumulator.empty(3)
         accumulate(acc, np.ones((2, 3)))
@@ -180,3 +194,61 @@ class TestPcaFactor:
     def test_sigma_dim_mismatch(self):
         with pytest.raises(ShapeError):
             pca_factor(np.ones((4, 2)), CovarianceAccumulator.empty(5), 2)
+
+
+def projector_gap(a, b):
+    return np.max(np.abs(a @ a.T - b @ b.T))
+
+
+class TestRootEig:
+    def test_matches_sym_eig_of_the_moment(self):
+        rng = np.random.default_rng(20)
+        b = rng.standard_normal((12, 30)) * np.linspace(3.0, 0.5, 12)[:, None]
+        dense = sym_eig(b.T @ b)
+        res = root_eig(b, 12)
+        scale = dense.eigenvalues[0]
+        assert np.max(np.abs(res.eigenvalues - dense.eigenvalues[:12])) <= 1e-12 * scale
+        # distinct eigenvalues: the same canonical columns, not only the subspace
+        assert np.max(np.abs(res.eigenvectors - dense.eigenvectors[:, :12])) <= 1e-8
+        for k in (1, 5, 12):
+            assert projector_gap(root_eig(b, k).eigenvectors, dense.eigenvectors[:, :k]) <= 1e-9
+
+    def test_sign_convention(self):
+        u = root_eig(np.random.default_rng(21).standard_normal((6, 15)), 9).eigenvectors
+        lead = np.argmax(np.abs(u), axis=0)
+        assert np.all(u[lead, np.arange(9)] > 0)
+
+    def test_completion_past_numerical_rank(self):
+        rng = np.random.default_rng(22)
+        b = rng.standard_normal((4, 16)) @ rng.standard_normal((16, 40))  # rank 4 of 40
+        res = root_eig(np.vstack([b, np.zeros((3, 40))]), 25)
+        u = res.eigenvectors
+        assert np.max(np.abs(u.T @ u - np.eye(25))) <= 1e-12
+        assert np.all(res.eigenvalues[4:] == 0.0) and np.all(res.eigenvalues[:4] > 0)
+        assert projector_gap(u[:, :4], sym_eig(b.T @ b).eigenvectors[:, :4]) <= 1e-10
+        again = root_eig(np.vstack([b, np.zeros((3, 40))]), 25)
+        assert np.array_equal(again.eigenvectors, u)
+        assert np.array_equal(again.eigenvalues, res.eigenvalues)
+
+    def test_zero_root_completes_from_the_identity(self):
+        res = root_eig(np.zeros((2, 5)), 3)
+        assert np.array_equal(res.eigenvectors, np.eye(5)[:, :3])
+        assert np.array_equal(res.eigenvalues, np.zeros(3))
+
+    def test_completion_when_least_covered_columns_are_dependent(self):
+        # Leading directions (e0+e1)/sqrt2 and (e2+e3+e4)/sqrt3: the three
+        # least covered identity columns e2, e3, e4 sum into the leading span.
+        lead = np.zeros((2, 5))
+        lead[0, :2] = 2.0 / np.sqrt(2.0)
+        lead[1, 2:] = 1.0 / np.sqrt(3.0)
+        u = root_eig(lead, 5).eigenvectors
+        assert np.max(np.abs(u.T @ u - np.eye(5))) <= 1e-12
+        assert np.max(np.abs(u[:, :2].T @ lead.T @ lead @ u[:, 2:])) <= 1e-12
+
+    def test_rank_bounds(self):
+        with pytest.raises(ParameterError):
+            root_eig(np.ones((2, 4)), 5)
+        with pytest.raises(ParameterError):
+            root_eig(np.ones((2, 4)), 0)
+        with pytest.raises(ShapeError):
+            root_eig(np.ones(4), 1)

@@ -111,6 +111,14 @@ class TestStubIndexer:
         alt = sparse.stub_index_scores(desk_weights, desk_config, latent, tokens[-1])
         assert np.array_equal(scores, alt)
 
+    def test_rotary_only_projection_is_bitwise_the_full_one(self, desk_config, desk_weights,
+                                                            prefix):
+        tokens, _, expanded, _ = prefix
+        _, q_rope = M._project_queries(desk_weights, desk_config, tokens[-1], len(expanded) - 1)
+        expect = (q_rope @ expanded.k_rope.T).mean(axis=0)
+        got = sparse.stub_index_scores(desk_weights, desk_config, expanded, tokens[-1])
+        assert np.array_equal(got, expect)
+
 
 def make_config(num_heads, num_groups) -> GqlaConfig:
     return GqlaConfig(model_dim=32, num_heads=num_heads, num_groups=num_groups,
