@@ -8,7 +8,9 @@ Four stages, the first two exact and the last two calibration-driven:
 2. rorope_align: per K/V head, a rotation block-diagonal over rotary pairs is
    applied to the key path and folded into the matching query slices. Scores
    are preserved exactly; per-pair energy concentrates on the leading
-   coordinate so a shared rotary basis becomes available.
+   coordinate so a shared rotary basis becomes available. Each pair's
+   leading eigenvector has the closed form (cos θ, sin θ) with
+   θ = ½·atan2(2b, a − c) for the pair covariance [[a, b], [b, c]].
 3. freqfold_compress: the key coordinates are partitioned into one band per
    rotary frequency (2g dims each) and PCA runs inside each band on the
    pair-structured (complex) covariance, so basis vectors keep their rotary
@@ -26,14 +28,14 @@ at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, _softmax, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, root_eig, sym_eig
+from .numerics import CovarianceAccumulator, accumulate, root_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -160,9 +162,7 @@ def merge_heads(src: GqaWeights) -> MergedWeights:
     """Exact restack of a source block; selectors start as sparse identities."""
     src.validate()
     g, d = src.num_groups, src.head_dim
-    sel = np.zeros((g, d, g * d))
-    for j in range(g):
-        sel[j, :, j * d:(j + 1) * d] = np.eye(d)
+    sel = np.eye(g * d).reshape(g, d, g * d)
     return MergedWeights(
         num_heads=src.num_heads, num_groups=g, head_dim=d,
         model_dim=src.model_dim, rope_base=src.rope_base,
@@ -219,77 +219,63 @@ def merged_scores(merged: MergedWeights, tokens) -> np.ndarray:
     return np.tril(logits.transpose(1, 0, 2))
 
 
-@dataclass(frozen=True)
-class RoRopeRotations:
-    """Per K/V head rotations, block-diagonal over rotary pairs."""
-
-    per_head: tuple
-
-    def __len__(self) -> int:
-        return len(self.per_head)
+def identity_rotations(merged: MergedWeights) -> np.ndarray:
+    return np.tile(np.eye(merged.head_dim), (merged.num_groups, 1, 1))
 
 
-def identity_rotations(merged: MergedWeights) -> RoRopeRotations:
-    return RoRopeRotations(tuple(np.eye(merged.head_dim) for _ in range(merged.num_groups)))
-
-
-def apply_head_rotations(merged: MergedWeights, rotations: RoRopeRotations) -> MergedWeights:
-    """Rotate each head's key rows and fold the matching rotation into the
-    query slices; attention scores are unchanged because each block rotates
-    within a single rotary pair and therefore commutes with the rotary map."""
-    if len(rotations) != merged.num_groups:
-        raise ShapeError(f"expected {merged.num_groups} rotations, got {len(rotations)}")
-    d = merged.head_dim
-    kv_down = merged.kv_down.copy()
-    for j, rot in enumerate(rotations.per_head):
-        if rot.shape != (d, d):
-            raise ShapeError(f"rotation {j} has shape {rot.shape}, expected {(d, d)}")
-        kv_down[j * d:(j + 1) * d] = rot @ kv_down[j * d:(j + 1) * d]
-    q_proj = merged.q_proj.copy()
-    for i in range(merged.num_heads):
-        rot = rotations.per_head[i // merged.heads_per_group]
-        q_proj[i * d:(i + 1) * d] = rot @ q_proj[i * d:(i + 1) * d]
-    return MergedWeights(
-        num_heads=merged.num_heads, num_groups=merged.num_groups,
-        head_dim=d, model_dim=merged.model_dim, rope_base=merged.rope_base,
-        q_proj=q_proj, kv_down=kv_down,
+def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
+    """Rotate each group's key rows by its (head_dim x head_dim) block of
+    rotations (num_groups, head_dim, head_dim) and fold the same rotation into
+    the group's query slices; attention scores are unchanged because each
+    block rotates within a single rotary pair and therefore commutes with the
+    rotary map."""
+    g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
+    rotations = np.asarray(rotations, dtype=np.float64)
+    if rotations.shape != (g, d, d):
+        raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d, d)}")
+    keys = rotations @ merged.key_rows().reshape(g, d, dm)
+    q_proj = rotations[:, None] @ merged.q_proj.reshape(g, -1, d, dm)
+    return replace(
+        merged, q_proj=q_proj.reshape(merged.q_proj.shape),
+        kv_down=np.vstack([keys.reshape(-1, dm), merged.value_rows()]),
         k_sel=merged.k_sel.copy(), v_sel=merged.v_sel.copy(),
         out_proj=merged.out_proj.copy(),
     )
 
 
 def _key_covariance(merged: MergedWeights, calib: np.ndarray) -> CovarianceAccumulator:
-    acc = CovarianceAccumulator.empty(merged.key_width)
-    return accumulate(acc, calib @ merged.key_rows().T)
+    """Second moment of the key activations calib·K^T, formed as K·(calib^T·calib)·K^T
+    so the N x key_width activations are never built."""
+    gram = accumulate(CovarianceAccumulator.empty(merged.model_dim), calib)
+    moment = merged.key_rows() @ gram.second_moment @ merged.key_rows().T
+    return CovarianceAccumulator(merged.key_width, (moment + moment.T) / 2.0, gram.sample_count)
 
 
 def rorope_align(merged: MergedWeights, calib) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
-    For every head and rotary pair, the 2-dim covariance of the pre-rotation
-    key activations is eigendecomposed and the pure rotation taking the
-    leading eigenvector to the first coordinate is applied (keys) and folded
+    For every head and rotary pair, the leading eigenvector of the 2-dim
+    covariance [[a, b], [b, c]] of the pre-rotation key activations is
+    (cos θ, sin θ) with θ = ½·atan2(2b, a − c), signed as numerics.sym_eig
+    signs it (largest-magnitude entry positive, the first on ties); the pure
+    rotation taking it to the first coordinate is applied (keys) and folded
     back (queries). All heads end up sharing the per-pair leading axis as
-    their common rotary reference.
+    their common rotary reference. Returns (aligned weights, rotations of
+    shape (num_groups, head_dim, head_dim)).
     """
-    calib = np.asarray(calib, dtype=np.float64)
-    if calib.ndim != 2 or calib.shape[0] < 1:
-        raise ParameterError("calibration batch must be a non-empty (N, model_dim) array")
-    if calib.shape[1] != merged.model_dim:
-        raise ShapeError(f"calibration dim {calib.shape[1]} != model_dim {merged.model_dim}")
-    cov = _key_covariance(merged, calib).normalized()
-    d = merged.head_dim
-    per_head = []
-    for j in range(merged.num_groups):
-        rot = np.eye(d)
-        for p in range(d // 2):
-            a = j * d + 2 * p
-            pair_cov = cov[a:a + 2, a:a + 2]
-            lead = sym_eig(pair_cov).eigenvectors[:, 0]
-            rot[2 * p:2 * p + 2, 2 * p:2 * p + 2] = np.array(
-                [[lead[0], lead[1]], [-lead[1], lead[0]]])
-        per_head.append(rot)
-    rotations = RoRopeRotations(tuple(per_head))
+    cov = _key_covariance(merged, _check_tokens(calib, merged.model_dim, 1)).normalized()
+    diag = np.diagonal(cov)
+    theta = 0.5 * np.arctan2(2.0 * np.diagonal(cov, 1)[0::2], diag[0::2] - diag[1::2])
+    g, d = merged.num_groups, merged.head_dim
+    cos, sin = np.cos(theta).reshape(g, -1), np.sin(theta).reshape(g, -1)
+    sign = np.where(np.abs(sin) > np.abs(cos), np.sign(sin), 1.0)
+    cos, sin = sign * cos, sign * sin
+    # each pair's block is [[cos, sin], [-sin, cos]]
+    x = np.arange(0, d, 2)
+    rotations = np.zeros((g, d, d))
+    rotations[:, x, x] = rotations[:, x + 1, x + 1] = cos
+    rotations[:, x, x + 1] = sin
+    rotations[:, x + 1, x] = -sin
     return apply_head_rotations(merged, rotations), rotations
 
 
@@ -313,38 +299,34 @@ class FreqFoldResult:
     band_energies: tuple
 
 
-def _band_complex_pca(cov: np.ndarray, band: list, num_groups: int):
-    """Eigenpairs of the pair-structured covariance of one band.
+def _band_complex_pca(cov: np.ndarray, bands: np.ndarray):
+    """Eigenpairs of the pair-structured covariance of every band.
 
-    The band's 2g coordinates are read as g complex numbers; the Hermitian
-    covariance is eigendecomposed and each complex eigenvector is returned as
-    the two real paired columns it spans. Only complex-linear mixtures are
-    considered, which is exactly the set of maps commuting with the common
-    in-band rotation.
+    Each band's 2g coordinates (a row of bands) are read as g complex
+    numbers; the g x g Hermitian covariances of all bands are eigendecomposed
+    in one batch and each complex eigenvector is returned as the two real
+    paired columns it spans. Only complex-linear mixtures are considered,
+    which is exactly the set of maps commuting with the common in-band
+    rotation. Returns energies (bands, g), descending per band, and pairs
+    (bands, g, 2g, 2): pairs[p, r, :, k] is column k of direction r of band p.
     """
-    g = num_groups
-    hermitian = np.empty((g, g), dtype=np.complex128)
-    for a in range(g):
-        xa, ya = band[2 * a], band[2 * a + 1]
-        for b in range(g):
-            xb, yb = band[2 * b], band[2 * b + 1]
-            hermitian[a, b] = (cov[xa, xb] + cov[ya, yb]) + 1j * (cov[ya, xb] - cov[xa, yb])
-    hermitian = (hermitian + hermitian.conj().T) / 2.0
+    block = cov[bands[:, :, None], bands[:, None, :]]  # (bands, 2g, 2g)
+    xx, xy = block[:, 0::2, 0::2], block[:, 0::2, 1::2]
+    yx, yy = block[:, 1::2, 0::2], block[:, 1::2, 1::2]
+    hermitian = (xx + yy) + 1j * (yx - xy)
+    hermitian = (hermitian + hermitian.conj().transpose(0, 2, 1)) / 2.0
     w, u = np.linalg.eigh(hermitian)
-    order = np.argsort(-w, kind="stable")
-    w, u = w[order], u[:, order]
-    pairs = []
-    for r in range(g):
-        col = u[:, r]
-        lead = int(np.argmax(np.abs(col)))
-        phase = col[lead] / abs(col[lead]) if abs(col[lead]) > 0 else 1.0
-        col = col * np.conj(phase)
-        v1 = np.empty(2 * g)
-        v2 = np.empty(2 * g)
-        v1[0::2], v1[1::2] = col.real, col.imag
-        v2[0::2], v2[1::2] = -col.imag, col.real
-        pairs.append((v1, v2))
-    return w, pairs
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    u = np.take_along_axis(u, order[:, None, :], axis=-1)
+    # Phase: each column's largest-magnitude entry (the first on ties), not 0
+    # in a unit vector, turns real and positive.
+    top = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
+    u = u * np.conj(top / np.abs(top))
+    u = u.transpose(0, 2, 1)  # (bands, direction, coordinate)
+    v1 = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:2] + (-1,))
+    v2 = np.stack([-u.imag, u.real], axis=-1).reshape(v1.shape)
+    return w, np.stack([v1, v2], axis=-1)
 
 
 def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
@@ -366,41 +348,32 @@ def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
         raise ParameterError(
             f"rank budget kv_rank={kv_rank}, rope_dim={rope_dim} is infeasible "
             f"for a {2 * width}-element source cache")
-    calib = np.asarray(calib, dtype=np.float64)
-    if calib.ndim != 2 or calib.shape[0] < 1:
-        raise ParameterError("calibration batch must be a non-empty (N, model_dim) array")
-    cov = _key_covariance(aligned, calib).normalized()
+    cov = _key_covariance(aligned, _check_tokens(calib, aligned.model_dim, 1)).normalized()
 
-    bands = [[j * d + 2 * p + e for j in range(g) for e in (0, 1)] for p in range(d // 2)]
-    energies = []
-    basis_pairs = []
-    entries = []
-    for p, band in enumerate(bands):
-        w, pairs = _band_complex_pca(cov, band, g)
-        energies.append(w)
-        basis_pairs.append(pairs)
-        for r in range(g):
-            entries.append((w[r], p, r))
+    # Band p holds coordinates j*d + 2p + e for every group j and e in (0, 1).
+    bands = np.arange(width).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
+    energies, pairs = _band_complex_pca(cov, bands)
     # Greedy retention by energy; on ties prefer the lower angular frequency
     # (larger band index), then the leading direction.
-    entries.sort(key=lambda e: (-e[0], -e[1], e[2]))
-    retained = sorted((p, r) for _, p, r in entries[: rope_dim // 2])
-    dropped = sorted((p, r) for _, p, r in entries[rope_dim // 2:])
+    # Directions are numbered p*g + r (band p, direction r), so sorting the
+    # numbers sorts by band, then direction.
+    band, direction = np.divmod(np.arange(energies.size), g)
+    order = np.lexsort((direction, -band, -energies.ravel()))
+    retained, dropped = np.sort(order[: rope_dim // 2]), np.sort(order[rope_dim // 2:])
 
     def place(selection):
+        p, r = np.divmod(selection, g)
         cols = np.zeros((width, 2 * len(selection)))
-        for m, (p, r) in enumerate(selection):
-            v1, v2 = basis_pairs[p][r]
-            cols[bands[p], 2 * m] = v1
-            cols[bands[p], 2 * m + 1] = v2
+        m = np.arange(len(selection))[:, None, None]
+        cols[bands[p][:, :, None], 2 * m + [0, 1]] = pairs[p, r]
         return cols
 
     return FreqFoldResult(
         rope_basis=place(retained),
         nope_basis=place(dropped),
-        band_partition=tuple(tuple(b) for b in bands),
-        retained=tuple(retained),
-        band_energies=tuple(np.asarray(w) for w in energies),
+        band_partition=tuple(map(tuple, bands.tolist())),
+        retained=tuple(map(tuple, np.column_stack(np.divmod(retained, g)).tolist())),
+        band_energies=tuple(energies),
     )
 
 
@@ -439,11 +412,8 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
     b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
     norms, energies and the PCA basis (numerics.root_eig) all come from b.
     """
-    g, d = aligned.num_groups, aligned.head_dim
+    calib = _check_tokens(calib, aligned.model_dim, 1)
     width = aligned.key_width
-    calib = np.asarray(calib, dtype=np.float64)
-    if calib.ndim != 2 or calib.shape[0] < 1:
-        raise ParameterError("calibration batch must be a non-empty (N, model_dim) array")
     nope_proj = np.eye(width) if freqfold is None else freqfold.nope_basis
     d_n = nope_proj.shape[1]
     if kv_rank < 1 or kv_rank > d_n + width:
@@ -472,11 +442,8 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
     b = np.hstack([scale_k * root_k, scale_v * root_v])
     u = root_eig(b, kv_rank).eigenvectors
     v = u.T @ w_map
-    u_k, u_v = u[:d_n], u[d_n:]
-
-    k_up = np.vstack([(nope_proj[j * d:(j + 1) * d] @ u_k) / scale_k for j in range(g)]) \
-        if d_n else np.zeros((width, kv_rank))
-    v_up = np.vstack([u_v[j * d:(j + 1) * d] / scale_v for j in range(g)])
+    k_up = nope_proj @ u[:d_n] / scale_k
+    v_up = u[d_n:] / scale_v
 
     # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
     # R^T·R = N·root^T·root, so ||calib·X|| = √N·||root·X|| for every X and
@@ -568,15 +535,13 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     # under the model's 1/sqrt(head_dim + rope_head_dim), so queries carry the
     # compensating factor.
     q_scale = math.sqrt((d + d_r) / d)
-    q_rope_rows = []
-    for i in range(h):
-        j = i // src.heads_per_group
-        block = folded.rope_basis[j * d:(j + 1) * d]  # (head_dim, rope_dim)
-        q_rope_rows.append(q_scale * (block.T @ aligned.q_proj[i * d:(i + 1) * d]))
+    # head i's rotary query rows: its group's block of rope_basis, transposed
+    rope_blocks = folded.rope_basis.reshape(g, 1, d, d_r).transpose(0, 1, 3, 2)
+    q_rope = q_scale * (rope_blocks @ aligned.q_proj.reshape(g, -1, d, dm))
     weights = GqlaWeights(
         q_down=np.eye(dm),
         q_up=q_scale * aligned.q_proj,
-        q_rope=np.vstack(q_rope_rows),
+        q_rope=q_rope.reshape(h * d_r, dm),
         kv_down=joint.kv_down,
         k_up=joint.k_up,
         v_up=joint.v_up,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import ParameterError, ShapeError
-from .model import GqlaConfig, GqlaWeights, random_tokens
+from .model import GqlaConfig, GqlaWeights, _check_tokens, random_tokens
 from .numerics import CovarianceAccumulator, accumulate, sym_eig
 from .rope import apply_rope
 
@@ -66,12 +66,7 @@ def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> Gr
     """Accumulate per-group, per-side covariances of up-projection activations."""
     _check_source(config)
     _check_groups(config, groups)
-    calib = np.asarray(calib, dtype=np.float64)
-    if calib.ndim != 2 or calib.shape[0] < 1:
-        raise ParameterError("calibration batch must be a non-empty (N, model_dim) array")
-    if calib.shape[1] != config.model_dim:
-        raise ShapeError(f"calibration dim {calib.shape[1]} != model_dim {config.model_dim}")
-    latents = calib @ weights.kv_down.T  # (N, kv_rank)
+    latents = _check_tokens(calib, config.model_dim, 1) @ weights.kv_down.T  # (N, kv_rank)
     key_accs = []
     value_accs = []
     for lo, hi in _group_row_blocks(config, groups, config.head_dim):
@@ -160,14 +155,16 @@ def absorb_factors(weights: MlaWeights, config: GqlaConfig,
     hpg = config.num_heads // groups
     d, dv = config.head_dim, config.value_head_dim
 
-    q_up = np.empty_like(weights.q_up)
+    # Head i = j*hpg + pos folds the square block pos of group j's factors.
+    # The output columns are written in place: no transposed copy is held.
+    q_up = np.matmul(np.reshape(fact.key_u, (groups, hpg, d, d)).transpose(0, 1, 3, 2),
+                     weights.q_up.reshape(groups, hpg, d, -1)).reshape(weights.q_up.shape)
+
+    def head_blocks(o):  # out_proj columns as (group, head in group, model_dim, dv)
+        return o.reshape(config.model_dim, groups, hpg, dv).transpose(1, 2, 0, 3)
     out_proj = np.empty_like(weights.out_proj)
-    for i in range(config.num_heads):
-        j, pos = divmod(i, hpg)
-        u_k = fact.key_u[j][pos * d:(pos + 1) * d]     # (d, d) square
-        u_v = fact.value_u[j][pos * dv:(pos + 1) * dv]  # (dv, dv) square
-        q_up[i * d:(i + 1) * d] = u_k.T @ weights.q_up[i * d:(i + 1) * d]
-        out_proj[:, i * dv:(i + 1) * dv] = weights.out_proj[:, i * dv:(i + 1) * dv] @ u_v
+    np.matmul(head_blocks(weights.out_proj), np.reshape(fact.value_u, (groups, hpg, dv, dv)),
+              out=head_blocks(out_proj))
     converted = GqlaWeights(
         q_down=weights.q_down.copy(),
         q_up=q_up,

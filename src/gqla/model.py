@@ -60,10 +60,6 @@ class GqlaConfig:
     def heads_per_group(self) -> int:
         return self.num_heads // self.num_groups
 
-    def group_of(self, head: int) -> int:
-        """KV group serving a query head (contiguous head blocks)."""
-        return head // self.heads_per_group
-
     @property
     def score_scale(self) -> float:
         """Softmax logit scale shared by both decoding paths."""
@@ -432,19 +428,15 @@ class AbsorbedWeights:
 def absorb(weights: GqlaWeights, config: GqlaConfig) -> AbsorbedWeights:
     """Fold the K/V up-projections into the query and output projections."""
     c = config
-    k_up_b = weights.k_up.reshape(c.num_groups, c.head_dim, c.kv_rank)
-    v_up_b = weights.v_up.reshape(c.num_groups, c.value_head_dim, c.kv_rank)
-    q_blocks = []
-    o_blocks = []
-    for i in range(c.num_heads):
-        j = c.group_of(i)
-        q_up_i = weights.q_up[i * c.head_dim:(i + 1) * c.head_dim]
-        q_blocks.append(k_up_b[j].T @ q_up_i)  # (kv_rank, q_rank)
-        o_i = weights.out_proj[:, i * c.value_head_dim:(i + 1) * c.value_head_dim]
-        o_blocks.append(o_i @ v_up_b[j])  # (model_dim, kv_rank)
+    g, hpg = c.num_groups, c.heads_per_group
+    k_up = weights.k_up.reshape(g, 1, c.head_dim, c.kv_rank)
+    v_up = weights.v_up.reshape(g, 1, c.value_head_dim, c.kv_rank)
+    # per head: (kv_rank, q_rank) = k_up_j^T @ q_up_i and (model_dim, kv_rank) = o_i @ v_up_j
+    q_absorbed = k_up.transpose(0, 1, 3, 2) @ weights.q_up.reshape(g, hpg, c.head_dim, -1)
+    o = weights.out_proj.reshape(c.model_dim, g, hpg, c.value_head_dim).transpose(1, 2, 0, 3)
     return AbsorbedWeights(
-        q_absorbed=np.vstack(q_blocks),
-        out_absorbed=np.hstack(o_blocks),
+        q_absorbed=q_absorbed.reshape(c.num_heads * c.kv_rank, -1),
+        out_absorbed=(o @ v_up).transpose(2, 0, 1, 3).reshape(c.model_dim, -1),
         q_down=weights.q_down.copy(),
         q_rope=weights.q_rope.copy(),
         kv_down=weights.kv_down.copy(),

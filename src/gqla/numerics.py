@@ -3,8 +3,9 @@
 All matrices are plain float64 numpy arrays in row-major layout. The entry
 points are a canonicalized symmetric eigendecomposition, an uncentered
 second-moment accumulator, the covariance-weighted low-rank factorization
-both converters are built on, and its square-root form, which takes the
-leading eigenbasis of a wide second moment from a short factor of it.
+(the tests' referee for the converters' bases) and its square-root form,
+which takes the leading eigenbasis of a wide second moment from a short
+factor of it.
 Everything here is a pure function: inputs are never mutated and identical
 inputs give byte-identical outputs.
 """

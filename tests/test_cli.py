@@ -52,6 +52,18 @@ class TestVerify:
         assert out.count("PASS") == 5 and "FAIL" not in out
         assert "latent 40 elements/token" in out and "expanded 72" in out
 
+    def test_latent_wider_than_expanded_cache_passes(self, tmp_path, capsys):
+        # kv_rank 24 > g*(d+dv) = 16: the K/V up-projections are not injective,
+        # so the recovered latent may differ from the cached one yet be valid.
+        config = GqlaConfig(model_dim=32, num_heads=4, num_groups=1, head_dim=8,
+                            value_head_dim=8, rope_head_dim=4, kv_rank=24, q_rank=16)
+        path = tmp_path / "wide.gqck"
+        gqck.write_checkpoint(path, "gqla", config, M.init_random(config, 3))
+        rc = main(["verify", "--checkpoint", str(path), "--seq-len", "12"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("PASS") == 5 and "FAIL" not in out
+
     def test_corrupted_tensor_fails(self, gqla_ckpt, capsys):
         corrupt_tensor(gqla_ckpt, "k_up")
         rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "12"])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gqla import convert_gqa as CG
+from gqla import convert_mla as CM
 from gqla import model as M
-from gqla.errors import DegenerateCalibrationError, ParameterError
+from gqla.errors import DegenerateCalibrationError, ParameterError, ShapeError
 from gqla.model import GqlaConfig, random_tokens
-from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor
+from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
 from gqla.rope import apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
@@ -105,7 +106,7 @@ class TestRoRope:
         merged = CG.merge_heads(desk_gqa)
         _, rotations = CG.rorope_align(merged, CALIB)
         d = merged.head_dim
-        for rot in rotations.per_head:
+        for rot in rotations:
             assert np.max(np.abs(rot.T @ rot - np.eye(d))) <= 1e-12
             for p in range(d // 2):
                 block = rot[2 * p:2 * p + 2, 2 * p:2 * p + 2]
@@ -115,6 +116,107 @@ class TestRoRope:
         merged = CG.merge_heads(desk_gqa)
         with pytest.raises(ParameterError):
             CG.rorope_align(merged, np.zeros((0, 64)))
+
+    @pytest.mark.parametrize("shape", [(8, 2, 16, 64), (16, 4, 32, 128), (4, 1, 8, 32)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_closed_form_matches_pairwise_eigendecomposition(self, shape, seed):
+        merged = CG.merge_heads(CG.init_random_gqa(*shape, seed=30 + seed))
+        calib = random_tokens(300, shape[3], 40 + seed)
+        _, rotations = CG.rorope_align(merged, calib)
+        expect = sym_eig_rotations(merged, CG._key_covariance(merged, calib).normalized())
+        assert rotations.shape == expect.shape
+        assert np.max(np.abs(rotations - expect)) <= 1e-14
+
+    def test_tied_pairs_get_proper_rotations(self):
+        # calib = I makes the key moment exactly K·K^T/16. In the first six
+        # pairs rounding alone sets the leading eigenvector or its sign, so
+        # only the rotation's structure is checked.
+        g, d, dm = 2, 8, 16
+        e = np.eye(dm)
+        k = np.zeros((g * d, dm))
+        k[0:2] = 2 * e[0], 2 * e[1]                   # isotropic: a = c, b = 0
+        # rows 2, 3 stay zero                          # all-zero pair
+        k[4:6] = e[2], 3 * e[3]                       # a < c, b = 0
+        k[6:8] = 2 * e[4] + e[5], e[4] + 2 * e[5]     # a = c, b > 0
+        k[8:10] = 2 * e[6] + e[7], -e[6] - 2 * e[7]   # a = c, b < 0
+        k[10:12] = 0 * e[8], e[8]                     # a = 0 < c, b = 0
+        k[12:16] = np.random.default_rng(3).standard_normal((4, dm))
+        src = dataclasses.replace(CG.init_random_gqa(4, g, d, dm, seed=2), k_proj=k)
+        merged = CG.merge_heads(src)
+        calib = np.eye(dm)
+        aligned, rotations = CG.rorope_align(merged, calib)
+        pre = CG._key_covariance(merged, calib).normalized()
+        post = CG._key_covariance(aligned, calib).normalized()
+        for j, rot in enumerate(rotations):
+            for p in range(d // 2):
+                x = slice(2 * p, 2 * p + 2)
+                block = rot[x, x]
+                assert np.max(np.abs(block.T @ block - np.eye(2))) <= 1e-12
+                assert abs(np.linalg.det(block) - 1.0) <= 1e-12
+                off = np.ones(d, dtype=bool)
+                off[x] = False
+                assert np.all(rot[x][:, off] == 0.0)
+                i = j * d + 2 * p
+                assert post[i + 1, i + 1] <= pre[i + 1, i + 1] + 1e-12
+                assert post[i, i] >= post[i + 1, i + 1] - 1e-12
+
+    def test_rotations_of_wrong_shape_rejected(self, desk_gqa):
+        merged = CG.merge_heads(desk_gqa)
+        rotations = CG.identity_rotations(merged)
+        for bad in (rotations[:1], rotations[:, :-1, :-1], rotations[0]):
+            with pytest.raises(ShapeError):
+                CG.apply_head_rotations(merged, bad)
+
+
+def sym_eig_rotations(merged, cov):
+    """Referee for rorope_align's closed form: each rotary pair's 2x2
+    covariance block is eigendecomposed by sym_eig and its leading
+    eigenvector (l0, l1) gives the block [[l0, l1], [-l1, l0]]."""
+    d = merged.head_dim
+    per_head = []
+    for j in range(merged.num_groups):
+        rot = np.eye(d)
+        for p in range(d // 2):
+            a = j * d + 2 * p
+            lead = sym_eig(cov[a:a + 2, a:a + 2]).eigenvectors[:, 0]
+            rot[2 * p:2 * p + 2, 2 * p:2 * p + 2] = np.array(
+                [[lead[0], lead[1]], [-lead[1], lead[0]]])
+        per_head.append(rot)
+    return np.array(per_head)
+
+
+class TestKeyCovariance:
+    def test_gram_route_matches_direct_activations(self, desk_gqa):
+        merged = CG.merge_heads(desk_gqa)
+        got = CG._key_covariance(merged, CALIB)
+        ref = accumulate(CovarianceAccumulator.empty(merged.key_width),
+                         CALIB @ merged.key_rows().T)
+        assert got.dim == ref.dim and got.sample_count == ref.sample_count
+        assert np.array_equal(got.second_moment, got.second_moment.T)
+        assert np.max(np.abs(got.second_moment - ref.second_moment)) <= 1e-12 * np.max(
+            np.abs(ref.second_moment))
+
+
+_CHECK_MERGED = CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5))
+_CHECK_MLA_CONFIG = GqlaConfig(model_dim=64, num_heads=8, num_groups=8, head_dim=16,
+                               value_head_dim=16, rope_head_dim=8, kv_rank=32, q_rank=48)
+CALIBRATED_STAGES = {
+    "rorope_align": lambda calib: CG.rorope_align(_CHECK_MERGED, calib),
+    "freqfold_compress": lambda calib: CG.freqfold_compress(_CHECK_MERGED, calib, 32, 8),
+    "balance_and_joint_pca": lambda calib: CG.balance_and_joint_pca(_CHECK_MERGED, calib, 16),
+    "calibrate": lambda calib: CM.calibrate(M.init_random(_CHECK_MLA_CONFIG, 21),
+                                            _CHECK_MLA_CONFIG, calib, 2),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(CALIBRATED_STAGES))
+def test_calibration_batch_checked(stage):
+    run = CALIBRATED_STAGES[stage]
+    run(CALIB[:32])
+    with pytest.raises(ShapeError):
+        run(CALIB[:32, :-1])
+    with pytest.raises(ParameterError):
+        run(np.zeros((0, 64)))
 
 
 class TestFreqFold:
@@ -162,6 +264,16 @@ class TestFreqFold:
             assert np.max(np.abs(v2[idx[0::2]] + y)) <= 1e-12
             assert np.max(np.abs(v2[idx[1::2]] - x)) <= 1e-12
 
+    def test_bands_match_per_band_loop(self):
+        cov = CG._key_covariance(self.aligned, CALIB).normalized()
+        ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
+        energies, pairs = CG._band_complex_pca(cov, np.array(ff.band_partition))
+        for p, band in enumerate(ff.band_partition):
+            w, expect = per_band_complex_pca(cov, band, self.aligned.num_groups)
+            assert np.array_equal(energies[p], w)
+            assert np.array_equal(ff.band_energies[p], w)
+            assert np.max(np.abs(pairs[p] - expect)) <= 1e-15
+
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ParameterError):
             CG.freqfold_compress(self.aligned, CALIB, kv_rank=64, rope_dim=3)
@@ -169,6 +281,32 @@ class TestFreqFold:
             CG.freqfold_compress(self.aligned, CALIB, kv_rank=64, rope_dim=34)
         with pytest.raises(ParameterError):
             CG.freqfold_compress(self.aligned, CALIB, kv_rank=60, rope_dim=32)
+
+
+def per_band_complex_pca(cov, band, g):
+    """Referee for _band_complex_pca on one band: the g x g Hermitian
+    covariance built entry by entry and eigendecomposed alone, each column
+    phased so its largest-magnitude entry is real and positive. Returns the
+    energies (g,) and pairs (g, 2g, 2)."""
+    herm = np.empty((g, g), dtype=np.complex128)
+    for a in range(g):
+        xa, ya = band[2 * a], band[2 * a + 1]
+        for b in range(g):
+            xb, yb = band[2 * b], band[2 * b + 1]
+            herm[a, b] = (cov[xa, xb] + cov[ya, yb]) + 1j * (cov[ya, xb] - cov[xa, yb])
+    w, u = np.linalg.eigh((herm + herm.conj().T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    w, u = w[order], u[:, order]
+    pairs = []
+    for r in range(g):
+        col = u[:, r]
+        lead = int(np.argmax(np.abs(col)))
+        col = col * np.conj(col[lead] / abs(col[lead]))
+        v1, v2 = np.empty(2 * g), np.empty(2 * g)
+        v1[0::2], v1[1::2] = col.real, col.imag
+        v2[0::2], v2[1::2] = -col.imag, col.real
+        pairs.append(np.stack([v1, v2], axis=-1))
+    return w, np.array(pairs)
 
 
 class TestBalanceAndJointPca:
