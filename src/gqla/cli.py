@@ -38,8 +38,15 @@ def _load_checkpoint(path: str, strict: bool = True):
         return None
 
 
-def _finite_leq(value: float, bound: float) -> bool:
-    return math.isfinite(value) and value <= bound
+def _report_checks(checks) -> int:
+    """Print a PASS/FAIL line per (name, deviation, bound), passing a finite
+    deviation within its bound; return exit code 0 if all passed, else 1."""
+    ok = True
+    for name, dev, bound in checks:
+        passed = math.isfinite(dev) and dev <= bound
+        ok = ok and passed
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: max deviation {dev:.3e}")
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -75,24 +82,19 @@ def cmd_verify(args) -> int:
         dev_cache = dev_roundtrip = max_residual = float("nan")
 
     bound = args.tolerance * scale
-    checks = [
-        ("expanded vs absorbed output", dev_paths),
-        ("expanded path vs oracle", dev_gqa),
-        ("absorbed path vs oracle", dev_abs),
-        ("compressed cache vs latent", dev_cache),
-        ("cache round trip", dev_roundtrip),
-    ]
-    ok = True
     print(f"checkpoint: {args.checkpoint} (L={args.seq_len}, s_q={args.sq}, "
           f"tolerance {args.tolerance:g})")
     print(f"cache: latent {config.latent_elements_per_token} elements/token, "
           f"expanded {config.expanded_elements_per_token} elements/token")
-    for name, dev in checks:
-        passed = _finite_leq(dev, bound)
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: max deviation {dev:.3e}")
+    code = _report_checks([
+        ("expanded vs absorbed output", dev_paths, bound),
+        ("expanded path vs oracle", dev_gqa, bound),
+        ("absorbed path vs oracle", dev_abs, bound),
+        ("compressed cache vs latent", dev_cache, bound),
+        ("cache round trip", dev_roundtrip, bound),
+    ])
     print(f"max relative compression residual: {max_residual:.3e}")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_convert(args) -> int:
@@ -138,12 +140,9 @@ def cmd_convert(args) -> int:
     probe = random_tokens(8, target.model_dim, seed + 1)
     a, _ = gqla_model.forward_gqa_path(converted, target, probe, 2)
     b, _ = gqla_model.forward_absorb_path(converted, target, probe, 2)
-    dev = float(np.max(np.abs(a - b)))
     bound = 1e-9 * (1.0 + float(np.max(np.abs(a))))
-    passed = _finite_leq(dev, bound)
-    print(f"{'PASS' if passed else 'FAIL'}  dual-path check on converted weights: "
-          f"max deviation {dev:.3e}")
-    return 0 if passed else 1
+    return _report_checks([("dual-path check on converted weights",
+                            float(np.max(np.abs(a - b))), bound)])
 
 
 def _parse_hardware(spec: str):
@@ -267,15 +266,11 @@ def cmd_sparse_check(args) -> int:
     dev_twin = float(np.max(np.abs(picked - twin)))
     scale_out = 1.0 + float(np.max(np.abs(picked)))
 
-    ok = True
-    for name, dev, bound in [
+    code = _report_checks([
         ("saturation (k >= L) vs dense path", dev_sat, bound_sat),
         ("masking-equivalence oracle", dev_mask, 1e-8 * scale_out),
         ("latent-cache sparse twin", dev_twin, 1e-10 * scale_out),
-    ]:
-        passed = _finite_leq(dev, bound)
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: max deviation {dev:.3e}")
+    ])
     report = sparse.tile_feasibility(config)
     state = "feasible" if report.gqa_path_feasible else "infeasible"
     print(f"tile rule: {state}, {report.heads_per_group} heads/group "
@@ -283,7 +278,7 @@ def cmd_sparse_check(args) -> int:
     print(f"  {report.rationale}")
     print(f"selected {len(selected)}/{len(expanded)} positions: "
           + " ".join(str(s) for s in selected))
-    return 0 if ok else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,10 @@
 
 Four stages, the first two exact and the last two calibration-driven:
 
-1. merge_heads: restack the source K/V projections into one joint latent and
-   introduce group-indexed selector blocks. Pure reparameterization; the
-   merged module is still standard grouped-query attention.
+1. merge_heads: restack the source K/V projections into one joint latent
+   whose key and value halves hold one head_dim block of rows per group.
+   Pure reparameterization; the merged module is still standard
+   grouped-query attention and runs through the source's attention routine.
 2. rorope_align: per K/V head, a rotation block-diagonal over rotary pairs is
    applied to the key path and folded into the matching query slices. Scores
    are preserved exactly; per-pair energy concentrates on the leading
@@ -22,20 +23,21 @@ Four stages, the first two exact and the last two calibration-driven:
    latent rank.
 
 No gradient updates anywhere; calibration is a seeded synthetic token stream
-at desk scale.
+at desk scale. Every calibrated stage reads its second moments from the
+calibration Gram matrix (numerics.block_moments, CovarianceAccumulator.root).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, _softmax, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, root_eig
+from .numerics import CovarianceAccumulator, accumulate, block_moments, root_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -100,11 +102,15 @@ def init_random_gqa(num_heads: int, num_groups: int, head_dim: int, model_dim: i
     )
 
 
-def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
-    """Reference forward of the source block for the trailing s_q positions."""
-    tokens = _check_tokens(tokens, src.model_dim, s_q)
+def _grouped_attention(src: GqaWeights, tokens: np.ndarray, s_q: int):
+    """Causal attention of the trailing s_q positions, scaled by 1/sqrt(head_dim).
+
+    Returns the pre-softmax logits (s_q, num_heads, L), upper triangle
+    included, and the per-head outputs (s_q, num_heads*head_dim) ahead of the
+    output projection.
+    """
     length = tokens.shape[0]
-    h, g, d = src.num_heads, src.num_groups, src.head_dim
+    g, d = src.num_groups, src.head_dim
     spec = src.rope_spec()
     positions = np.arange(length)
     q = apply_folded_rope(spec, tokens[-s_q:] @ src.q_proj.T, positions[-s_q:])
@@ -113,109 +119,61 @@ def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     # (g, s_q, heads per group, d) queries against each group's (d, L) keys
     q = q.reshape(s_q, g, -1, d).transpose(1, 0, 2, 3)
     logits = (q.reshape(g, -1, d) @ k.reshape(length, g, d).transpose(1, 2, 0)) / math.sqrt(d)
-    attn = _softmax(logits.reshape(q.shape[:-1] + (length,)), positions[-s_q:])
+    logits = logits.reshape(q.shape[:-1] + (length,))
+    attn = _softmax(logits, positions[-s_q:])
     o = attn.reshape(g, -1, length) @ v.reshape(length, g, d).transpose(1, 0, 2)
     o = o.reshape(g, s_q, -1, d).transpose(1, 0, 2, 3)
-    return o.reshape(s_q, h * d) @ src.out_proj.T
+    return logits.transpose(1, 0, 2, 3).reshape(s_q, -1, length), o.reshape(s_q, -1)
+
+
+def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
+    """Reference forward of the source block for the trailing s_q positions."""
+    tokens = _check_tokens(tokens, src.model_dim, s_q)
+    _, heads = _grouped_attention(src, tokens, s_q)
+    return heads @ src.out_proj.T
 
 
 @dataclass(frozen=True)
-class MergedWeights:
-    """Stage-1 form: one stacked K/V latent with group-indexed selectors.
+class MergedWeights(GqaWeights):
+    """Stage-1 form: the source block read as one stacked K/V latent.
 
     kv_down stacks the key rows over the value rows (2*g*head_dim x
-    model_dim); k_sel / v_sel hold per-group (head_dim x g*head_dim) selector
-    blocks, sparse identities at initialization. The rotary ladder folds over
-    the g*head_dim latent, repeating every head_dim coordinates.
+    model_dim); group j's key and value heads are rows j*head_dim to
+    (j+1)*head_dim of key_rows() and value_rows(). The rotary ladder folds
+    over the g*head_dim key latent, repeating every head_dim coordinates.
     """
-
-    num_heads: int
-    num_groups: int
-    head_dim: int
-    model_dim: int
-    rope_base: float
-    q_proj: np.ndarray   # (num_heads*head_dim, model_dim)
-    kv_down: np.ndarray  # (2*num_groups*head_dim, model_dim)
-    k_sel: np.ndarray    # (num_groups, head_dim, num_groups*head_dim)
-    v_sel: np.ndarray    # (num_groups, head_dim, num_groups*head_dim)
-    out_proj: np.ndarray
-
-    @property
-    def heads_per_group(self) -> int:
-        return self.num_heads // self.num_groups
 
     @property
     def key_width(self) -> int:
         return self.num_groups * self.head_dim
 
-    def rope_spec(self) -> RopeSpec:
-        return RopeSpec(self.head_dim, self.rope_base)
+    @property
+    def kv_down(self) -> np.ndarray:
+        return np.vstack([self.k_proj, self.v_proj])
 
     def key_rows(self) -> np.ndarray:
-        return self.kv_down[: self.key_width]
+        return self.k_proj
 
     def value_rows(self) -> np.ndarray:
-        return self.kv_down[self.key_width:]
+        return self.v_proj
 
 
 def merge_heads(src: GqaWeights) -> MergedWeights:
-    """Exact restack of a source block; selectors start as sparse identities."""
+    """Exact restack of a source block (its arrays copied)."""
     src.validate()
-    g, d = src.num_groups, src.head_dim
-    sel = np.eye(g * d).reshape(g, d, g * d)
-    return MergedWeights(
-        num_heads=src.num_heads, num_groups=g, head_dim=d,
-        model_dim=src.model_dim, rope_base=src.rope_base,
-        q_proj=src.q_proj.copy(),
-        kv_down=np.vstack([src.k_proj, src.v_proj]),
-        k_sel=sel, v_sel=sel.copy(),
-        out_proj=src.out_proj.copy(),
-    )
-
-
-def _merged_projections(merged: MergedWeights, tokens: np.ndarray):
-    """Per-token rotated key latents and raw value latents."""
-    c = tokens @ merged.kv_down.T
-    c_k, c_v = c[:, : merged.key_width], c[:, merged.key_width:]
-    k_hat = apply_folded_rope(merged.rope_spec(), c_k, np.arange(tokens.shape[0]))
-    return c_k, c_v, k_hat
-
-
-def _merged_queries(merged: MergedWeights, tokens: np.ndarray, positions: np.ndarray):
-    """Rotated, selector-embedded queries of tokens at positions: (n, num_heads, key_width)."""
-    g, d = merged.num_groups, merged.head_dim
-    q = (tokens @ merged.q_proj.T).reshape(len(tokens), g, -1, d).transpose(1, 0, 2, 3)
-    q_sel = (q.reshape(g, -1, d) @ merged.k_sel).reshape(q.shape[:-1] + (merged.key_width,))
-    q_sel = q_sel.transpose(1, 0, 2, 3).reshape(len(tokens), merged.num_heads, -1)
-    return apply_folded_rope(merged.rope_spec(), q_sel, positions)
-
-
-def _merged_logits(merged: MergedWeights, tokens: np.ndarray, s_q: int):
-    """Pre-softmax logits (s_q, num_heads, L) of the trailing s_q positions,
-    plus those positions and the raw value latents."""
-    _, c_v, k_hat = _merged_projections(merged, tokens)
-    positions = np.arange(tokens.shape[0] - s_q, tokens.shape[0])
-    q_hat = _merged_queries(merged, tokens[-s_q:], positions)
-    return (q_hat @ k_hat.T) / math.sqrt(merged.head_dim), positions, c_v
+    return MergedWeights(**asdict(src))
 
 
 def merged_forward(merged: MergedWeights, tokens, s_q: int = 1) -> np.ndarray:
-    """Forward pass of the merged form for the trailing s_q positions."""
-    tokens = _check_tokens(tokens, merged.model_dim, s_q)
-    g, d = merged.num_groups, merged.head_dim
-    logits, positions, c_v = _merged_logits(merged, tokens, s_q)
-    o_hat = _softmax(logits, positions) @ c_v  # (s_q, num_heads, key_width)
-    o_hat = o_hat.reshape(s_q, g, -1, merged.key_width).transpose(1, 0, 2, 3)
-    o = o_hat.reshape(g, -1, merged.key_width) @ merged.v_sel.transpose(0, 2, 1)
-    o = o.reshape(g, s_q, -1, d).transpose(1, 0, 2, 3)
-    return o.reshape(s_q, -1) @ merged.out_proj.T
+    """Forward pass of the merged form for the trailing s_q positions: the
+    source forward, since merging only restacks the rows."""
+    return forward_gqa_source(merged, tokens, s_q)
 
 
 def merged_scores(merged: MergedWeights, tokens) -> np.ndarray:
     """Causal pre-softmax logits (num_heads, L, L); upper triangle left zero."""
     tokens = _check_tokens(tokens, merged.model_dim, 1)
-    length = tokens.shape[0]
-    logits, _, _ = _merged_logits(merged, tokens, length)
+    logits, _ = _grouped_attention(merged, tokens, tokens.shape[0])
     return np.tril(logits.transpose(1, 0, 2))
 
 
@@ -233,29 +191,24 @@ def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
     rotations = np.asarray(rotations, dtype=np.float64)
     if rotations.shape != (g, d, d):
         raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d, d)}")
-    keys = rotations @ merged.key_rows().reshape(g, d, dm)
+    keys = rotations @ merged.k_proj.reshape(g, d, dm)
     q_proj = rotations[:, None] @ merged.q_proj.reshape(g, -1, d, dm)
-    return replace(
-        merged, q_proj=q_proj.reshape(merged.q_proj.shape),
-        kv_down=np.vstack([keys.reshape(-1, dm), merged.value_rows()]),
-        k_sel=merged.k_sel.copy(), v_sel=merged.v_sel.copy(),
-        out_proj=merged.out_proj.copy(),
-    )
+    return replace(merged, q_proj=q_proj.reshape(merged.q_proj.shape),
+                   k_proj=keys.reshape(merged.k_proj.shape))
 
 
-def _key_covariance(merged: MergedWeights, calib: np.ndarray) -> CovarianceAccumulator:
-    """Second moment of the key activations calib·K^T, formed as K·(calib^T·calib)·K^T
-    so the N x key_width activations are never built."""
-    gram = accumulate(CovarianceAccumulator.empty(merged.model_dim), calib)
-    moment = merged.key_rows() @ gram.second_moment @ merged.key_rows().T
-    return CovarianceAccumulator(merged.key_width, (moment + moment.T) / 2.0, gram.sample_count)
+def _calibration_gram(merged: MergedWeights, calib) -> CovarianceAccumulator:
+    """Second-moment accumulator of the calibration tokens (model_dim wide)."""
+    return accumulate(CovarianceAccumulator.empty(merged.model_dim),
+                      _check_tokens(calib, merged.model_dim, 1))
 
 
 def rorope_align(merged: MergedWeights, calib) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
     For every head and rotary pair, the leading eigenvector of the 2-dim
-    covariance [[a, b], [b, c]] of the pre-rotation key activations is
+    second moment [[a, b], [b, c]] of the pre-rotation key activations (the
+    pair's block moment of the calibration Gram matrix) is
     (cos θ, sin θ) with θ = ½·atan2(2b, a − c), signed as numerics.sym_eig
     signs it (largest-magnitude entry positive, the first on ties); the pure
     rotation taking it to the first coordinate is applied (keys) and folded
@@ -263,10 +216,10 @@ def rorope_align(merged: MergedWeights, calib) -> tuple:
     their common rotary reference. Returns (aligned weights, rotations of
     shape (num_groups, head_dim, head_dim)).
     """
-    cov = _key_covariance(merged, _check_tokens(calib, merged.model_dim, 1)).normalized()
-    diag = np.diagonal(cov)
-    theta = 0.5 * np.arctan2(2.0 * np.diagonal(cov, 1)[0::2], diag[0::2] - diag[1::2])
     g, d = merged.num_groups, merged.head_dim
+    pairs = merged.key_rows().reshape(-1, 2, merged.model_dim)
+    m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
+    theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     cos, sin = np.cos(theta).reshape(g, -1), np.sin(theta).reshape(g, -1)
     sign = np.where(np.abs(sin) > np.abs(cos), np.sign(sin), 1.0)
     cos, sin = sign * cos, sign * sin
@@ -299,20 +252,20 @@ class FreqFoldResult:
     band_energies: tuple
 
 
-def _band_complex_pca(cov: np.ndarray, bands: np.ndarray):
-    """Eigenpairs of the pair-structured covariance of every band.
+def _band_complex_pca(blocks: np.ndarray):
+    """Eigenpairs of the pair-structured second moment of every band.
 
-    Each band's 2g coordinates (a row of bands) are read as g complex
-    numbers; the g x g Hermitian covariances of all bands are eigendecomposed
+    blocks (bands, 2g, 2g) holds each band's moment, its 2g coordinates
+    (x, y of group 0, then of group 1, ...) read as g complex numbers; the
+    g x g Hermitian moments of all bands are eigendecomposed
     in one batch and each complex eigenvector is returned as the two real
     paired columns it spans. Only complex-linear mixtures are considered,
     which is exactly the set of maps commuting with the common in-band
     rotation. Returns energies (bands, g), descending per band, and pairs
     (bands, g, 2g, 2): pairs[p, r, :, k] is column k of direction r of band p.
     """
-    block = cov[bands[:, :, None], bands[:, None, :]]  # (bands, 2g, 2g)
-    xx, xy = block[:, 0::2, 0::2], block[:, 0::2, 1::2]
-    yx, yy = block[:, 1::2, 0::2], block[:, 1::2, 1::2]
+    xx, xy = blocks[:, 0::2, 0::2], blocks[:, 0::2, 1::2]
+    yx, yy = blocks[:, 1::2, 0::2], blocks[:, 1::2, 1::2]
     hermitian = (xx + yy) + 1j * (yx - xy)
     hermitian = (hermitian + hermitian.conj().transpose(0, 2, 1)) / 2.0
     w, u = np.linalg.eigh(hermitian)
@@ -348,11 +301,11 @@ def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
         raise ParameterError(
             f"rank budget kv_rank={kv_rank}, rope_dim={rope_dim} is infeasible "
             f"for a {2 * width}-element source cache")
-    cov = _key_covariance(aligned, _check_tokens(calib, aligned.model_dim, 1)).normalized()
-
     # Band p holds coordinates j*d + 2p + e for every group j and e in (0, 1).
     bands = np.arange(width).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
-    energies, pairs = _band_complex_pca(cov, bands)
+    gram = _calibration_gram(aligned, calib)
+    energies, pairs = _band_complex_pca(
+        block_moments(gram, aligned.key_rows()[bands]) / gram.sample_count)
     # Greedy retention by energy; on ties prefer the lower angular frequency
     # (larger band index), then the leading direction.
     # Directions are numbered p*g + r (band p, direction r), so sorting the
@@ -412,7 +365,6 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
     b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
     norms, energies and the PCA basis (numerics.root_eig) all come from b.
     """
-    calib = _check_tokens(calib, aligned.model_dim, 1)
     width = aligned.key_width
     nope_proj = np.eye(width) if freqfold is None else freqfold.nope_basis
     d_n = nope_proj.shape[1]
@@ -420,7 +372,7 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
-    root = accumulate(CovarianceAccumulator.empty(aligned.model_dim), calib).root()
+    root = _calibration_gram(aligned, calib).root()
     key_map = nope_proj.T @ aligned.key_rows()        # (d_n, model_dim)
     root_k = root @ key_map.T                         # (model_dim, d_n)
     root_v = root @ aligned.value_rows().T            # (model_dim, key_width)

@@ -5,8 +5,10 @@ num_groups == num_heads) shares the joint latent but only decodes through the
 absorbed path. The conversion recovers group-indexed up-projections by
 per-group, side-separated PCA on up-projection activations, then folds the
 square orthonormal factors into the query and output slices with no shape
-change. The latent down-projection and the rotary pathway pass through
-untouched, so the source's latent cache and absorbed kernel stay valid.
+change. The activation moments are read from the calibration Gram matrix
+(numerics.block_moments), never from the activations. The latent
+down-projection and the rotary pathway pass through untouched, so the
+source's latent cache and absorbed kernel stay valid.
 No gradient updates; calibration only.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from . import model as gqla_model
 from .errors import ParameterError, ShapeError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, sym_eig
+from .numerics import CovarianceAccumulator, accumulate, block_moments, sym_eig
 from .rope import apply_rope
 
 # A head-indexed source is a GqlaWeights whose config has num_groups == num_heads.
@@ -49,33 +51,28 @@ def target_config(config: GqlaConfig, groups: int) -> GqlaConfig:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group, per-side uncentered activation covariance accumulators."""
+    """Per-group, per-side uncentered activation covariance accumulators; group
+    j's covers up-projection rows j*(h/g)*dim to (j+1)*(h/g)*dim of its side."""
 
     groups: int
     key: tuple    # one CovarianceAccumulator per group, dim (h/g)*head_dim
     value: tuple  # one per group, dim (h/g)*value_head_dim
 
 
-def _group_row_blocks(config: GqlaConfig, groups: int, per_head_dim: int):
-    hpg = config.num_heads // groups
-    block = hpg * per_head_dim
-    return [(j * block, (j + 1) * block) for j in range(groups)]
-
-
 def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
-    """Accumulate per-group, per-side covariances of up-projection activations."""
+    """Per-group, per-side covariances of up-projection activations, read from the
+    calibration Gram matrix: one up·kv_down product per side, then one group's
+    row block at a time (which peaks lower in memory than one batched product)."""
     _check_source(config)
     _check_groups(config, groups)
-    latents = _check_tokens(calib, config.model_dim, 1) @ weights.kv_down.T  # (N, kv_rank)
-    key_accs = []
-    value_accs = []
-    for lo, hi in _group_row_blocks(config, groups, config.head_dim):
-        acts = latents @ weights.k_up[lo:hi].T
-        key_accs.append(accumulate(CovarianceAccumulator.empty(hi - lo), acts))
-    for lo, hi in _group_row_blocks(config, groups, config.value_head_dim):
-        acts = latents @ weights.v_up[lo:hi].T
-        value_accs.append(accumulate(CovarianceAccumulator.empty(hi - lo), acts))
-    return GroupStats(groups=groups, key=tuple(key_accs), value=tuple(value_accs))
+    gram = accumulate(CovarianceAccumulator.empty(config.model_dim),
+                      _check_tokens(calib, config.model_dim, 1))
+
+    def side(up):
+        return tuple(CovarianceAccumulator(len(r), block_moments(gram, r), gram.sample_count)
+                     for r in (up @ weights.kv_down).reshape(groups, -1, config.model_dim))
+
+    return GroupStats(groups=groups, key=side(weights.k_up), value=side(weights.v_up))
 
 
 @dataclass(frozen=True)
@@ -116,21 +113,20 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
     if not 1 <= value_rank <= hpg * config.value_head_dim:
         raise ParameterError(f"value rank {value_rank} outside [1, {hpg * config.value_head_dim}]")
 
-    def side(proj, accs, per_head_dim, rank):
+    def side(proj, accs, rank):
         us, vs, energies = [], [], []
-        for j, (lo, hi) in enumerate(_group_row_blocks(config, groups, per_head_dim)):
+        for acc, block in zip(accs, proj.reshape(groups, -1, proj.shape[1])):
             # pca_factor's basis, with its eigenvalues kept for the energy
-            eig = sym_eig(accs[j].normalized())
+            eig = sym_eig(acc.normalized())
             u = eig.eigenvectors[:, :rank]
             total = float(eig.eigenvalues.sum())
             energies.append(float(eig.eigenvalues[:rank].sum()) / total if total > 0 else 1.0)
             us.append(u)
-            vs.append(u.T @ proj[lo:hi])
+            vs.append(u.T @ block)
         return tuple(us), tuple(vs), tuple(energies)
 
-    key_u, key_v, key_energy = side(weights.k_up, stats.key, config.head_dim, key_rank)
-    value_u, value_v, value_energy = side(weights.v_up, stats.value,
-                                          config.value_head_dim, value_rank)
+    key_u, key_v, key_energy = side(weights.k_up, stats.key, key_rank)
+    value_u, value_v, value_energy = side(weights.v_up, stats.value, value_rank)
     return GroupFactorization(groups=groups, key_rank=key_rank, value_rank=value_rank,
                               key_u=key_u, key_v=key_v, value_u=value_u, value_v=value_v,
                               key_energy=key_energy, value_energy=value_energy, stats=stats)

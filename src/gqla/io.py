@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import io as _stringio
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ _KINDS = (KIND_GQA, KIND_MLA, KIND_GQLA)
 
 _GQLA_FIELDS = ("q_down", "q_up", "q_rope", "kv_down", "k_up", "v_up", "k_rope", "out_proj")
 _GQA_FIELDS = ("q_proj", "k_proj", "v_proj", "out_proj")
+_GQA_CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "rope_base")
 _CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "value_head_dim",
                   "rope_head_dim", "kv_rank", "q_rank", "rope_base")
 _DTYPES = {"float64": np.dtype("<f8"), "float32": np.dtype("<f4")}
@@ -47,10 +50,7 @@ def _normalize_kind(kind: str) -> str:
 
 def _config_dict(kind: str, config, weights) -> dict:
     if kind == KIND_GQA:
-        w: GqaWeights = weights
-        return {"model_dim": w.model_dim, "num_heads": w.num_heads,
-                "num_groups": w.num_groups, "head_dim": w.head_dim,
-                "rope_base": w.rope_base}
+        return {f: getattr(weights, f) for f in _GQA_CONFIG_FIELDS}
     return {f: getattr(config, f) for f in _CONFIG_FIELDS}
 
 
@@ -105,6 +105,25 @@ def write_checkpoint(path, kind: str, config, weights, dtype: str = "float64",
             fh.write(raw)
 
 
+def _manifest_int(value, what: str, least: int) -> int:
+    """A JSON integer of at least ``least``; bools, floats and strings are refused."""
+    if type(value) is not int or value < least:
+        raise CheckpointFormatError(f"{what} must be an integer >= {least}, got {value!r:.40}")
+    return value
+
+
+def _config_value(cfg: dict, field: str):
+    if field not in cfg:
+        raise CheckpointFormatError(f"manifest config is missing field {field!r}")
+    value = cfg[field]
+    if field != "rope_base":
+        return _manifest_int(value, f"config field {field!r}", 1)
+    if type(value) not in (int, float) or not 1.0 < value <= sys.float_info.max:
+        raise CheckpointFormatError(f"config field 'rope_base' must be a number > 1, "
+                                    f"got {value!r:.40}")
+    return float(value)
+
+
 def read_checkpoint(path, strict: bool = True):
     """Parse a checkpoint back into (kind, config, weights).
 
@@ -112,7 +131,8 @@ def read_checkpoint(path, strict: bool = True):
     GQA, config is the plain manifest dict and weights a GqaWeights. With
     strict=False non-finite tensor values are tolerated (shapes are still
     enforced), so verification tooling can surface payload corruption as a
-    failed numerical check rather than a parse error.
+    failed numerical check rather than a parse error. Whatever the file
+    holds, the only error raised for its contents is CheckpointFormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -127,18 +147,23 @@ def read_checkpoint(path, strict: bool = True):
         raise CheckpointFormatError("file truncated inside the manifest")
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, nesting too deep
         raise CheckpointFormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("manifest must be a JSON object")
     payload = blob[16 + header_len:]
 
     kind = _normalize_kind(header.get("kind", ""))
     dtype = header.get("dtype", "float64")
-    if dtype not in _DTYPES:
-        raise CheckpointFormatError(f"unsupported dtype {dtype!r}")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise CheckpointFormatError(f"unsupported dtype {dtype!r:.40}")
     np_dtype = _DTYPES[dtype]
     expected = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
     directory = header.get("tensors", [])
-    names = [t.get("name") for t in directory]
+    if not (isinstance(directory, list) and all(
+            isinstance(t, dict) and isinstance(t.get("name"), str) for t in directory)):
+        raise CheckpointFormatError("manifest tensors must be a list of objects with string names")
+    names = [t["name"] for t in directory]
     if sorted(names) != sorted(expected):
         missing = set(expected) - set(names)
         extra = set(names) - set(expected)
@@ -150,14 +175,17 @@ def read_checkpoint(path, strict: bool = True):
     spans = []
     for entry in directory:
         name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
-        offset = int(entry["offset"])
-        nbytes = int(np.prod(shape)) * np_dtype.itemsize if shape else np_dtype.itemsize
-        if offset < 0 or offset + nbytes > len(payload):
+        shape = entry.get("shape")
+        if not isinstance(shape, list):
+            raise CheckpointFormatError(f"tensor {name!r} shape must be a list of integers")
+        shape = tuple(_manifest_int(s, f"tensor {name!r} shape entry", 1) for s in shape)
+        offset = _manifest_int(entry.get("offset"), f"tensor {name!r} offset", 0)
+        count = math.prod(shape)
+        nbytes = count * np_dtype.itemsize
+        if offset + nbytes > len(payload):
             raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(payload, dtype=np_dtype, count=int(np.prod(shape)),
-                            offset=offset).reshape(shape)
+        arr = np.frombuffer(payload, dtype=np_dtype, count=count, offset=offset).reshape(shape)
         arrays[name] = arr.astype(np.float64, copy=True)
     spans.sort()
     for (_, end, name), (start, _, nxt) in zip(spans, spans[1:]):
@@ -165,22 +193,19 @@ def read_checkpoint(path, strict: bool = True):
             raise CheckpointFormatError(f"tensors {name!r} and {nxt!r} overlap in the payload")
 
     cfg = header.get("config", {})
+    if not isinstance(cfg, dict):
+        raise CheckpointFormatError("manifest config must be a JSON object")
+    values = {f: _config_value(cfg, f)
+              for f in (_GQA_CONFIG_FIELDS if kind == KIND_GQA else _CONFIG_FIELDS)}
     try:
         if kind == KIND_GQA:
-            weights = GqaWeights(
-                num_heads=int(cfg["num_heads"]), num_groups=int(cfg["num_groups"]),
-                head_dim=int(cfg["head_dim"]), model_dim=int(cfg["model_dim"]),
-                rope_base=float(cfg["rope_base"]),
-                **{f: arrays[f] for f in _GQA_FIELDS})
+            weights = GqaWeights(**values, **{f: arrays[f] for f in _GQA_FIELDS})
             weights.validate()
             return kind, dict(cfg), weights
-        config = GqlaConfig(**{f: (float(cfg[f]) if f == "rope_base" else int(cfg[f]))
-                               for f in _CONFIG_FIELDS})
+        config = GqlaConfig(**values)
         weights = GqlaWeights(**{f: arrays[f] for f in _GQLA_FIELDS})
         _validate_pair(kind, config, weights, require_finite=strict)
         return kind, config, weights
-    except KeyError as exc:
-        raise CheckpointFormatError(f"manifest config is missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"checkpoint is internally inconsistent: {exc}") from exc
 

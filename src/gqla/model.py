@@ -468,11 +468,14 @@ def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:
     )
 
 
-def cache_compress(cache: ExpandedCache, weights: GqlaWeights, *, reject_above: float = 1e-6):
+COMPRESS_REJECT_ABOVE = 1e-6
+
+
+def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     """One-shot expanded -> latent switch by per-token least squares.
 
     Returns (LatentCache, relative residual per token). Raises
-    OutOfSubspaceError when any entry's residual exceeds reject_above times
+    OutOfSubspaceError when any entry's residual exceeds COMPRESS_REJECT_ABOVE times
     its norm, which signals a cache not generated by these weights.
     """
     basis = np.vstack([weights.k_up, weights.v_up])
@@ -485,10 +488,10 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights, *, reject_above: 
     norms = np.linalg.norm(stacked, axis=1)
     relative = np.where(norms > 0, residual / np.where(norms > 0, norms, 1.0), residual)
     worst = int(np.argmax(relative)) if len(cache) else 0
-    if len(cache) and relative[worst] > reject_above:
+    if len(cache) and relative[worst] > COMPRESS_REJECT_ABOVE:
         raise OutOfSubspaceError(
             f"cache entry {worst} lies outside the K/V up-projection column space "
-            f"(relative residual {relative[worst]:.3e} > {reject_above:.1e})")
+            f"(relative residual {relative[worst]:.3e} > {COMPRESS_REJECT_ABOVE:.1e})")
     return LatentCache(kv=kv, k_rope=cache.k_rope.copy()), relative
 
 

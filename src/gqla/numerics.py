@@ -2,7 +2,8 @@
 
 All matrices are plain float64 numpy arrays in row-major layout. The entry
 points are a canonicalized symmetric eigendecomposition, an uncentered
-second-moment accumulator, the covariance-weighted low-rank factorization
+second-moment accumulator and the block moments of linear maps read from it,
+the covariance-weighted low-rank factorization
 (the tests' referee for the converters' bases) and its square-root form,
 which takes the leading eigenbasis of a wide second moment from a short
 factor of it.
@@ -41,18 +42,21 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def sym_eig(m, *, symmetry_rtol: float = 1e-10) -> EigenResult:
+SYMMETRY_RTOL = 1e-10
+
+
+def sym_eig(m) -> EigenResult:
     """Eigendecompose a symmetric matrix with deterministic ordering and signs.
 
-    Raises ShapeError for non-square or asymmetric input and NumericError if
-    the underlying solver fails to converge.
+    Raises ShapeError for non-square input or asymmetry above SYMMETRY_RTOL
+    times the largest entry, and NumericError if the solver fails to converge.
     """
     m = _as_matrix(m, "m")
     n, k = m.shape
     if n != k:
         raise ShapeError(f"expected a square matrix, got {n}x{k}")
     scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > symmetry_rtol * scale:
+    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
     try:
         w, v = np.linalg.eigh(m)
@@ -121,6 +125,18 @@ def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:
         second_moment=acc.second_moment + update,
         sample_count=acc.sample_count + batch.shape[0],
     )
+
+
+def block_moments(acc: CovarianceAccumulator, rows) -> np.ndarray:
+    """Second moments r·S·r^T (..., k, k), symmetrized, of the activations x·r^T
+    for each row block r of rows (..., k, dim), S being the accumulator's
+    un-normalized second_moment of the samples x; no activation is formed."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim < 2 or rows.shape[-1] != acc.dim:
+        raise ShapeError(f"row blocks must be (..., k, {acc.dim}), got shape {rows.shape}")
+    moments = (rows.reshape(-1, acc.dim) @ acc.second_moment).reshape(rows.shape)
+    moments = moments @ np.swapaxes(rows, -1, -2)
+    return (moments + np.swapaxes(moments, -1, -2)) / 2.0
 
 
 def pca_factor(w, sigma: CovarianceAccumulator, rank: int):

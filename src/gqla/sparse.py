@@ -21,6 +21,7 @@ from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache,
                     _project_queries, _rope_queries, _softmax, _token_attention)
 
 TILE_M = 16
+MASK_VALUE = -1e9
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,8 @@ def sparse_attention_absorbed(weights: GqlaWeights, config: GqlaConfig, cache: L
 
 
 def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache,
-                     x, selected, scale: float | None = None,
-                     mask_value: float = -1e9) -> np.ndarray:
-    """Diagnostic oracle: dense attention with excluded logits forced to mask_value.
+                     x, selected, scale: float | None = None) -> np.ndarray:
+    """Diagnostic oracle: dense attention with excluded logits forced to MASK_VALUE.
 
     True exclusion and masking must agree; this is the masking-equivalence
     check run by tests and the sparse-check command.
@@ -135,7 +135,7 @@ def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     logits = (np.einsum("hd,shd->hs", q_nope, k_g) + q_rope @ cache.k_rope.T) * scale
     mask = np.full(length, True)
     mask[sel] = False
-    logits[:, mask] = mask_value
+    logits[:, mask] = MASK_VALUE
     attn = _softmax(logits)
     o = np.einsum("hs,shd->hd", attn, v_g)
     return weights.out_proj @ o.reshape(-1)

@@ -8,12 +8,21 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import DegenerateCalibrationError, ParameterError, ShapeError
 from gqla.model import GqlaConfig, random_tokens
-from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
+from gqla.numerics import CovarianceAccumulator, accumulate, block_moments, pca_factor, sym_eig
 from gqla.rope import apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
 
 CALIB = random_tokens(512, 64, 3)
+
+
+def gram(calib):
+    return accumulate(CovarianceAccumulator.empty(calib.shape[1]), calib)
+
+
+def pair_moments(merged, calib):
+    """The (g*d/2, 2, 2) rotary-pair key moments rorope_align reads, unnormalized."""
+    return block_moments(gram(calib), merged.key_rows().reshape(-1, 2, merged.model_dim))
 
 
 def desk_target(kv_rank, rope_dim) -> GqlaConfig:
@@ -53,17 +62,6 @@ class TestMergeHeads:
                     1 + np.max(np.abs(expect)))
                 assert np.all(scores[i, t, t + 1:] == 0.0)
 
-    def test_selectors_start_as_sparse_identities(self, desk_gqa):
-        merged = CG.merge_heads(desk_gqa)
-        d, g = merged.head_dim, merged.num_groups
-        for j in range(g):
-            block = merged.k_sel[j]
-            assert np.array_equal(block[:, j * d:(j + 1) * d], np.eye(d))
-            mask = np.ones(g * d, dtype=bool)
-            mask[j * d:(j + 1) * d] = False
-            assert np.all(block[:, mask] == 0)
-            assert np.array_equal(merged.k_sel[j], merged.v_sel[j])
-
 
 class TestRoRope:
     def test_identity_rotations_change_nothing(self, desk_gqa):
@@ -94,13 +92,9 @@ class TestRoRope:
     def test_off_leading_energy_never_grows(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
         aligned, _ = CG.rorope_align(merged, CALIB)
-        pre = CG._key_covariance(merged, CALIB).normalized()
-        post = CG._key_covariance(aligned, CALIB).normalized()
-        d = merged.head_dim
-        for j in range(merged.num_groups):
-            for p in range(d // 2):
-                i = j * d + 2 * p
-                assert post[i + 1, i + 1] <= pre[i + 1, i + 1] + 1e-12
+        pre = pair_moments(merged, CALIB) / len(CALIB)
+        post = pair_moments(aligned, CALIB) / len(CALIB)
+        assert np.all(post[:, 1, 1] <= pre[:, 1, 1] + 1e-12)
 
     def test_rotation_structure(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
@@ -123,12 +117,12 @@ class TestRoRope:
         merged = CG.merge_heads(CG.init_random_gqa(*shape, seed=30 + seed))
         calib = random_tokens(300, shape[3], 40 + seed)
         _, rotations = CG.rorope_align(merged, calib)
-        expect = sym_eig_rotations(merged, CG._key_covariance(merged, calib).normalized())
+        expect = sym_eig_rotations(merged, pair_moments(merged, calib))
         assert rotations.shape == expect.shape
         assert np.max(np.abs(rotations - expect)) <= 1e-14
 
     def test_tied_pairs_get_proper_rotations(self):
-        # calib = I makes the key moment exactly K·K^T/16. In the first six
+        # calib = I makes the key moment exactly K·K^T. In the first six
         # pairs rounding alone sets the leading eigenvector or its sign, so
         # only the rotation's structure is checked.
         g, d, dm = 2, 8, 16
@@ -145,8 +139,8 @@ class TestRoRope:
         merged = CG.merge_heads(src)
         calib = np.eye(dm)
         aligned, rotations = CG.rorope_align(merged, calib)
-        pre = CG._key_covariance(merged, calib).normalized()
-        post = CG._key_covariance(aligned, calib).normalized()
+        pre = pair_moments(merged, calib) / len(calib)
+        post = pair_moments(aligned, calib) / len(calib)
         for j, rot in enumerate(rotations):
             for p in range(d // 2):
                 x = slice(2 * p, 2 * p + 2)
@@ -156,9 +150,9 @@ class TestRoRope:
                 off = np.ones(d, dtype=bool)
                 off[x] = False
                 assert np.all(rot[x][:, off] == 0.0)
-                i = j * d + 2 * p
-                assert post[i + 1, i + 1] <= pre[i + 1, i + 1] + 1e-12
-                assert post[i, i] >= post[i + 1, i + 1] - 1e-12
+                i = j * d // 2 + p
+                assert post[i, 1, 1] <= pre[i, 1, 1] + 1e-12
+                assert post[i, 0, 0] >= post[i, 1, 1] - 1e-12
 
     def test_rotations_of_wrong_shape_rejected(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
@@ -168,17 +162,16 @@ class TestRoRope:
                 CG.apply_head_rotations(merged, bad)
 
 
-def sym_eig_rotations(merged, cov):
+def sym_eig_rotations(merged, moments):
     """Referee for rorope_align's closed form: each rotary pair's 2x2
-    covariance block is eigendecomposed by sym_eig and its leading
+    moment (pair_moments) is eigendecomposed by sym_eig and its leading
     eigenvector (l0, l1) gives the block [[l0, l1], [-l1, l0]]."""
     d = merged.head_dim
     per_head = []
     for j in range(merged.num_groups):
         rot = np.eye(d)
         for p in range(d // 2):
-            a = j * d + 2 * p
-            lead = sym_eig(cov[a:a + 2, a:a + 2]).eigenvectors[:, 0]
+            lead = sym_eig(moments[j * d // 2 + p]).eigenvectors[:, 0]
             rot[2 * p:2 * p + 2, 2 * p:2 * p + 2] = np.array(
                 [[lead[0], lead[1]], [-lead[1], lead[0]]])
         per_head.append(rot)
@@ -186,15 +179,29 @@ def sym_eig_rotations(merged, cov):
 
 
 class TestKeyCovariance:
+    """numerics.block_moments on the key row blocks the converters read, against
+    the directly accumulated key activations."""
+
     def test_gram_route_matches_direct_activations(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
-        got = CG._key_covariance(merged, CALIB)
-        ref = accumulate(CovarianceAccumulator.empty(merged.key_width),
-                         CALIB @ merged.key_rows().T)
-        assert got.dim == ref.dim and got.sample_count == ref.sample_count
-        assert np.array_equal(got.second_moment, got.second_moment.T)
-        assert np.max(np.abs(got.second_moment - ref.second_moment)) <= 1e-12 * np.max(
-            np.abs(ref.second_moment))
+        keys = merged.key_rows()
+        g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
+        bands = np.arange(g * d).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
+        layouts = [keys, keys.reshape(g, d, dm), keys.reshape(-1, 2, dm), keys[bands]]
+        for rows in layouts:
+            got = block_moments(gram(CALIB), rows)
+            k = rows.shape[-2]
+            assert got.shape == rows.shape[:-1] + (k,)
+            for moment, r in zip(got.reshape(-1, k, k), rows.reshape(-1, k, dm)):
+                ref = accumulate(CovarianceAccumulator.empty(len(r)), CALIB @ r.T).second_moment
+                assert np.array_equal(moment, moment.T)
+                assert np.max(np.abs(moment - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_wrong_row_width_raises(self, desk_gqa):
+        keys = CG.merge_heads(desk_gqa).key_rows()
+        for bad in (keys[:, :-1], keys.reshape(2, -1, 64)[..., 1:], keys[0]):
+            with pytest.raises(ShapeError):
+                block_moments(gram(CALIB), bad)
 
 
 _CHECK_MERGED = CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5))
@@ -265,11 +272,12 @@ class TestFreqFold:
             assert np.max(np.abs(v2[idx[1::2]] - x)) <= 1e-12
 
     def test_bands_match_per_band_loop(self):
-        cov = CG._key_covariance(self.aligned, CALIB).normalized()
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        energies, pairs = CG._band_complex_pca(cov, np.array(ff.band_partition))
-        for p, band in enumerate(ff.band_partition):
-            w, expect = per_band_complex_pca(cov, band, self.aligned.num_groups)
+        rows = self.aligned.key_rows()[np.array(ff.band_partition)]
+        blocks = block_moments(gram(CALIB), rows) / len(CALIB)
+        energies, pairs = CG._band_complex_pca(blocks)
+        for p, block in enumerate(blocks):
+            w, expect = per_band_complex_pca(block, self.aligned.num_groups)
             assert np.array_equal(energies[p], w)
             assert np.array_equal(ff.band_energies[p], w)
             assert np.max(np.abs(pairs[p] - expect)) <= 1e-15
@@ -283,17 +291,17 @@ class TestFreqFold:
             CG.freqfold_compress(self.aligned, CALIB, kv_rank=60, rope_dim=32)
 
 
-def per_band_complex_pca(cov, band, g):
+def per_band_complex_pca(block, g):
     """Referee for _band_complex_pca on one band: the g x g Hermitian
-    covariance built entry by entry and eigendecomposed alone, each column
-    phased so its largest-magnitude entry is real and positive. Returns the
-    energies (g,) and pairs (g, 2g, 2)."""
+    moment built entry by entry from the band's (2g, 2g) block and
+    eigendecomposed alone, each column phased so its largest-magnitude entry
+    is real and positive. Returns the energies (g,) and pairs (g, 2g, 2)."""
     herm = np.empty((g, g), dtype=np.complex128)
     for a in range(g):
-        xa, ya = band[2 * a], band[2 * a + 1]
+        xa, ya = 2 * a, 2 * a + 1
         for b in range(g):
-            xb, yb = band[2 * b], band[2 * b + 1]
-            herm[a, b] = (cov[xa, xb] + cov[ya, yb]) + 1j * (cov[ya, xb] - cov[xa, yb])
+            xb, yb = 2 * b, 2 * b + 1
+            herm[a, b] = (block[xa, xb] + block[ya, yb]) + 1j * (block[ya, xb] - block[xa, yb])
     w, u = np.linalg.eigh((herm + herm.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
     w, u = w[order], u[:, order]

@@ -24,13 +24,6 @@ class TestCalibrate:
             assert acc.sample_count == 1
             assert np.max(np.abs(acc.second_moment - np.outer(act, act))) <= 1e-12
 
-    def test_group_blocks_partition_all_rows(self, mla_config):
-        blocks = CM._group_row_blocks(mla_config, 2, mla_config.head_dim)
-        assert blocks == [(0, 64), (64, 128)]
-        spans = [set(range(lo, hi)) for lo, hi in blocks]
-        assert set().union(*spans) == set(range(128))
-        assert spans[0].isdisjoint(spans[1])
-
     def test_moments_are_symmetric_psd(self, mla_config, mla_weights):
         stats = CM.calibrate(mla_weights, mla_config, CALIB[:512], 2)
         for acc in stats.key + stats.value:

@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqla import io as gqck
 from gqla import model as M
+from gqla.cli import main
 from gqla.convert_gqa import init_random_gqa
 from gqla.errors import CheckpointFormatError
 
@@ -14,6 +17,18 @@ from gqla.errors import CheckpointFormatError
 def read_blob(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def rewrite_manifest(path, edit):
+    """Replace a checkpoint's manifest by edit(manifest), re-encoded as JSON
+    unless edit returns bytes; the payload stays as it is."""
+    blob = read_blob(path)
+    version, header_len = struct.unpack("<IQ", blob[4:16])
+    header = edit(json.loads(blob[16:16 + header_len]))
+    if not isinstance(header, bytes):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(header)) + header +
+                     blob[16 + header_len:])
 
 
 class TestCheckpointRoundTrip:
@@ -82,13 +97,7 @@ class TestCheckpointValidation:
         # a group-indexed file whose manifest claims the head-indexed kind
         path = tmp_path / "model.gqck"
         gqck.write_checkpoint(path, "gqla", desk_config, desk_weights)
-        blob = read_blob(path)
-        version, header_len = struct.unpack("<IQ", blob[4:16])
-        header = json.loads(blob[16:16 + header_len])
-        header["kind"] = "MLA"
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(new_header)) +
-                         new_header + blob[16 + header_len:])
+        rewrite_manifest(path, lambda h: {**h, "kind": "MLA"})
         with pytest.raises(CheckpointFormatError, match="head-indexed"):
             gqck.read_checkpoint(path)
 
@@ -110,13 +119,7 @@ class TestCheckpointValidation:
     def test_missing_tensor_rejected(self, tmp_path, desk_config, desk_weights):
         path = tmp_path / "model.gqck"
         gqck.write_checkpoint(path, "gqla", desk_config, desk_weights)
-        blob = read_blob(path)
-        version, header_len = struct.unpack("<IQ", blob[4:16])
-        header = json.loads(blob[16:16 + header_len])
-        header["tensors"] = header["tensors"][:-1]
-        new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(new_header)) +
-                         new_header + blob[16 + header_len:])
+        rewrite_manifest(path, lambda h: {**h, "tensors": h["tensors"][:-1]})
         with pytest.raises(CheckpointFormatError, match="missing"):
             gqck.read_checkpoint(path)
 
@@ -128,6 +131,138 @@ class TestCheckpointValidation:
     def test_unknown_kind(self, tmp_path, desk_config, desk_weights):
         with pytest.raises(CheckpointFormatError, match="kind"):
             gqck.write_checkpoint(tmp_path / "x.gqck", "mha", desk_config, desk_weights)
+
+
+def _set(section, key, value, index=0):
+    """Manifest edit: header[key] = value, or the same inside the config or
+    the index-th tensor entry."""
+    def edit(header):
+        target = {"header": header, "config": header["config"],
+                  "tensor": header["tensors"][index]}[section]
+        target[key] = value
+        return header
+    return edit
+
+
+# Manifests that are valid JSON but not a valid checkpoint, each with the
+# checkpoint kind it edits. Tensor 0 is q_down (48 x 64) for the gqla kind;
+# the fractional and bool values would truncate to the written ones.
+MALFORMED_MANIFESTS = {
+    "string shape": ("gqla", _set("tensor", "shape", "ab")),
+    "string offset": ("gqla", _set("tensor", "offset", "x", index=1)),
+    "numeric string offset": ("gqla", _set("tensor", "offset", "0")),
+    "tensors not a list": ("gqla", _set("header", "tensors", 5)),
+    "null tensor name": ("gqla", _set("tensor", "name", None)),
+    "manifest not an object": ("gqla", lambda h: [h]),
+    "tensor entry not an object": ("gqla", lambda h: {**h, "tensors": [1] + h["tensors"][1:]}),
+    "fractional shape": ("gqla", _set("tensor", "shape", [48.5, 64])),
+    "fractional num_heads": ("gqla", _set("config", "num_heads", 8.7)),
+    "bool offset": ("gqla", _set("tensor", "offset", False)),
+    "dtype not a string": ("gqla", _set("header", "dtype", [])),
+    "config not an object": ("gqla", _set("header", "config", None)),
+    "string rope_base": ("gqla", _set("config", "rope_base", "10000")),
+    "huge rope_base": ("gqla", _set("config", "rope_base", 10 ** 400)),
+    "empty dimension": ("gqla", _set("tensor", "shape", [0, 10 ** 30])),
+    "nesting too deep": ("gqla", lambda h: b"[" * 100000),
+    "zero groups": ("gqa", _set("config", "num_groups", 0)),
+    "fractional head_dim": ("gqa", _set("config", "head_dim", 16.5)),
+}
+
+
+@pytest.fixture
+def checkpoint_of_kind(tmp_path, desk_config, desk_weights, desk_gqa):
+    def make(kind):
+        path = tmp_path / f"{kind}.gqck"
+        if kind == "gqa":
+            gqck.write_checkpoint(path, kind, None, desk_gqa)
+        else:
+            gqck.write_checkpoint(path, kind, desk_config, desk_weights)
+        return path
+    return make
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_raises_format_error(case, checkpoint_of_kind):
+    kind, edit = MALFORMED_MANIFESTS[case]
+    path = checkpoint_of_kind(kind)
+    rewrite_manifest(path, edit)
+    with pytest.raises(CheckpointFormatError):
+        gqck.read_checkpoint(path)
+
+
+def test_verify_reports_malformed_manifest_as_usage_error(checkpoint_of_kind, capsys):
+    path = checkpoint_of_kind("gqla")
+    rewrite_manifest(path, MALFORMED_MANIFESTS["tensors not a list"][1])
+    assert main(["verify", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _write_small(path, kind):
+    if kind == "gqa":
+        gqck.write_checkpoint(path, kind, None, init_random_gqa(4, 2, 4, 8, seed=0))
+    else:
+        config = M.GqlaConfig(model_dim=8, num_heads=2, num_groups=2, head_dim=4,
+                              value_head_dim=4, rope_head_dim=2, kv_rank=4, q_rank=6)
+        gqck.write_checkpoint(path, kind, config, M.init_random(config, 0))
+
+
+def _read_or_format_error(path):
+    try:
+        gqck.read_checkpoint(path)
+    except CheckpointFormatError:
+        pass
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_manifest_value_gives_a_checkpoint_or_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "model.gqck"
+    _write_small(path, data.draw(st.sampled_from(["gqla", "mla", "gqa"])))
+    value = data.draw(JSON_VALUES)
+
+    def edit(h):
+        where = data.draw(st.sampled_from(list(_paths(h))))
+        if not where:
+            return value
+        node = h
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        return h
+    rewrite_manifest(path, edit)
+    _read_or_format_error(path)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_byte_edit_gives_a_checkpoint_or_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "model.gqck"
+    _write_small(path, data.draw(st.sampled_from(["gqla", "gqa"])))
+    blob = bytearray(read_blob(path))
+    manifest_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+    # most edits land in the container header and the manifest
+    for at, byte in data.draw(st.lists(st.tuples(st.integers(0, manifest_end - 1),
+                                                 st.integers(0, 255)), min_size=1, max_size=4)):
+        blob[at] = byte
+    path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
+    _read_or_format_error(path)
 
 
 class TestResultTable:
