@@ -10,12 +10,12 @@ tables), cli (command-line surface).
 from .model import (GqlaConfig, GqlaWeights, LatentCache, ExpandedCache, absorb,
                     cache_compress, cache_expand, canonical_config, decode_absorb,
                     decode_gqa, forward_absorb_path, forward_gqa_path, init_random,
-                    oracle_mha, project_token, random_tokens)
+                    oracle_mha, random_tokens)
 from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 __all__ = [
     "GqlaConfig", "GqlaWeights", "LatentCache", "ExpandedCache", "RopeSpec",
     "absorb", "apply_folded_rope", "apply_rope", "cache_compress", "cache_expand",
     "canonical_config", "decode_absorb", "decode_gqa", "forward_absorb_path",
-    "forward_gqa_path", "init_random", "oracle_mha", "project_token", "random_tokens",
+    "forward_gqa_path", "init_random", "oracle_mha", "random_tokens",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as gqla_model
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, random_tokens
 from .numerics import CovarianceAccumulator, accumulate, block_moments, sym_eig
 from .rope import apply_rope
@@ -184,12 +184,8 @@ def unfused_forward(weights: MlaWeights, config: GqlaConfig, fact: GroupFactoriz
     the original output projection. Algebraically identical to running the
     absorbed weights; the gap between the two is pure floating-point noise.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[1] != config.model_dim:
-        raise ShapeError(f"tokens must be (L, {config.model_dim}), got {tokens.shape}")
+    tokens = _check_tokens(tokens, config.model_dim, s_q)
     length = tokens.shape[0]
-    if length < 1 or not 1 <= s_q <= length:
-        raise ParameterError("empty sequence or s_q out of range")
     hpg = config.num_heads // fact.groups
     d, dv, dr = config.head_dim, config.value_head_dim, config.rope_head_dim
     spec = config.rope_spec()

@@ -8,12 +8,15 @@ to the cached latent (LatentCache). Switching between them is a one-shot cache
 expand/compress. A deliberately naive brute-force attention (oracle_mha) is
 kept free of any shared code with the two paths and serves as their oracle.
 
-Shapes use single tokens as 1-D vectors and sequences as (L, model_dim)
-arrays. All arithmetic is float64 and all functions are pure.
+A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
+Prefill appends a sequence to an empty cache and decode a token or a block to
+a given one, through one append-and-attend routine; decode outputs are shaped
+like its input. All arithmetic is float64 and all functions are pure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -145,56 +148,33 @@ def init_random(config: GqlaConfig, seed: int) -> GqlaWeights:
     return GqlaWeights(**arrays)
 
 
+class _Cache:
+    """Per-token cache rows: every field is an (L, width) array."""
+
+    def __len__(self) -> int:
+        return self.k_rope.shape[0]
+
+    @property
+    def elements_per_token(self) -> int:
+        return sum(getattr(self, f.name).shape[1] for f in dataclasses.fields(self))
+
+
 @dataclass(frozen=True)
-class LatentCache:
+class LatentCache(_Cache):
     """Per-token latent layout: kv (L, kv_rank) and post-rotary k_rope (L, rope_head_dim)."""
 
     kv: np.ndarray
     k_rope: np.ndarray
 
-    def __len__(self) -> int:
-        return self.kv.shape[0]
-
-    @property
-    def elements_per_token(self) -> int:
-        return self.kv.shape[1] + self.k_rope.shape[1]
-
 
 @dataclass(frozen=True)
-class ExpandedCache:
+class ExpandedCache(_Cache):
     """Per-token expanded layout: per-group K (L, g*head_dim), V (L, g*value_head_dim),
     and the shared post-rotary k_rope (L, rope_head_dim)."""
 
     k_nope: np.ndarray
     v: np.ndarray
     k_rope: np.ndarray
-
-    def __len__(self) -> int:
-        return self.k_nope.shape[0]
-
-    @property
-    def elements_per_token(self) -> int:
-        return self.k_nope.shape[1] + self.v.shape[1] + self.k_rope.shape[1]
-
-
-@dataclass(frozen=True)
-class ProjectedToken:
-    """Single-token projections: per-head queries and the shared K/V latent."""
-
-    q_nope: np.ndarray  # (num_heads, head_dim)
-    q_rope: np.ndarray  # (num_heads, rope_head_dim), post-rotary
-    kv: np.ndarray      # (kv_rank,)
-    k_rope: np.ndarray  # (rope_head_dim,), post-rotary
-
-
-def project_token(weights: GqlaWeights, config: GqlaConfig, x, position: int) -> ProjectedToken:
-    """Run one token through the input projections at the given position."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (config.model_dim,):
-        raise ShapeError(f"token has shape {x.shape}, expected ({config.model_dim},)")
-    q_nope, q_rope = _project_queries(weights, config, x, position)
-    kv, k_rope = _project_keys(weights, config, x, position)
-    return ProjectedToken(q_nope=q_nope, q_rope=q_rope, kv=kv, k_rope=k_rope)
 
 
 def random_tokens(count: int, dim: int, seed: int) -> np.ndarray:
@@ -248,8 +228,9 @@ def _query_blocks(count: int, rows_per_query: int, length: int, positions):
     """Split count queries into blocks whose scores fit SCORE_BLOCK_ELEMENTS.
 
     A block holds one query at least. Yields (slice, keys seen, positions):
-    with positions, a block's queries see only the keys up to the last of
-    them, so the later keys are left out of its scores.
+    with positions, which ascend, a block's queries see only the keys up to
+    the last of them, so the later keys are left out of its scores, and the
+    block's positions are None when every query sees all of those keys.
     """
     step = max(1, SCORE_BLOCK_ELEMENTS // (rows_per_query * length))
     for start in range(0, count, step):
@@ -257,7 +238,9 @@ def _query_blocks(count: int, rows_per_query: int, length: int, positions):
         if positions is None:
             yield block, length, None
         else:
-            yield block, int(positions[block].max()) + 1, positions[block]
+            pos = positions[block]
+            seen = int(pos[-1]) + 1
+            yield block, seen, pos if pos[0] + 1 < seen else None
 
 
 def _softmax(logits: np.ndarray, positions=None) -> np.ndarray:
@@ -350,18 +333,46 @@ def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, 
     return o.reshape(count, -1) @ weights.out_proj.T
 
 
-def _token_attention(weights: GqlaWeights, config: GqlaConfig, x, position: int, cache,
-                     scale: float) -> np.ndarray:
-    """Output of token x, queried at position, over every row of cache."""
-    q_nope, q_rope = _project_queries(weights, config, x[None], position)
-    return _attention(weights, config, q_nope, q_rope, cache, scale)[0]
+def _fieldwise(fn, *caches):
+    """The cache of caches[0]'s layout whose every field is fn of the caches' same fields."""
+    return type(caches[0])(**{f.name: fn(*(getattr(c, f.name) for c in caches))
+                              for f in dataclasses.fields(caches[0])})
 
 
-def _prefill(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int, cache) -> np.ndarray:
-    """Outputs of the trailing s_q tokens, scored in one causally masked batch."""
-    positions = np.arange(tokens.shape[0] - s_q, tokens.shape[0])
-    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions)
-    return _attention(weights, config, q_nope, q_rope, cache, config.score_scale, positions)
+def _cache_rows(weights: GqlaWeights, layout: type, kv: np.ndarray, k_rope: np.ndarray):
+    """Rows of the cache layout (LatentCache or ExpandedCache) for latents kv
+    (n, kv_rank) and post-rotary keys k_rope (n, rope_head_dim)."""
+    if layout is LatentCache:
+        return LatentCache(kv=kv, k_rope=k_rope)
+    return ExpandedCache(k_nope=kv @ weights.k_up.T, v=kv @ weights.v_up.T, k_rope=k_rope)
+
+
+def _empty_cache(weights: GqlaWeights, config: GqlaConfig, layout: type):
+    return _cache_rows(weights, layout, np.empty((0, config.kv_rank)),
+                       np.empty((0, config.rope_head_dim)))
+
+
+def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray, s_q: int):
+    """Append tokens (n, model_dim) to cache and score the trailing s_q of them.
+
+    The new tokens take positions len(cache) .. len(cache) + n - 1, and each
+    query sees the keys up to its own position. Returns (outputs (s_q,
+    model_dim), the extended cache); the given cache is left unchanged.
+    """
+    positions = np.arange(len(cache), len(cache) + tokens.shape[0])
+    new = _cache_rows(weights, type(cache), *_project_keys(weights, config, tokens, positions))
+    # appended to an empty cache, the new rows are the whole cache: no copy
+    cache = _fieldwise(lambda a, b: np.concatenate([a, b]), cache, new) if len(cache) else new
+    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:])
+    return _attention(weights, config, q_nope, q_rope, cache, config.score_scale,
+                      positions[-s_q:]), cache
+
+
+def _decode(weights: GqlaWeights, config: GqlaConfig, cache, x):
+    x = np.asarray(x, dtype=np.float64)
+    tokens = _check_tokens(x[None] if x.ndim == 1 else x, config.model_dim, 1)
+    out, cache = _extend(weights, config, cache, tokens, tokens.shape[0])
+    return (out[0] if x.ndim == 1 else out), cache
 
 
 def forward_gqa_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1):
@@ -370,9 +381,7 @@ def forward_gqa_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int 
     Returns (outputs (s_q, model_dim), ExpandedCache over the whole sequence).
     """
     tokens = _check_tokens(tokens, config.model_dim, s_q)
-    kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
-    cache = ExpandedCache(k_nope=kv @ weights.k_up.T, v=kv @ weights.v_up.T, k_rope=k_rope)
-    return _prefill(weights, config, tokens, s_q, cache), cache
+    return _extend(weights, config, _empty_cache(weights, config, ExpandedCache), tokens, s_q)
 
 
 def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1):
@@ -381,29 +390,19 @@ def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: i
     Returns (outputs (s_q, model_dim), LatentCache over the whole sequence).
     """
     tokens = _check_tokens(tokens, config.model_dim, s_q)
-    kv, k_rope = _project_keys(weights, config, tokens, np.arange(tokens.shape[0]))
-    cache = LatentCache(kv=kv, k_rope=k_rope)
-    return _prefill(weights, config, tokens, s_q, cache), cache
+    return _extend(weights, config, _empty_cache(weights, config, LatentCache), tokens, s_q)
 
 
 def decode_gqa(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache, x):
-    """Append one token to an expanded cache and return (output, new cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    position = len(cache)
-    kv, k_rope = _project_keys(weights, config, x, position)
-    cache = ExpandedCache(k_nope=np.vstack([cache.k_nope, weights.k_up @ kv]),
-                          v=np.vstack([cache.v, weights.v_up @ kv]),
-                          k_rope=np.vstack([cache.k_rope, k_rope]))
-    return _token_attention(weights, config, x, position, cache, config.score_scale), cache
+    """Append and score a token (model_dim,) or a block (n, model_dim) on an expanded
+    cache. Returns (outputs shaped like x, new cache)."""
+    return _decode(weights, config, cache, x)
 
 
 def decode_absorb(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache, x):
-    """Append one token to a latent cache and return (output, new cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    position = len(cache)
-    kv, k_rope = _project_keys(weights, config, x, position)
-    cache = LatentCache(kv=np.vstack([cache.kv, kv]), k_rope=np.vstack([cache.k_rope, k_rope]))
-    return _token_attention(weights, config, x, position, cache, config.score_scale), cache
+    """Append and score a token (model_dim,) or a block (n, model_dim) on a latent
+    cache. Returns (outputs shaped like x, new cache)."""
+    return _decode(weights, config, cache, x)
 
 
 @dataclass(frozen=True)
@@ -461,11 +460,7 @@ def forward_absorbed(absorbed: AbsorbedWeights, config: GqlaConfig, tokens, s_q:
 
 def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:
     """One-shot latent -> expanded switch: up-project every cached token."""
-    return ExpandedCache(
-        k_nope=cache.kv @ weights.k_up.T,
-        v=cache.kv @ weights.v_up.T,
-        k_rope=cache.k_rope.copy(),
-    )
+    return _cache_rows(weights, ExpandedCache, cache.kv, cache.k_rope.copy())
 
 
 COMPRESS_REJECT_ABOVE = 1e-6

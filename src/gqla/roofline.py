@@ -26,8 +26,8 @@ class HardwareSpec:
     bandwidth: float   # bytes/s, HBM
 
     def __post_init__(self):
-        if self.flops_peak <= 0 or self.bandwidth <= 0:
-            raise ParameterError("flops_peak and bandwidth must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.flops_peak, self.bandwidth)):
+            raise ParameterError("flops_peak and bandwidth must be finite and positive")
 
 
 H100 = HardwareSpec("H100", flops_peak=989e12, bandwidth=3.35e12)
@@ -109,6 +109,8 @@ def step_time(hw: HardwareSpec, config: GqlaConfig, path: str, g: int | None = N
         raise ParameterError(f"s_q must be >= 1, got {s_q}")
     _check_path(path)
     g_eff = (1 if path == MQA_ABSORB else (config.num_groups if g is None else g))
+    if g_eff < 1:
+        raise ParameterError(f"g must be >= 1, got {g_eff}")
     b_tok = bytes_per_token(config, path, g_eff, element_bytes)
     total_bytes = float(length) * b_tok
     total_flops = flops_per_step(config, path, s_q, length)

@@ -11,14 +11,13 @@ and the two agree for any fixed selection, exactly as the dense paths do.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache,
-                    _project_queries, _rope_queries, _softmax, _token_attention)
+from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache, _attention,
+                    _check_tokens, _fieldwise, _project_queries, _rope_queries, _softmax)
 
 TILE_M = 16
 MASK_VALUE = -1e9
@@ -56,9 +55,10 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     Works on either cache layout (both carry the rotary keys). The query is
     the newest cached token.
     """
+    x = _check_token(x, config.model_dim)
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
-    c_q = np.asarray(x, dtype=np.float64) @ weights.q_down.T
+    c_q = x @ weights.q_down.T
     q_rope = _rope_queries(weights, config, c_q, len(cache) - 1)
     return (q_rope @ cache.k_rope.T).mean(axis=0)
 
@@ -81,10 +81,14 @@ def topk_select(scores, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def _check_token(x, model_dim: int) -> np.ndarray:
+    return _check_tokens(np.asarray(x, dtype=np.float64)[None], model_dim, 1)[0]
+
+
 def _check_selection(selected, length: int) -> np.ndarray:
-    sel = np.asarray(selected, dtype=np.int64)
-    if sel.ndim != 1 or sel.size == 0:
-        raise ParameterError("selection must be a non-empty 1-D index set")
+    sel = np.asarray(selected)
+    if sel.ndim != 1 or sel.size == 0 or sel.dtype.kind not in "iu":
+        raise ParameterError("selection must be a non-empty 1-D set of integer positions")
     if np.unique(sel).size != sel.size:
         raise ParameterError("selection contains repeated positions")
     if sel.min() < 0 or sel.max() >= length:
@@ -93,11 +97,12 @@ def _check_selection(selected, length: int) -> np.ndarray:
 
 
 def _sparse_step(weights: GqlaWeights, config: GqlaConfig, cache, x, selected, scale):
+    x = _check_token(x, config.model_dim)
     sel = _check_selection(selected, len(cache))
-    picked = dataclasses.replace(cache, **{f.name: getattr(cache, f.name)[sel]
-                                           for f in dataclasses.fields(cache)})
-    return _token_attention(weights, config, np.asarray(x, dtype=np.float64), len(cache) - 1,
-                            picked, config.score_scale if scale is None else scale)
+    q_nope, q_rope = _project_queries(weights, config, x[None], len(cache) - 1)
+    picked = _fieldwise(lambda rows: rows[sel], cache)
+    return _attention(weights, config, q_nope, q_rope, picked,
+                      config.score_scale if scale is None else scale)[0]
 
 
 def sparse_attention(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache,

@@ -211,6 +211,10 @@ class TestSparseCheck:
     ["verify", "--seq-len", "1", "--sq", "2"],
     ["sparse-check", "--k", "0"],
     ["roofline", "--seq-len", "0"],
+    ["roofline", "--hw", "h20", "--rows", "gqa:-8:1"],
+    ["roofline", "--hw", "h20", "--rows", "gqa:0:1"],
+    ["roofline", "--hw", "custom:nan,1e12"],
+    ["roofline", "--hw", "custom:1e15,inf"],
 ])
 def test_out_of_range_parameters_are_usage_errors(argv, gqla_ckpt, capsys):
     if argv[0] != "roofline":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gqla import model as M
+from gqla import sparse
 from gqla.errors import OutOfSubspaceError, ParameterError, ShapeError
 from gqla.numerics import sym_eig
 from gqla.rope import RopeSpec, apply_rope
@@ -34,36 +35,58 @@ class TestInitRandom:
 
 
 class TestProjectToken:
+    """One token through the query and key projections."""
+
     def test_zero_token_gives_zero(self, desk_config, desk_weights):
-        proj = M.project_token(desk_weights, desk_config, np.zeros(64), 5)
-        for arr in (proj.q_nope, proj.q_rope, proj.kv, proj.k_rope):
+        x = np.zeros(64)
+        for arr in (*M._project_queries(desk_weights, desk_config, x, 5),
+                    *M._project_keys(desk_weights, desk_config, x, 5)):
             assert np.all(arr == 0)
 
     def test_position_zero_skips_rotation(self, desk_config, desk_weights):
         x = M.random_tokens(1, 64, 2)[0]
-        proj = M.project_token(desk_weights, desk_config, x, 0)
+        _, q_rope = M._project_queries(desk_weights, desk_config, x, 0)
         raw = (desk_weights.q_rope @ (desk_weights.q_down @ x)).reshape(8, 8)
-        assert np.array_equal(proj.q_rope, raw)
+        assert np.array_equal(q_rope, raw)
 
     def test_matches_straight_line_recomputation(self, desk_config, desk_weights):
         c = desk_config
         x = M.random_tokens(1, 64, 2)[0]
         t = 7
-        proj = M.project_token(desk_weights, c, x, t)
+        q_nope, q_rope = M._project_queries(desk_weights, c, x, t)
+        kv, k_rope = M._project_keys(desk_weights, c, x, t)
         spec = RopeSpec(c.rope_head_dim, c.rope_base)
         c_q = desk_weights.q_down @ x
         for i in range(c.num_heads):
             q_n = desk_weights.q_up[i * c.head_dim:(i + 1) * c.head_dim] @ c_q
             q_r = apply_rope(
                 spec, desk_weights.q_rope[i * c.rope_head_dim:(i + 1) * c.rope_head_dim] @ c_q, t)
-            assert np.max(np.abs(proj.q_nope[i] - q_n)) <= 1e-12
-            assert np.max(np.abs(proj.q_rope[i] - q_r)) <= 1e-12
-        assert np.max(np.abs(proj.kv - desk_weights.kv_down @ x)) <= 1e-12
-        assert np.max(np.abs(proj.k_rope - apply_rope(spec, desk_weights.k_rope @ x, t))) <= 1e-12
+            assert np.max(np.abs(q_nope[i] - q_n)) <= 1e-12
+            assert np.max(np.abs(q_rope[i] - q_r)) <= 1e-12
+        assert np.max(np.abs(kv - desk_weights.kv_down @ x)) <= 1e-12
+        assert np.max(np.abs(k_rope - apply_rope(spec, desk_weights.k_rope @ x, t))) <= 1e-12
 
-    def test_wrong_length_raises(self, desk_config, desk_weights):
-        with pytest.raises(ShapeError):
-            M.project_token(desk_weights, desk_config, np.zeros(63), 0)
+
+_TOKEN_ENTRY_POINTS = {
+    "decode_gqa": lambda w, c, expanded, latent, x: M.decode_gqa(w, c, expanded, x),
+    "decode_absorb": lambda w, c, expanded, latent, x: M.decode_absorb(w, c, latent, x),
+    "sparse_attention": lambda w, c, expanded, latent, x: sparse.sparse_attention(
+        w, c, expanded, x, [0, 1]),
+    "sparse_attention_absorbed": lambda w, c, expanded, latent, x:
+        sparse.sparse_attention_absorbed(w, c, latent, x, [0, 1]),
+    "stub_index_scores": lambda w, c, expanded, latent, x: sparse.stub_index_scores(
+        w, c, expanded, x),
+}
+
+
+@pytest.mark.parametrize("shape", [(63,), (2, 63), ()], ids=["width", "block-width", "scalar"])
+@pytest.mark.parametrize("entry", _TOKEN_ENTRY_POINTS)
+def test_per_token_entry_points_reject_bad_tokens(desk_config, desk_weights, entry, shape):
+    tokens = M.random_tokens(4, 64, 3)
+    _, expanded = M.forward_gqa_path(desk_weights, desk_config, tokens, 1)
+    _, latent = M.forward_absorb_path(desk_weights, desk_config, tokens, 1)
+    with pytest.raises(ShapeError):
+        _TOKEN_ENTRY_POINTS[entry](desk_weights, desk_config, expanded, latent, np.ones(shape))
 
 
 class TestForwardPaths:
@@ -170,6 +193,37 @@ class TestForwardPaths:
     def test_s_q_beyond_length_rejected(self, desk_config, desk_weights):
         with pytest.raises(ParameterError):
             M.forward_gqa_path(desk_weights, desk_config, M.random_tokens(3, 64, 0), 4)
+
+
+class TestDecode:
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["expanded", "latent"])
+    def test_blocks_continue_the_prefill(self, desk_config, desk_weights, layout, block):
+        # prefill 8 tokens, then decode the next 12 in blocks; one token goes in
+        # as a (model_dim,) vector, longer blocks as (n, model_dim) arrays
+        forward, decode = {"expanded": (M.forward_gqa_path, M.decode_gqa),
+                           "latent": (M.forward_absorb_path, M.decode_absorb)}[layout]
+        tokens = M.random_tokens(20, 64, 50)
+        _, prompt = forward(desk_weights, desk_config, tokens[:8], 1)
+        before = {f.name: getattr(prompt, f.name).copy() for f in dataclasses.fields(prompt)}
+
+        def generate(cache):
+            outputs = []
+            for start in range(8, 20, block):
+                x = tokens[start] if block == 1 else tokens[start:start + block]
+                out, cache = decode(desk_weights, desk_config, cache, x)
+                assert out.shape == x.shape
+                outputs.append(out.reshape(-1, 64))
+            return np.vstack(outputs), cache
+
+        first, cache = generate(prompt)
+        second, _ = generate(prompt)
+        oracle = M.oracle_mha(desk_weights, desk_config, tokens, 12)
+        assert len(cache) == 20
+        assert np.max(np.abs(first - oracle)) <= dual_path_bound(oracle)
+        assert np.array_equal(first, second)
+        for name, arr in before.items():
+            assert np.array_equal(getattr(prompt, name), arr)
 
 
 class TestCacheLayouts:

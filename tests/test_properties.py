@@ -51,3 +51,11 @@ def test_expanded_absorbed_and_oracle_agree(case):
     assert np.max(np.abs(expanded - oracle)) <= bound
     assert np.max(np.abs(absorbed - oracle)) <= bound
     assert np.max(np.abs(fused - oracle)) <= bound
+    # the trailing s_q tokens decoded as one block onto the prefix cache
+    prefix = tokens.shape[0] - s_q
+    for forward, decode, layout in ((M.forward_gqa_path, M.decode_gqa, M.ExpandedCache),
+                                    (M.forward_absorb_path, M.decode_absorb, M.LatentCache)):
+        cache = (forward(weights, config, tokens[:prefix])[1] if prefix
+                 else M._empty_cache(weights, config, layout))
+        decoded, _ = decode(weights, config, cache, tokens[prefix:])
+        assert np.max(np.abs(decoded - oracle)) <= bound

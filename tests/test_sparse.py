@@ -99,6 +99,8 @@ class TestSparseAttention:
             sparse.sparse_attention(desk_weights, desk_config, expanded, tokens[-1], [0, 0])
         with pytest.raises(ParameterError):
             sparse.sparse_attention(desk_weights, desk_config, expanded, tokens[-1], [24])
+        with pytest.raises(ParameterError):  # not truncated to [0, 1]
+            sparse.sparse_attention(desk_weights, desk_config, expanded, tokens[-1], [0.5, 1.7])
 
 
 class TestStubIndexer:
