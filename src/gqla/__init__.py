@@ -7,7 +7,7 @@ and the tile rule), roofline (analytical planner), io (GQCK checkpoints and
 tables), cli (command-line surface).
 """
 
-from .model import (GqlaConfig, GqlaWeights, LatentCache, ExpandedCache, absorb,
+from .model import (GqlaConfig, GqlaWeights, LatentCache, ExpandedCache,
                     cache_compress, cache_expand, canonical_config, decode_absorb,
                     decode_gqa, forward_absorb_path, forward_gqa_path, init_random,
                     oracle_mha, random_tokens)
@@ -15,7 +15,7 @@ from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 __all__ = [
     "GqlaConfig", "GqlaWeights", "LatentCache", "ExpandedCache", "RopeSpec",
-    "absorb", "apply_folded_rope", "apply_rope", "cache_compress", "cache_expand",
+    "apply_folded_rope", "apply_rope", "cache_compress", "cache_expand",
     "canonical_config", "decode_absorb", "decode_gqa", "forward_absorb_path",
     "forward_gqa_path", "init_random", "oracle_mha", "random_tokens",
 ]

@@ -108,29 +108,25 @@ def cmd_convert(args) -> int:
         return 2
     seed = args.seed
 
-    try:
-        if wanted == gqck.KIND_GQA:
-            if args.rkv is None or args.dhr is None:
-                _err("--rkv and --dhr are required for --from gqa")
-                return 2
-            src: convert_gqa.GqaWeights = weights
-            target = GqlaConfig(
-                model_dim=src.model_dim, num_heads=src.num_heads,
-                num_groups=src.num_groups, head_dim=src.head_dim,
-                value_head_dim=src.head_dim, rope_head_dim=args.dhr,
-                kv_rank=args.rkv, q_rank=src.model_dim, rope_base=src.rope_base)
-            calib = random_tokens(args.calib_tokens, src.model_dim, seed)
-            converted, report = convert_gqa.convert(src, calib, target)
-        else:
-            if args.g is None:
-                _err("--g is required for --from mla")
-                return 2
-            calib = random_tokens(args.calib_tokens, config.model_dim, seed)
-            converted, report = convert_mla.convert(weights, config, calib, args.g)
-            target = convert_mla.target_config(config, args.g)
-    except GqlaError as exc:
-        _err(str(exc))
-        return 2
+    if wanted == gqck.KIND_GQA:
+        if args.rkv is None or args.dhr is None:
+            _err("--rkv and --dhr are required for --from gqa")
+            return 2
+        src: convert_gqa.GqaWeights = weights
+        target = GqlaConfig(
+            model_dim=src.model_dim, num_heads=src.num_heads,
+            num_groups=src.num_groups, head_dim=src.head_dim,
+            value_head_dim=src.head_dim, rope_head_dim=args.dhr,
+            kv_rank=args.rkv, q_rank=src.model_dim, rope_base=src.rope_base)
+        calib = random_tokens(args.calib_tokens, src.model_dim, seed)
+        converted, report = convert_gqa.convert(src, calib, target)
+    else:
+        if args.g is None:
+            _err("--g is required for --from mla")
+            return 2
+        calib = random_tokens(args.calib_tokens, config.model_dim, seed)
+        converted, report = convert_mla.convert(weights, config, calib, args.g)
+        target = convert_mla.target_config(config, args.g)
 
     for line in report.lines():
         print(line)

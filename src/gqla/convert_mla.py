@@ -81,7 +81,7 @@ class GroupFactorization:
 
     u_j is column-orthonormal ((h/g)*dim x rank), v_j = u_j^T W_j
     (rank x kv_rank). energy_* hold the per-group retained activation energy
-    fraction; stats keeps the accumulators the factors were built from.
+    fraction.
     """
 
     groups: int
@@ -93,7 +93,6 @@ class GroupFactorization:
     value_v: tuple
     key_energy: tuple
     value_energy: tuple
-    stats: GroupStats
 
 
 def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
@@ -129,7 +128,7 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
     value_u, value_v, value_energy = side(weights.v_up, stats.value, value_rank)
     return GroupFactorization(groups=groups, key_rank=key_rank, value_rank=value_rank,
                               key_u=key_u, key_v=key_v, value_u=value_u, value_v=value_v,
-                              key_energy=key_energy, value_energy=value_energy, stats=stats)
+                              key_energy=key_energy, value_energy=value_energy)
 
 
 def absorb_factors(weights: MlaWeights, config: GqlaConfig,

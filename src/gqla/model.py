@@ -4,9 +4,11 @@ One set of projection weights admits two algebraically equivalent decoding
 paths. The expanded path materializes per-group K/V from the latent and runs
 grouped-query attention against an ExpandedCache; the absorbed path folds the
 K/V up-projections into the query/output sides so every head attends directly
-to the cached latent (LatentCache). Switching between them is a one-shot cache
-expand/compress. A deliberately naive brute-force attention (oracle_mha) is
-kept free of any shared code with the two paths and serves as their oracle.
+to the cached latent (LatentCache). Both run one grouped attention core: the
+absorbed path is its one-group (MQA) case, whose keys and values are both the
+latent. Switching between them is a one-shot cache expand/compress. A
+deliberately naive brute-force attention (oracle_mha) is kept free of any
+shared code with the two paths and serves as their oracle.
 
 A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
 Prefill appends a sequence to an empty cache and decode a token or a block to
@@ -259,24 +261,22 @@ def _softmax(logits: np.ndarray, positions=None) -> np.ndarray:
     return e
 
 
-def _expanded_core(q_nope, q_rope, cache: ExpandedCache, scale: float, positions=None):
-    """Grouped attention over an expanded cache.
+def _grouped_core(q_nope, q_rope, keys, values, k_rope, scale: float, positions=None):
+    """Grouped attention: every K/V group's heads read that group's keys and values.
 
-    Queries are (g, n, heads_per_group, .): each group's heads for n
-    queries. Each group's K/V is a strided view of the cache and one matmul
-    batched over the group axis scores all of its heads. Returns the value
-    reads (g, n, heads_per_group, value_head_dim).
+    Queries are (G, n, k, .): the k heads of each of G groups for n queries.
+    keys are (G, d, L), values (G, L, dv), and the post-rotary k_rope (L,
+    rope_head_dim) is shared by every head. One matmul batched over the group
+    axis scores all of a group's heads. Returns the value reads (G, n, k, dv).
     """
     groups, count, hpg, dim = q_nope.shape
-    length = len(cache)
-    keys = cache.k_nope.reshape(length, groups, dim).transpose(1, 2, 0)
-    values = cache.v.reshape(length, groups, -1).transpose(1, 0, 2)
+    length = k_rope.shape[0]
     out = np.empty((groups, count, hpg, values.shape[-1]))
     for block, seen, pos in _query_blocks(count, groups * hpg, length, positions):
         q_n = q_nope[:, block].reshape(groups, -1, dim)
         q_r = q_rope[:, block].reshape(-1, q_rope.shape[-1])
         scores = q_n @ keys[..., :seen]
-        scores += (q_r @ cache.k_rope[:seen].T).reshape(scores.shape)
+        scores += (q_r @ k_rope[:seen].T).reshape(scores.shape)
         scores *= scale
         attn = _softmax(scores.reshape(groups, -1, hpg, seen), pos)
         out[:, block] = (attn.reshape(groups, -1, seen) @ values[:, :seen]).reshape(
@@ -284,52 +284,34 @@ def _expanded_core(q_nope, q_rope, cache: ExpandedCache, scale: float, positions
     return out
 
 
-def _latent_core(q_latent, q_rope, cache: LatentCache, scale: float, positions=None):
-    """Attention of latent-space queries (..., n, k, kv_rank) over a latent cache.
-
-    Every head reads the same latent, so all query rows are scored in one
-    matmul whatever their layout. Returns the latent reads, shaped like
-    q_latent.
-    """
-    count, rank = q_latent.shape[-3], q_latent.shape[-1]
-    length = len(cache)
-    out = np.empty(q_latent.shape)
-    for block, seen, pos in _query_blocks(count, q_latent.size // (count * rank), length,
-                                          positions):
-        q_l = q_latent[..., block, :, :]
-        q_r = q_rope[..., block, :, :]
-        scores = q_l.reshape(-1, rank) @ cache.kv[:seen].T
-        scores += q_r.reshape(-1, q_r.shape[-1]) @ cache.k_rope[:seen].T
-        scores *= scale
-        attn = _softmax(scores.reshape(q_l.shape[:-1] + (seen,)), pos)
-        out[..., block, :, :] = (attn.reshape(-1, seen) @ cache.kv[:seen]).reshape(q_l.shape)
-    return out
-
-
 def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, scale: float,
                positions=None) -> np.ndarray:
     """Attention of n queries (n, num_heads, .) over a cache of either layout.
 
-    A latent cache gets each group's key up-projection folded into its heads'
-    queries and its value up-projection into their reads. positions, if
-    given, holds each query's position for the causal mask. Returns
-    (n, model_dim).
+    An expanded cache is the grouped core's num_groups groups. A latent cache
+    is its one group whose keys and values are both the latent (MQA): each K/V
+    group's key up-projection is folded into its heads' queries and its value
+    up-projection into their reads. positions, if given, holds each query's
+    position for the causal mask. Returns (n, model_dim).
     """
     c = config
     count = q_nope.shape[0]
-    grouped = (count, c.num_groups, c.heads_per_group)
-    q_nope = q_nope.reshape(grouped + (-1,)).transpose(1, 0, 2, 3)
-    q_rope = q_rope.reshape(grouped + (-1,)).transpose(1, 0, 2, 3)
+    grouped = (count, c.num_groups, c.heads_per_group, -1)
     if isinstance(cache, LatentCache):
         k_up = weights.k_up.reshape(c.num_groups, c.head_dim, c.kv_rank)
         v_up = weights.v_up.reshape(c.num_groups, c.value_head_dim, c.kv_rank)
-        q_latent = q_nope.reshape(c.num_groups, -1, c.head_dim) @ k_up
-        reads = _latent_core(q_latent.reshape(q_nope.shape[:-1] + (c.kv_rank,)), q_rope,
-                             cache, scale, positions)
-        o = reads.reshape(c.num_groups, -1, c.kv_rank) @ v_up.transpose(0, 2, 1)
+        q_latent = (q_nope.reshape(grouped) @ k_up).reshape(1, count, c.num_heads, c.kv_rank)
+        reads = _grouped_core(q_latent, q_rope[None], cache.kv.T[None], cache.kv[None],
+                              cache.k_rope, scale, positions)
+        o = reads.reshape(grouped) @ v_up.transpose(0, 2, 1)
     else:
-        o = _expanded_core(q_nope, q_rope, cache, scale, positions)
-    o = o.reshape(c.num_groups, count, c.heads_per_group, -1).transpose(1, 0, 2, 3)
+        length = len(cache)
+        keys = cache.k_nope.reshape(length, c.num_groups, c.head_dim).transpose(1, 2, 0)
+        values = cache.v.reshape(length, c.num_groups, c.value_head_dim).transpose(1, 0, 2)
+        reads = _grouped_core(q_nope.reshape(grouped).transpose(1, 0, 2, 3),
+                              q_rope.reshape(grouped).transpose(1, 0, 2, 3),
+                              keys, values, cache.k_rope, scale, positions)
+        o = reads.transpose(1, 0, 2, 3)
     return o.reshape(count, -1) @ weights.out_proj.T
 
 
@@ -337,6 +319,19 @@ def _fieldwise(fn, *caches):
     """The cache of caches[0]'s layout whose every field is fn of the caches' same fields."""
     return type(caches[0])(**{f.name: fn(*(getattr(c, f.name) for c in caches))
                               for f in dataclasses.fields(caches[0])})
+
+
+def _check_cache(weights: GqlaWeights, cache) -> None:
+    """Raise ShapeError unless every field of cache is 2-D, all fields have one
+    row per token, and each field is as wide as the weights make it."""
+    widths = {"kv": weights.k_up.shape[1], "k_nope": weights.k_up.shape[0],
+              "v": weights.v_up.shape[0], "k_rope": weights.k_rope.shape[0]}
+    rows = np.shape(cache.k_rope)[:1]
+    for name, arr in vars(cache).items():
+        shape = np.shape(arr)
+        if shape != rows + (widths[name],):
+            raise ShapeError(f"cache field {name} has shape {shape}; each field needs "
+                             f"k_rope's rows and width {widths[name]}")
 
 
 def _cache_rows(weights: GqlaWeights, layout: type, kv: np.ndarray, k_rope: np.ndarray):
@@ -371,6 +366,7 @@ def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray,
 def _decode(weights: GqlaWeights, config: GqlaConfig, cache, x):
     x = np.asarray(x, dtype=np.float64)
     tokens = _check_tokens(x[None] if x.ndim == 1 else x, config.model_dim, 1)
+    _check_cache(weights, cache)
     out, cache = _extend(weights, config, cache, tokens, tokens.shape[0])
     return (out[0] if x.ndim == 1 else out), cache
 
@@ -405,61 +401,9 @@ def decode_absorb(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache, 
     return _decode(weights, config, cache, x)
 
 
-@dataclass(frozen=True)
-class AbsorbedWeights:
-    """Pre-fused form of the absorbed path.
-
-    q_absorbed stacks, per head, the composition of the head's query
-    up-projection with the transposed key up-projection of its group
-    ((num_heads*kv_rank, q_rank)); out_absorbed composes the output projection
-    with each head's value up-projection ((model_dim, num_heads*kv_rank)). The
-    remaining four projections are carried unchanged.
-    """
-
-    q_absorbed: np.ndarray
-    out_absorbed: np.ndarray
-    q_down: np.ndarray
-    q_rope: np.ndarray
-    kv_down: np.ndarray
-    k_rope: np.ndarray
-
-
-def absorb(weights: GqlaWeights, config: GqlaConfig) -> AbsorbedWeights:
-    """Fold the K/V up-projections into the query and output projections."""
-    c = config
-    g, hpg = c.num_groups, c.heads_per_group
-    k_up = weights.k_up.reshape(g, 1, c.head_dim, c.kv_rank)
-    v_up = weights.v_up.reshape(g, 1, c.value_head_dim, c.kv_rank)
-    # per head: (kv_rank, q_rank) = k_up_j^T @ q_up_i and (model_dim, kv_rank) = o_i @ v_up_j
-    q_absorbed = k_up.transpose(0, 1, 3, 2) @ weights.q_up.reshape(g, hpg, c.head_dim, -1)
-    o = weights.out_proj.reshape(c.model_dim, g, hpg, c.value_head_dim).transpose(1, 2, 0, 3)
-    return AbsorbedWeights(
-        q_absorbed=q_absorbed.reshape(c.num_heads * c.kv_rank, -1),
-        out_absorbed=(o @ v_up).transpose(2, 0, 1, 3).reshape(c.model_dim, -1),
-        q_down=weights.q_down.copy(),
-        q_rope=weights.q_rope.copy(),
-        kv_down=weights.kv_down.copy(),
-        k_rope=weights.k_rope.copy(),
-    )
-
-
-def forward_absorbed(absorbed: AbsorbedWeights, config: GqlaConfig, tokens, s_q: int = 1):
-    """Absorbed-path forward using the pre-fused projections."""
-    c = config
-    tokens = _check_tokens(tokens, c.model_dim, s_q)
-    positions = np.arange(tokens.shape[0])
-    kv, k_rope = _project_keys(absorbed, c, tokens, positions)
-    cache = LatentCache(kv=kv, k_rope=k_rope)
-    c_q = tokens[-s_q:] @ absorbed.q_down.T
-    q_latent = (c_q @ absorbed.q_absorbed.T).reshape(s_q, c.num_heads, c.kv_rank)
-    q_rope = apply_folded_rope(c.rope_spec(), c_q @ absorbed.q_rope.T, positions[-s_q:])
-    reads = _latent_core(q_latent, q_rope.reshape(s_q, c.num_heads, c.rope_head_dim), cache,
-                         c.score_scale, positions[-s_q:])
-    return reads.reshape(s_q, -1) @ absorbed.out_absorbed.T, cache
-
-
 def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:
     """One-shot latent -> expanded switch: up-project every cached token."""
+    _check_cache(weights, cache)
     return _cache_rows(weights, ExpandedCache, cache.kv, cache.k_rope.copy())
 
 
@@ -473,6 +417,7 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     OutOfSubspaceError when any entry's residual exceeds COMPRESS_REJECT_ABOVE times
     its norm, which signals a cache not generated by these weights.
     """
+    _check_cache(weights, cache)
     basis = np.vstack([weights.k_up, weights.v_up])
     stacked = np.hstack([cache.k_nope, cache.v])  # (L, rows(basis))
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(stacked))):

@@ -2,7 +2,7 @@
 
 The index scores come from a deliberately simple stub (mean over heads of the
 rotary query against cached rotary keys); real hierarchical indexers are out
-of scope. Sparse attention runs the dense paths' grouped attention cores on the
+of scope. Sparse attention runs the dense paths' grouped attention core on the
 selected cache rows and defaults to their logit scale, config.score_scale, so
 selecting every position reproduces the dense output without passing a scale.
 A latent-cache twin of the sparse step is provided behind the same signature,
@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache, _attention,
-                    _check_tokens, _fieldwise, _project_queries, _rope_queries, _softmax)
+                    _check_cache, _check_tokens, _fieldwise, _project_queries, _rope_queries,
+                    _softmax)
 
 TILE_M = 16
 MASK_VALUE = -1e9
@@ -56,6 +57,7 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     the newest cached token.
     """
     x = _check_token(x, config.model_dim)
+    _check_cache(weights, cache)
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
     c_q = x @ weights.q_down.T
@@ -98,6 +100,7 @@ def _check_selection(selected, length: int) -> np.ndarray:
 
 def _sparse_step(weights: GqlaWeights, config: GqlaConfig, cache, x, selected, scale):
     x = _check_token(x, config.model_dim)
+    _check_cache(weights, cache)
     sel = _check_selection(selected, len(cache))
     q_nope, q_rope = _project_queries(weights, config, x[None], len(cache) - 1)
     picked = _fieldwise(lambda rows: rows[sel], cache)
@@ -128,10 +131,11 @@ def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     True exclusion and masking must agree; this is the masking-equivalence
     check run by tests and the sparse-check command.
     """
+    x = _check_token(x, config.model_dim)
+    _check_cache(weights, cache)
     sel = _check_selection(selected, len(cache))
     if scale is None:
         scale = config.score_scale
-    x = np.asarray(x, dtype=np.float64)
     q_nope, q_rope = _project_queries(weights, config, x, len(cache) - 1)
     gi = np.arange(config.num_heads) // config.heads_per_group
     length = len(cache)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gqla import convert_mla
 from gqla import model as M
 from gqla import sparse
 from gqla.errors import OutOfSubspaceError, ParameterError, ShapeError
@@ -76,6 +77,8 @@ _TOKEN_ENTRY_POINTS = {
         sparse.sparse_attention_absorbed(w, c, latent, x, [0, 1]),
     "stub_index_scores": lambda w, c, expanded, latent, x: sparse.stub_index_scores(
         w, c, expanded, x),
+    "masked_reference": lambda w, c, expanded, latent, x: sparse.masked_reference(
+        w, c, expanded, x, [0, 1]),
 }
 
 
@@ -87,6 +90,46 @@ def test_per_token_entry_points_reject_bad_tokens(desk_config, desk_weights, ent
     _, latent = M.forward_absorb_path(desk_weights, desk_config, tokens, 1)
     with pytest.raises(ShapeError):
         _TOKEN_ENTRY_POINTS[entry](desk_weights, desk_config, expanded, latent, np.ones(shape))
+
+
+# entry point -> (cache layout it takes, call on a cache and the newest token)
+_CACHE_ENTRY_POINTS = {
+    "decode_gqa": ("expanded", M.decode_gqa),
+    "decode_absorb": ("latent", M.decode_absorb),
+    "cache_expand": ("latent", lambda w, c, cache, x: M.cache_expand(cache, w)),
+    "cache_compress": ("expanded", lambda w, c, cache, x: M.cache_compress(cache, w)),
+    "sparse_attention": ("expanded", lambda w, c, cache, x: sparse.sparse_attention(
+        w, c, cache, x, [0, 5])),
+    "sparse_attention_absorbed": ("latent", lambda w, c, cache, x:
+                                  sparse.sparse_attention_absorbed(w, c, cache, x, [0, 5])),
+    "stub_index_scores": ("expanded", lambda w, c, cache, x: sparse.stub_index_scores(
+        w, c, cache, x)),
+    "masked_reference": ("expanded", lambda w, c, cache, x: sparse.masked_reference(
+        w, c, cache, x, [0, 5])),
+}
+
+
+@pytest.mark.parametrize("fault", ["narrow", "rows"])
+@pytest.mark.parametrize("entry", _CACHE_ENTRY_POINTS)
+def test_cache_entry_points_reject_misshapen_caches(desk_config, desk_weights, entry, fault):
+    # the first field (kv or k_nope) loses a column, or half its rows
+    layout, call = _CACHE_ENTRY_POINTS[entry]
+    forward = M.forward_gqa_path if layout == "expanded" else M.forward_absorb_path
+    tokens = M.random_tokens(6, 64, 3)
+    _, cache = forward(desk_weights, desk_config, tokens, 1)
+    first = dataclasses.fields(cache)[0].name
+    cut = getattr(cache, first)[:, :-1] if fault == "narrow" else getattr(cache, first)[:3]
+    with pytest.raises(ShapeError):
+        call(desk_weights, desk_config, dataclasses.replace(cache, **{first: cut}), tokens[5])
+
+
+def test_referees_share_no_code_with_the_cores():
+    def names(code):
+        nested = (names(const) for const in code.co_consts if hasattr(const, "co_names"))
+        return set(code.co_names).union(*nested)
+
+    for referee in (M.oracle_mha, sparse.masked_reference, convert_mla.unfused_forward):
+        assert not names(referee.__code__) & {"_grouped_core", "_attention", "_extend"}
 
 
 class TestForwardPaths:
@@ -238,33 +281,6 @@ class TestCacheLayouts:
         assert expanded.elements_per_token == expect
         # symmetric head dims collapse to 2*g*d_h + rope
         assert expect == 2 * c.num_groups * c.head_dim + c.rope_head_dim
-
-
-class TestAbsorb:
-    def test_absorbed_matches_on_the_fly(self, desk_config, desk_weights):
-        tokens = M.random_tokens(16, 64, 10)
-        fused = M.absorb(desk_weights, desk_config)
-        a, _ = M.forward_absorbed(fused, desk_config, tokens, 2)
-        b, _ = M.forward_absorb_path(desk_weights, desk_config, tokens, 2)
-        assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
-
-    def test_identity_key_up_projection(self):
-        # square key up-projection equal to the identity: absorption leaves
-        # the query up-projection composition unchanged
-        cfg = M.GqlaConfig(model_dim=32, num_heads=4, num_groups=1, head_dim=12,
-                           value_head_dim=12, rope_head_dim=4, kv_rank=12, q_rank=24)
-        w = M.init_random(cfg, 11)
-        w = dataclasses.replace(w, k_up=np.eye(12))
-        fused = M.absorb(w, cfg)
-        assert np.max(np.abs(fused.q_absorbed - w.q_up)) <= 1e-15
-
-    def test_latent_cache_untouched_by_absorption(self, desk_config, desk_weights):
-        tokens = M.random_tokens(16, 64, 12)
-        fused = M.absorb(desk_weights, desk_config)
-        _, via_fused = M.forward_absorbed(fused, desk_config, tokens, 1)
-        _, via_plain = M.forward_absorb_path(desk_weights, desk_config, tokens, 1)
-        assert np.array_equal(via_fused.kv, via_plain.kv)
-        assert np.array_equal(via_fused.k_rope, via_plain.k_rope)
 
 
 class TestCacheSwitching:

@@ -43,14 +43,12 @@ def test_expanded_absorbed_and_oracle_agree(case):
     config, weights, tokens, s_q = case
     expanded, _ = M.forward_gqa_path(weights, config, tokens, s_q)
     absorbed, _ = M.forward_absorb_path(weights, config, tokens, s_q)
-    fused, _ = M.forward_absorbed(M.absorb(weights, config), config, tokens, s_q)
     oracle = M.oracle_mha(weights, config, tokens, s_q)
     bound = dual_path_bound(oracle)
     assert expanded.shape == oracle.shape == (s_q, config.model_dim)
     assert np.max(np.abs(expanded - absorbed)) <= bound
     assert np.max(np.abs(expanded - oracle)) <= bound
     assert np.max(np.abs(absorbed - oracle)) <= bound
-    assert np.max(np.abs(fused - oracle)) <= bound
     # the trailing s_q tokens decoded as one block onto the prefix cache
     prefix = tokens.shape[0] - s_q
     for forward, decode, layout in ((M.forward_gqa_path, M.decode_gqa, M.ExpandedCache),
