@@ -204,6 +204,11 @@ def _calibration_gram(merged: MergedWeights, calib) -> CovarianceAccumulator:
 
 
 def rorope_align(merged: MergedWeights, calib) -> tuple:
+    """_rorope_align with the Gram matrix of the calibration tokens calib."""
+    return _rorope_align(merged, _calibration_gram(merged, calib))
+
+
+def _rorope_align(merged: MergedWeights, gram: CovarianceAccumulator) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
     For every head and rotary pair, the leading eigenvector of the 2-dim
@@ -218,7 +223,7 @@ def rorope_align(merged: MergedWeights, calib) -> tuple:
     """
     g, d = merged.num_groups, merged.head_dim
     pairs = merged.key_rows().reshape(-1, 2, merged.model_dim)
-    m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
+    m = block_moments(gram, pairs)  # (g*d/2, 2, 2)
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     cos, sin = np.cos(theta).reshape(g, -1), np.sin(theta).reshape(g, -1)
     sign = np.where(np.abs(sin) > np.abs(cos), np.sign(sin), 1.0)
@@ -284,6 +289,12 @@ def _band_complex_pca(blocks: np.ndarray):
 
 def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
                       rope_dim: int) -> FreqFoldResult:
+    """_freqfold_compress with the Gram matrix of the calibration tokens calib."""
+    return _freqfold_compress(aligned, _calibration_gram(aligned, calib), kv_rank, rope_dim)
+
+
+def _freqfold_compress(aligned: MergedWeights, gram: CovarianceAccumulator, kv_rank: int,
+                       rope_dim: int) -> FreqFoldResult:
     """Split the key coordinates into a rotary remainder and latent candidates.
 
     rope_dim/2 directions are retained greedily by energy across all bands
@@ -303,7 +314,6 @@ def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
             f"for a {2 * width}-element source cache")
     # Band p holds coordinates j*d + 2p + e for every group j and e in (0, 1).
     bands = np.arange(width).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
-    gram = _calibration_gram(aligned, calib)
     energies, pairs = _band_complex_pca(
         block_moments(gram, aligned.key_rows()[bands]) / gram.sample_count)
     # Greedy retention by energy; on ties prefer the lower angular frequency
@@ -353,6 +363,13 @@ class JointCompression:
 def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
                           freqfold: FreqFoldResult | None = None,
                           balance: bool = True) -> JointCompression:
+    """_balance_and_joint_pca with the Gram matrix of the calibration tokens calib."""
+    return _balance_and_joint_pca(aligned, _calibration_gram(aligned, calib), kv_rank,
+                                  freqfold, balance)
+
+
+def _balance_and_joint_pca(aligned: MergedWeights, gram: CovarianceAccumulator, kv_rank: int,
+                           freqfold: FreqFoldResult | None, balance: bool) -> JointCompression:
     """Norm-balance the position-free key part against the values, then
     compress both jointly to kv_rank with a covariance-weighted PCA.
 
@@ -361,7 +378,7 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
 
     The stacked activations calib·w_map^T have rank at most model_dim, so
     neither they nor their (d_n + key_width)-square second moment are
-    formed: with the calibration Gram matrix calib^T·calib/N = E·Λ·E^T,
+    formed: with the calibration Gram matrix gram's normalized moment E·Λ·E^T,
     b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
     norms, energies and the PCA basis (numerics.root_eig) all come from b.
     """
@@ -372,7 +389,7 @@ def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
-    root = _calibration_gram(aligned, calib).root()
+    root = gram.root()
     key_map = nope_proj.T @ aligned.key_rows()        # (d_n, model_dim)
     root_k = root @ key_map.T                         # (model_dim, d_n)
     root_v = root @ aligned.value_rows().T            # (model_dim, key_width)
@@ -479,9 +496,10 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     d_r = target.rope_head_dim
 
     merged = merge_heads(src)
-    aligned, _ = rorope_align(merged, calib)
-    folded = freqfold_compress(aligned, calib, target.kv_rank, d_r)
-    joint = balance_and_joint_pca(aligned, calib, target.kv_rank, freqfold=folded)
+    gram = _calibration_gram(merged, calib)
+    aligned, _ = _rorope_align(merged, gram)
+    folded = _freqfold_compress(aligned, gram, target.kv_rank, d_r)
+    joint = _balance_and_joint_pca(aligned, gram, target.kv_rank, folded, balance=True)
 
     # The merged form scores with 1/sqrt(head_dim); the emitted weights run
     # under the model's 1/sqrt(head_dim + rope_head_dim), so queries carry the

@@ -5,8 +5,10 @@ num_groups == num_heads) shares the joint latent but only decodes through the
 absorbed path. The conversion recovers group-indexed up-projections by
 per-group, side-separated PCA on up-projection activations, then folds the
 square orthonormal factors into the query and output slices with no shape
-change. The activation moments are read from the calibration Gram matrix
-(numerics.block_moments), never from the activations. The latent
+change. Each group's activation moment is held as its root, the calibration
+Gram root times the group's up·kv_down block (model_dim rows), and its basis
+is taken from that root (numerics.root_eig): the activations are never
+formed, and their moments only where (h/g)·head_dim <= model_dim. The latent
 down-projection and the rotary pathway pass through untouched, so the
 source's latent cache and absorbed kernel stay valid.
 No gradient updates; calibration only.
@@ -22,7 +24,7 @@ import numpy as np
 from . import model as gqla_model
 from .errors import ParameterError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, block_moments, sym_eig
+from .numerics import CovarianceAccumulator, accumulate, root_eig
 from .rope import apply_rope
 
 # A head-indexed source is a GqlaWeights whose config has num_groups == num_heads.
@@ -51,28 +53,53 @@ def target_config(config: GqlaConfig, groups: int) -> GqlaConfig:
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Per-group, per-side uncentered activation covariance accumulators; group
-    j's covers up-projection rows j*(h/g)*dim to (j+1)*(h/g)*dim of its side."""
+    """Per-group, per-side roots of the up-projection activation moments.
+
+    key_root[j] (model_dim x (h/g)*head_dim) is r·(k_up_j·kv_down)^T, r being
+    the calibration Gram root (CovarianceAccumulator.root), with k_up_j group
+    j's (h/g)*head_dim rows of k_up; key_root[j]^T·key_root[j] is the
+    normalized second moment of group j's key activations. value_root
+    likewise. key and value build those moments as CovarianceAccumulators
+    only when read.
+    """
 
     groups: int
-    key: tuple    # one CovarianceAccumulator per group, dim (h/g)*head_dim
-    value: tuple  # one per group, dim (h/g)*value_head_dim
+    sample_count: int
+    key_root: np.ndarray    # (groups, model_dim, (h/g)*head_dim)
+    value_root: np.ndarray  # (groups, model_dim, (h/g)*value_head_dim)
+
+    def _moments(self, roots) -> tuple:
+        def moment(b):
+            m = self.sample_count * (b.T @ b)
+            return CovarianceAccumulator(b.shape[1], (m + m.T) / 2.0, self.sample_count)
+        return tuple(moment(b) for b in roots)
+
+    @property
+    def key(self) -> tuple:
+        """One CovarianceAccumulator per group, dim (h/g)*head_dim."""
+        return self._moments(self.key_root)
+
+    @property
+    def value(self) -> tuple:
+        """One CovarianceAccumulator per group, dim (h/g)*value_head_dim."""
+        return self._moments(self.value_root)
 
 
 def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
-    """Per-group, per-side covariances of up-projection activations, read from the
-    calibration Gram matrix: one up·kv_down product per side, then one group's
-    row block at a time (which peaks lower in memory than one batched product)."""
+    """Per-group, per-side roots of the up-projection activation moments: the
+    calibration Gram root r (model_dim square) times kv_down^T, the root of the
+    latent moment, times each side's up-projection, one product per side."""
     _check_source(config)
     _check_groups(config, groups)
     gram = accumulate(CovarianceAccumulator.empty(config.model_dim),
                       _check_tokens(calib, config.model_dim, 1))
+    latent_root = gram.root() @ weights.kv_down.T  # (model_dim, kv_rank)
 
-    def side(up):
-        return tuple(CovarianceAccumulator(len(r), block_moments(gram, r), gram.sample_count)
-                     for r in (up @ weights.kv_down).reshape(groups, -1, config.model_dim))
+    def side(up):  # (groups, model_dim, rows per group)
+        return (latent_root @ up.T).reshape(config.model_dim, groups, -1).transpose(1, 0, 2)
 
-    return GroupStats(groups=groups, key=side(weights.k_up), value=side(weights.v_up))
+    return GroupStats(groups=groups, sample_count=gram.sample_count,
+                      key_root=side(weights.k_up), value_root=side(weights.v_up))
 
 
 @dataclass(frozen=True)
@@ -99,6 +126,11 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
            key_rank: int | None = None, value_rank: int | None = None) -> GroupFactorization:
     """Side-separated PCA of each group's stacked up-projection block.
 
+    Group j's basis is the leading eigenbasis of its activation moment,
+    taken from the moment's root in stats by numerics.root_eig (one
+    eigendecomposition of order min(model_dim, (h/g)*dim)), which is
+    pca_factor's basis to rounding; the energy is the retained eigenvalues
+    over the moment's trace, the root's squared norm.
     Default ranks are the canonical ones (head_dim and value_head_dim), which
     make every per-head sub-block square and therefore absorbable.
     """
@@ -112,20 +144,18 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
     if not 1 <= value_rank <= hpg * config.value_head_dim:
         raise ParameterError(f"value rank {value_rank} outside [1, {hpg * config.value_head_dim}]")
 
-    def side(proj, accs, rank):
+    def side(proj, roots, rank):
         us, vs, energies = [], [], []
-        for acc, block in zip(accs, proj.reshape(groups, -1, proj.shape[1])):
-            # pca_factor's basis, with its eigenvalues kept for the energy
-            eig = sym_eig(acc.normalized())
-            u = eig.eigenvectors[:, :rank]
-            total = float(eig.eigenvalues.sum())
-            energies.append(float(eig.eigenvalues[:rank].sum()) / total if total > 0 else 1.0)
-            us.append(u)
-            vs.append(u.T @ block)
+        for root, block in zip(roots, proj.reshape(groups, -1, proj.shape[1])):
+            eig = root_eig(root, rank)
+            total = float(np.linalg.norm(root)) ** 2  # the moment's trace
+            energies.append(float(eig.eigenvalues.sum()) / total if total > 0 else 1.0)
+            us.append(eig.eigenvectors)
+            vs.append(eig.eigenvectors.T @ block)
         return tuple(us), tuple(vs), tuple(energies)
 
-    key_u, key_v, key_energy = side(weights.k_up, stats.key, key_rank)
-    value_u, value_v, value_energy = side(weights.v_up, stats.value, value_rank)
+    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, key_rank)
+    value_u, value_v, value_energy = side(weights.v_up, stats.value_root, value_rank)
     return GroupFactorization(groups=groups, key_rank=key_rank, value_rank=value_rank,
                               key_u=key_u, key_v=key_v, value_u=value_u, value_v=value_v,
                               key_energy=key_energy, value_energy=value_energy)

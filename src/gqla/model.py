@@ -321,9 +321,14 @@ def _fieldwise(fn, *caches):
                               for f in dataclasses.fields(caches[0])})
 
 
-def _check_cache(weights: GqlaWeights, cache) -> None:
-    """Raise ShapeError unless every field of cache is 2-D, all fields have one
-    row per token, and each field is as wide as the weights make it."""
+def _check_cache(weights: GqlaWeights, cache, layout) -> None:
+    """Raise ShapeError unless cache is of the layout (a cache class, or a tuple
+    of them), every field is 2-D, all fields have one row per token, and each
+    field is as wide as the weights make it."""
+    layouts = layout if isinstance(layout, tuple) else (layout,)
+    if not isinstance(cache, layouts):
+        raise ShapeError(f"expected a {' or '.join(c.__name__ for c in layouts)}, "
+                         f"got {type(cache).__name__}")
     widths = {"kv": weights.k_up.shape[1], "k_nope": weights.k_up.shape[0],
               "v": weights.v_up.shape[0], "k_rope": weights.k_rope.shape[0]}
     rows = np.shape(cache.k_rope)[:1]
@@ -363,10 +368,10 @@ def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray,
                       positions[-s_q:]), cache
 
 
-def _decode(weights: GqlaWeights, config: GqlaConfig, cache, x):
+def _decode(weights: GqlaWeights, config: GqlaConfig, cache, layout: type, x):
     x = np.asarray(x, dtype=np.float64)
     tokens = _check_tokens(x[None] if x.ndim == 1 else x, config.model_dim, 1)
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, layout)
     out, cache = _extend(weights, config, cache, tokens, tokens.shape[0])
     return (out[0] if x.ndim == 1 else out), cache
 
@@ -392,18 +397,18 @@ def forward_absorb_path(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: i
 def decode_gqa(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache, x):
     """Append and score a token (model_dim,) or a block (n, model_dim) on an expanded
     cache. Returns (outputs shaped like x, new cache)."""
-    return _decode(weights, config, cache, x)
+    return _decode(weights, config, cache, ExpandedCache, x)
 
 
 def decode_absorb(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache, x):
     """Append and score a token (model_dim,) or a block (n, model_dim) on a latent
     cache. Returns (outputs shaped like x, new cache)."""
-    return _decode(weights, config, cache, x)
+    return _decode(weights, config, cache, LatentCache, x)
 
 
 def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:
     """One-shot latent -> expanded switch: up-project every cached token."""
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, LatentCache)
     return _cache_rows(weights, ExpandedCache, cache.kv, cache.k_rope.copy())
 
 
@@ -417,7 +422,7 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     OutOfSubspaceError when any entry's residual exceeds COMPRESS_REJECT_ABOVE times
     its norm, which signals a cache not generated by these weights.
     """
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, ExpandedCache)
     basis = np.vstack([weights.k_up, weights.v_up])
     stacked = np.hstack([cache.k_nope, cache.v])  # (L, rows(basis))
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(stacked))):

@@ -5,14 +5,17 @@ points are a canonicalized symmetric eigendecomposition, an uncentered
 second-moment accumulator and the block moments of linear maps read from it,
 the covariance-weighted low-rank factorization
 (the tests' referee for the converters' bases) and its square-root form,
-which takes the leading eigenbasis of a wide second moment from a short
-factor of it.
+root_eig, which takes the leading eigenbasis of a wide second moment b^T·b
+from a short factor b (m x D, m < D): from one eigendecomposition of the
+m x m co-moment b·b^T, or, where squaring b would cost accuracy, from a thin
+SVD of b. Both converters take their wide bases from it.
 Everything here is a pure function: inputs are never mutated and identical
 inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,43 +173,78 @@ def weighted_error(w, u, v, sigma: CovarianceAccumulator) -> float:
 _BASIS_TOL = 1e-12
 
 
+# Smallest retained eigenvalue, relative to the largest, that root_eig takes
+# from b·b^T or b^T·b: squaring b halves the usable precision.
+_GRAM_MIN_RATIO = math.sqrt(np.finfo(np.float64).eps)
+
+
 def root_eig(b, rank: int) -> EigenResult:
     """Leading ``rank`` eigenpairs of the second moment b^T·b, taken from b.
 
     b (m x D) is a square root of the moment, usually with m much smaller than
     D: activations x = c·w^T of inputs c whose normalized Gram matrix is
     E·Λ·E^T have the normalized second moment b^T·b with b = √Λ·E^T·w^T, whose
-    m rows are at most the input width. A thin SVD of b gives the eigenpairs
-    without forming, let alone eigendecomposing, the D x D moment. Signs
-    follow sym_eig: each column's largest-magnitude entry is positive.
+    m rows are at most the input width. The leading k = min(rank, m)
+    eigenpairs come from one sym_eig of order min(m, D): when m < D, of the
+    m x m co-moment b·b^T = V·Λ·V^T, which has the moment's nonzero
+    eigenvalues, with eigenvectors u = b^T·V/√Λ (the D x D moment is never
+    formed); otherwise of the moment b^T·b itself. Forming either squares b's
+    condition number, so that route is taken only when the k-th eigenvalue
+    exceeds √eps times the largest; otherwise the eigenpairs come from a thin
+    SVD of b. Neither route is selectable. Signs follow sym_eig: each column's
+    largest-magnitude entry is positive.
 
     Past the numerical rank r of b (singular values above max(m, D)·eps times
-    the largest) the moment has no preferred direction, so the last rank - r
-    columns follow a fixed rule and get eigenvalue 0: the identity columns
-    least covered by the leading basis (smallest ||u_r^T e_i||, lower index on
-    ties), with the leading basis projected out and then orthonormalized in
-    column order (Gram-Schmidt's result, computed as a Cholesky QR), both done
-    twice. Should those columns be numerically dependent on the leading basis
-    (possible only when r·(rank - r) >= D), so that the result is not
-    orthonormal to 1e-12, the leading columns of the complement from a
-    complete QR of the leading basis are used instead.
+    the largest, so r >= k on the co-moment route) the moment has no
+    preferred direction, so the last rank - r columns follow a fixed rule and
+    get eigenvalue 0: the identity columns least covered by the leading basis
+    (smallest ||u_r^T e_i||, lower index on ties), with the leading basis
+    projected out and then orthonormalized in column order (Gram-Schmidt's
+    result, computed as a Cholesky QR), both done twice. Should those columns
+    be numerically dependent on the leading basis (possible only when
+    r·(rank - r) >= D), so that the result is not orthonormal to 1e-12, the
+    leading columns of the complement from a complete QR of the leading basis
+    are used instead.
     """
     b = _as_matrix(b, "b")
     m, dim = b.shape
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must be in [1, {dim}], got {rank}")
+    lam, u = _gram_pairs(b, min(rank, m)) or _svd_pairs(b, rank)
+    lead = lam.size
+    if lead < rank:
+        u = np.hstack([u, _complete_basis(u, rank - lead)])
+    eigenvalues = np.zeros(rank)
+    eigenvalues[:lead] = lam
+    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(u))
+
+
+def _gram_pairs(b: np.ndarray, count: int):
+    """The leading count eigenpairs of b^T·b from the smaller of the co-moment
+    b·b^T and the moment b^T·b, or None where root_eig takes the thin SVD
+    instead (see there)."""
+    m, dim = b.shape
+    if m == 0:
+        return None
+    wide = m < dim
+    eig = sym_eig(b @ b.T if wide else b.T @ b)
+    lam = eig.eigenvalues[:count]
+    if not lam[-1] > _GRAM_MIN_RATIO * lam[0]:
+        return None
+    v = eig.eigenvectors[:, :count]
+    return lam, (b.T @ v) / np.sqrt(lam) if wide else v
+
+
+def _svd_pairs(b: np.ndarray, rank: int):
+    """The leading min(rank, r) eigenpairs of b^T·b from a thin SVD of b, r being
+    b's numerical rank as root_eig defines it."""
     try:
         _, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular value decomposition did not converge: {exc}") from exc
-    tol = max(m, dim) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    tol = max(b.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     lead = min(rank, int(np.count_nonzero(s > tol)))
-    u = vt[:lead].T
-    if lead < rank:
-        u = np.hstack([u, _complete_basis(u, rank - lead)])
-    eigenvalues = np.zeros(rank)
-    eigenvalues[:lead] = s[:lead] ** 2
-    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(u))
+    return s[:lead] ** 2, vt[:lead].T
 
 
 def _complete_basis(u: np.ndarray, count: int) -> np.ndarray:

@@ -57,7 +57,7 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     the newest cached token.
     """
     x = _check_token(x, config.model_dim)
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, (ExpandedCache, LatentCache))
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
     c_q = x @ weights.q_down.T
@@ -98,9 +98,10 @@ def _check_selection(selected, length: int) -> np.ndarray:
     return sel
 
 
-def _sparse_step(weights: GqlaWeights, config: GqlaConfig, cache, x, selected, scale):
+def _sparse_step(weights: GqlaWeights, config: GqlaConfig, cache, layout: type, x, selected,
+                 scale):
     x = _check_token(x, config.model_dim)
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, layout)
     sel = _check_selection(selected, len(cache))
     q_nope, q_rope = _project_queries(weights, config, x[None], len(cache) - 1)
     picked = _fieldwise(lambda rows: rows[sel], cache)
@@ -115,13 +116,13 @@ def sparse_attention(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     The query token x is the newest cached entry; its position is
     len(cache) - 1. Returns the combined model_dim output.
     """
-    return _sparse_step(weights, config, cache, x, selected, scale)
+    return _sparse_step(weights, config, cache, ExpandedCache, x, selected, scale)
 
 
 def sparse_attention_absorbed(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache,
                               x, selected, scale: float | None = None) -> np.ndarray:
     """Latent-cache twin of sparse_attention; identical output for the same selection."""
-    return _sparse_step(weights, config, cache, x, selected, scale)
+    return _sparse_step(weights, config, cache, LatentCache, x, selected, scale)
 
 
 def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCache,
@@ -132,7 +133,7 @@ def masked_reference(weights: GqlaWeights, config: GqlaConfig, cache: ExpandedCa
     check run by tests and the sparse-check command.
     """
     x = _check_token(x, config.model_dim)
-    _check_cache(weights, cache)
+    _check_cache(weights, cache, ExpandedCache)
     sel = _check_selection(selected, len(cache))
     if scale is None:
         scale = config.score_scale

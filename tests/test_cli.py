@@ -111,6 +111,15 @@ class TestConvert:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_mla_outputs_are_byte_identical_across_runs(self, mla_ckpt, tmp_path, capsys):
+        paths = [tmp_path / "a.gqck", tmp_path / "b.gqck"]
+        for p in paths:
+            rc = main(["convert", "--from", "mla", "--in", str(mla_ckpt), "--out", str(p),
+                       "--g", "2", "--calib-tokens", "128", "--seed", "9"])
+            assert rc == 0
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_kind_mismatch(self, mla_ckpt, tmp_path, capsys):
         rc = main(["convert", "--from", "gqa", "--in", str(mla_ckpt),
                    "--out", str(tmp_path / "x.gqck"), "--rkv", "8", "--dhr", "2"])

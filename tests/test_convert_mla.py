@@ -77,11 +77,15 @@ class TestFactor:
         stats = CM.calibrate(mla_weights, mla_config, CALIB, 2)
         fact = CM.factor(mla_weights, mla_config, stats)
         d = mla_config.head_dim
+        # factor eigendecomposes the moment's root, pca_factor the moment itself:
+        # both give the same canonical columns, to rounding
         for j, acc in enumerate(stats.key):
             u, v = pca_factor(mla_weights.k_up[j * 4 * d:(j + 1) * 4 * d], acc, d)
-            assert np.array_equal(fact.key_u[j], u) and np.array_equal(fact.key_v[j], v)
+            assert np.max(np.abs(fact.key_u[j] - u)) <= 1e-10
+            assert np.max(np.abs(fact.key_v[j] - v)) <= 1e-10
             lam = sym_eig(acc.normalized()).eigenvalues
-            assert fact.key_energy[j] == lam[:d].sum() / lam.sum()
+            energy = lam[:d].sum() / lam.sum()
+            assert abs(fact.key_energy[j] - energy) <= 1e-14 * energy
 
     def test_rank_bounds(self, mla_config, mla_weights):
         stats = CM.calibrate(mla_weights, mla_config, CALIB[:64], 2)

@@ -123,6 +123,17 @@ def test_cache_entry_points_reject_misshapen_caches(desk_config, desk_weights, e
         call(desk_weights, desk_config, dataclasses.replace(cache, **{first: cut}), tokens[5])
 
 
+@pytest.mark.parametrize("entry", [e for e in _CACHE_ENTRY_POINTS if e != "stub_index_scores"])
+def test_cache_entry_points_reject_the_other_layout(desk_config, desk_weights, entry):
+    # stub_index_scores takes either layout; every other entry point takes one
+    layout, call = _CACHE_ENTRY_POINTS[entry]
+    other = M.forward_absorb_path if layout == "expanded" else M.forward_gqa_path
+    tokens = M.random_tokens(6, 64, 3)
+    _, cache = other(desk_weights, desk_config, tokens, 1)
+    with pytest.raises(ShapeError):
+        call(desk_weights, desk_config, cache, tokens[5])
+
+
 def test_referees_share_no_code_with_the_cores():
     def names(code):
         nested = (names(const) for const in code.co_consts if hasattr(const, "co_names"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gqla import numerics as N
 from gqla.errors import ParameterError, ShapeError
 from gqla.numerics import (CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig,
                            weighted_error)
@@ -252,3 +253,100 @@ class TestRootEig:
             root_eig(np.ones((2, 4)), 0)
         with pytest.raises(ShapeError):
             root_eig(np.ones(4), 1)
+
+
+def with_singular_values(s, rows, width, seed):
+    """A (rows x width) matrix with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((rows, len(s))))
+    right, _ = np.linalg.qr(rng.standard_normal((width, len(s))))
+    return (left * s) @ right.T
+
+
+def svd_rule_count(b, rank):
+    """root_eig's numerical rank rule applied to b's singular values."""
+    s = np.linalg.svd(b, compute_uv=False)
+    tol = max(b.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    return min(rank, int(np.count_nonzero(s > tol)))
+
+
+class TestRootEigRoutes:
+    def test_comoment_route_matches_the_moment_and_the_thin_svd(self):
+        # wide roots take the co-moment, square and tall ones the moment itself
+        for m, width, seed in ((12, 30, 30), (64, 200, 31), (40, 40, 32), (50, 20, 36)):
+            n = min(m, width)
+            b = with_singular_values(np.linspace(3.0, 0.5, n), m, width, seed)
+            dense = sym_eig(b.T @ b)
+            for k in (1, n // 2, n):
+                assert N._gram_pairs(b, k) is not None
+                res = root_eig(b, k)
+                lam, u = N._svd_pairs(b, k)
+                assert projector_gap(res.eigenvectors, dense.eigenvectors[:, :k]) <= 1e-12
+                assert projector_gap(res.eigenvectors, u) <= 1e-12
+                assert np.max(np.abs(res.eigenvalues - lam)) <= 1e-12 * lam[0]
+
+    def test_ill_conditioned_root_takes_the_thin_svd(self):
+        # the two trailing eigenvalues sit below the threshold: the co-moment
+        # route serves the leading six alone, the thin SVD all eight
+        s = np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 1e-5, 5e-6])
+        assert (s[-1] / s[0]) ** 2 < N._GRAM_MIN_RATIO < (s[5] / s[0]) ** 2
+        b = with_singular_values(s, 8, 24, 33)
+        assert N._gram_pairs(b, 6) is not None
+        assert N._gram_pairs(b, 8) is None
+        res = root_eig(b, 8)
+        lam, u = N._svd_pairs(b, 8)
+        assert np.array_equal(res.eigenvalues, lam)
+        assert np.array_equal(res.eigenvectors, N._canonical_signs(u))
+        dense = sym_eig(b.T @ b)
+        assert np.max(np.abs(res.eigenvalues - dense.eigenvalues[:8])) <= 1e-12
+        assert projector_gap(res.eigenvectors[:, :6], dense.eigenvectors[:, :6]) <= 1e-12
+        assert np.max(np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(8))) <= 1e-12
+
+    def test_numerical_rank_count_is_the_svd_rule(self, monkeypatch):
+        from gqla import convert_gqa as CG
+        from gqla import convert_mla as CM
+        from gqla.model import GqlaConfig, init_random, random_tokens
+
+        from conftest import plant_bandrank1_gqa, plant_group_structured_mla
+
+        calls = []
+
+        def recording(b, rank):
+            calls.append((np.array(b), rank))
+            return root_eig(b, rank)
+
+        monkeypatch.setattr(CG, "root_eig", recording)
+        monkeypatch.setattr(CM, "root_eig", recording)
+        calib = random_tokens(512, 64, 3)
+        desk = dict(model_dim=64, num_heads=8, num_groups=2, head_dim=16, value_head_dim=16)
+        for src, kv_rank, rope in ((CG.init_random_gqa(8, 2, 16, 64, seed=5), 14, 4),
+                                   (CG.init_random_gqa(8, 2, 16, 64, seed=5), 48, 16),
+                                   (plant_bandrank1_gqa(8, 2, 16, 64, seed=7), 48, 16)):
+            CG.convert(src, calib, GqlaConfig(rope_head_dim=rope, kv_rank=kv_rank, q_rank=64,
+                                              **desk))
+        CG.balance_and_joint_pca(CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5)),
+                                 calib, 64)
+        mla = GqlaConfig(model_dim=64, num_heads=8, num_groups=8, head_dim=16,
+                         value_head_dim=16, rope_head_dim=8, kv_rank=32, q_rank=48)
+        for source in (init_random(mla, 21), plant_group_structured_mla(mla, groups=2, seed=5)):
+            for groups in (1, 2, 4, 8):
+                for tokens in (calib, calib[:1]):
+                    CM.factor(source, mla, CM.calibrate(source, mla, tokens, groups))
+        rng = np.random.default_rng(22)
+        low = rng.standard_normal((4, 16)) @ rng.standard_normal((16, 40))
+        calls += [(np.vstack([low, np.zeros((3, 40))]), 25), (np.zeros((2, 5)), 3),
+                  (np.random.default_rng(20).standard_normal((12, 30)), 12),
+                  (np.random.default_rng(21).standard_normal((6, 15)), 9)]
+        assert len(calls) > 40
+        for b, rank in calls:
+            assert np.count_nonzero(root_eig(b, rank).eigenvalues) == svd_rule_count(b, rank)
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        # one root per route: the co-moment, then the thin SVD and its completion
+        for b, rank, comoment in (
+                (with_singular_values(np.linspace(3.0, 0.5, 64), 64, 200, 34), 20, True),
+                (with_singular_values(np.array([1.0, 0.5, 1e-7]), 3, 9, 35), 5, False)):
+            assert (N._gram_pairs(b, min(rank, len(b))) is not None) == comoment
+            first, again = root_eig(b, rank), root_eig(b.copy(), rank)
+            assert np.array_equal(first.eigenvalues, again.eigenvalues)
+            assert np.array_equal(first.eigenvectors, again.eigenvectors)
