@@ -18,12 +18,16 @@ import numpy as np
 from . import convert_gqa, convert_mla, roofline, sparse
 from . import io as gqck
 from . import model as gqla_model
-from .errors import GqlaError
+from .errors import GqlaError, ParameterError
 from .model import GqlaConfig, canonical_config, random_tokens
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GQLA_SEED", "0"))
+    text = os.environ.get("GQLA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"GQLA_SEED must be an integer, got {text!r}") from None
 
 
 def _err(msg: str) -> None:
@@ -130,7 +134,11 @@ def cmd_convert(args) -> int:
 
     for line in report.lines():
         print(line)
-    gqck.write_checkpoint(args.output, gqck.KIND_GQLA, target, converted)
+    try:
+        gqck.write_checkpoint(args.output, gqck.KIND_GQLA, target, converted)
+    except OSError as exc:
+        _err(f"cannot write checkpoint {args.output!r}: {exc}")
+        return 2
     print(f"wrote GQLA checkpoint: {args.output}")
 
     probe = random_tokens(8, target.model_dim, seed + 1)
@@ -322,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GqlaError as exc:
-        # bad parameters that only the package can judge (lengths, k, s_q)
+        # bad parameters that only the package can judge (seeds, lengths, k, s_q)
         _err(str(exc))
         return 2
 

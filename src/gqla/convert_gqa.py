@@ -2,10 +2,11 @@
 
 Four stages, the first two exact and the last two calibration-driven:
 
-1. merge_heads: restack the source K/V projections into one joint latent
-   whose key and value halves hold one head_dim block of rows per group.
-   Pure reparameterization; the merged module is still standard
-   grouped-query attention and runs through the source's attention routine.
+1. merge_heads: read the source K/V projections as one joint latent whose
+   key and value halves (k_proj, v_proj) hold one head_dim block of rows per
+   group. Its output is the source's rows, copied: the merged module is
+   still standard grouped-query attention and runs through the source's
+   attention routine.
 2. rorope_align: per K/V head, a rotation block-diagonal over rotary pairs is
    applied to the key path and folded into the matching query slices. Scores
    are preserved exactly; per-pair energy concentrates on the leading
@@ -24,7 +25,9 @@ Four stages, the first two exact and the last two calibration-driven:
 
 No gradient updates anywhere; calibration is a seeded synthetic token stream
 at desk scale. Every calibrated stage reads its second moments from the
-calibration Gram matrix (numerics.block_moments, CovarianceAccumulator.root).
+calibration Gram matrix (numerics.block_moments, CovarianceAccumulator.root)
+and takes as calib either the tokens or their CovarianceAccumulator, so
+convert accumulates it once for all three.
 """
 
 from __future__ import annotations
@@ -133,40 +136,21 @@ def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     return heads @ src.out_proj.T
 
 
-@dataclass(frozen=True)
-class MergedWeights(GqaWeights):
-    """Stage-1 form: the source block read as one stacked K/V latent.
-
-    kv_down stacks the key rows over the value rows (2*g*head_dim x
-    model_dim); group j's key and value heads are rows j*head_dim to
-    (j+1)*head_dim of key_rows() and value_rows(). The rotary ladder folds
-    over the g*head_dim key latent, repeating every head_dim coordinates.
-    """
-
-    @property
-    def key_width(self) -> int:
-        return self.num_groups * self.head_dim
-
-    @property
-    def kv_down(self) -> np.ndarray:
-        return np.vstack([self.k_proj, self.v_proj])
-
-    def key_rows(self) -> np.ndarray:
-        return self.k_proj
-
-    def value_rows(self) -> np.ndarray:
-        return self.v_proj
+# Stage-1 form: the source's rows read as one stacked K/V latent, k_proj over
+# v_proj, group j's heads at rows j*head_dim to (j+1)*head_dim of each; the
+# rotary ladder repeats every head_dim coordinates of the key latent.
+MergedWeights = GqaWeights
 
 
 def merge_heads(src: GqaWeights) -> MergedWeights:
-    """Exact restack of a source block (its arrays copied)."""
+    """The validated source block, its arrays copied."""
     src.validate()
-    return MergedWeights(**asdict(src))
+    return GqaWeights(**asdict(src))
 
 
 def merged_forward(merged: MergedWeights, tokens, s_q: int = 1) -> np.ndarray:
     """Forward pass of the merged form for the trailing s_q positions: the
-    source forward, since merging only restacks the rows."""
+    source forward, since the merged form is the source's rows."""
     return forward_gqa_source(merged, tokens, s_q)
 
 
@@ -175,10 +159,6 @@ def merged_scores(merged: MergedWeights, tokens) -> np.ndarray:
     tokens = _check_tokens(tokens, merged.model_dim, 1)
     logits, _ = _grouped_attention(merged, tokens, tokens.shape[0])
     return np.tril(logits.transpose(1, 0, 2))
-
-
-def identity_rotations(merged: MergedWeights) -> np.ndarray:
-    return np.tile(np.eye(merged.head_dim), (merged.num_groups, 1, 1))
 
 
 def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
@@ -198,17 +178,18 @@ def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
 
 
 def _calibration_gram(merged: MergedWeights, calib) -> CovarianceAccumulator:
-    """Second-moment accumulator of the calibration tokens (model_dim wide)."""
+    """Second-moment accumulator of the calibration tokens (model_dim wide);
+    an accumulator passes through once its dim is checked."""
+    if isinstance(calib, CovarianceAccumulator):
+        if calib.dim != merged.model_dim:
+            raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
+                             f"expected model_dim {merged.model_dim}")
+        return calib
     return accumulate(CovarianceAccumulator.empty(merged.model_dim),
                       _check_tokens(calib, merged.model_dim, 1))
 
 
 def rorope_align(merged: MergedWeights, calib) -> tuple:
-    """_rorope_align with the Gram matrix of the calibration tokens calib."""
-    return _rorope_align(merged, _calibration_gram(merged, calib))
-
-
-def _rorope_align(merged: MergedWeights, gram: CovarianceAccumulator) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
     For every head and rotary pair, the leading eigenvector of the 2-dim
@@ -222,8 +203,8 @@ def _rorope_align(merged: MergedWeights, gram: CovarianceAccumulator) -> tuple:
     shape (num_groups, head_dim, head_dim)).
     """
     g, d = merged.num_groups, merged.head_dim
-    pairs = merged.key_rows().reshape(-1, 2, merged.model_dim)
-    m = block_moments(gram, pairs)  # (g*d/2, 2, 2)
+    pairs = merged.k_proj.reshape(-1, 2, merged.model_dim)
+    m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     cos, sin = np.cos(theta).reshape(g, -1), np.sin(theta).reshape(g, -1)
     sign = np.where(np.abs(sin) > np.abs(cos), np.sign(sin), 1.0)
@@ -241,10 +222,10 @@ def _rorope_align(merged: MergedWeights, gram: CovarianceAccumulator) -> tuple:
 class FreqFoldResult:
     """Band-wise split of the key coordinates into rotary and position-free parts.
 
-    rope_basis (key_width x rope_dim) projects onto the retained rotary
+    rope_basis (g*head_dim x rope_dim) projects onto the retained rotary
     directions; columns come in rotary pairs, each pair supported on a single
-    frequency band, placed in band-ascending order. nope_basis (key_width x
-    key_width - rope_dim) spans the complement and feeds the joint latent
+    frequency band, placed in band-ascending order. nope_basis (g*head_dim x
+    g*head_dim - rope_dim) spans the complement and feeds the joint latent
     compression. band_partition lists the key-coordinate indices of each
     frequency band; retained names each kept (band, direction) pair and
     band_energies holds the per-band direction energies.
@@ -289,12 +270,6 @@ def _band_complex_pca(blocks: np.ndarray):
 
 def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
                       rope_dim: int) -> FreqFoldResult:
-    """_freqfold_compress with the Gram matrix of the calibration tokens calib."""
-    return _freqfold_compress(aligned, _calibration_gram(aligned, calib), kv_rank, rope_dim)
-
-
-def _freqfold_compress(aligned: MergedWeights, gram: CovarianceAccumulator, kv_rank: int,
-                       rope_dim: int) -> FreqFoldResult:
     """Split the key coordinates into a rotary remainder and latent candidates.
 
     rope_dim/2 directions are retained greedily by energy across all bands
@@ -303,7 +278,7 @@ def _freqfold_compress(aligned: MergedWeights, gram: CovarianceAccumulator, kv_r
     joint compression. Pairs are never split between the two outputs.
     """
     g, d = aligned.num_groups, aligned.head_dim
-    width = aligned.key_width
+    width = g * d
     if rope_dim % 2 != 0 or rope_dim < 0:
         raise ParameterError(f"rope_dim must be a non-negative even count, got {rope_dim}")
     if rope_dim > width:
@@ -314,8 +289,9 @@ def _freqfold_compress(aligned: MergedWeights, gram: CovarianceAccumulator, kv_r
             f"for a {2 * width}-element source cache")
     # Band p holds coordinates j*d + 2p + e for every group j and e in (0, 1).
     bands = np.arange(width).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
+    gram = _calibration_gram(aligned, calib)
     energies, pairs = _band_complex_pca(
-        block_moments(gram, aligned.key_rows()[bands]) / gram.sample_count)
+        block_moments(gram, aligned.k_proj[bands]) / gram.sample_count)
     # Greedy retention by energy; on ties prefer the lower angular frequency
     # (larger band index), then the leading direction.
     # Directions are numbered p*g + r (band p, direction r), so sorting the
@@ -363,13 +339,6 @@ class JointCompression:
 def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
                           freqfold: FreqFoldResult | None = None,
                           balance: bool = True) -> JointCompression:
-    """_balance_and_joint_pca with the Gram matrix of the calibration tokens calib."""
-    return _balance_and_joint_pca(aligned, _calibration_gram(aligned, calib), kv_rank,
-                                  freqfold, balance)
-
-
-def _balance_and_joint_pca(aligned: MergedWeights, gram: CovarianceAccumulator, kv_rank: int,
-                           freqfold: FreqFoldResult | None, balance: bool) -> JointCompression:
     """Norm-balance the position-free key part against the values, then
     compress both jointly to kv_rank with a covariance-weighted PCA.
 
@@ -377,22 +346,22 @@ def _balance_and_joint_pca(aligned: MergedWeights, gram: CovarianceAccumulator, 
     position-free (useful for testing the balancing semantics alone).
 
     The stacked activations calib·w_map^T have rank at most model_dim, so
-    neither they nor their (d_n + key_width)-square second moment are
-    formed: with the calibration Gram matrix gram's normalized moment E·Λ·E^T,
+    neither they nor their (d_n + g*head_dim)-square second moment are
+    formed: with the calibration Gram matrix's normalized moment E·Λ·E^T,
     b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
     norms, energies and the PCA basis (numerics.root_eig) all come from b.
     """
-    width = aligned.key_width
+    width = aligned.num_groups * aligned.head_dim
     nope_proj = np.eye(width) if freqfold is None else freqfold.nope_basis
     d_n = nope_proj.shape[1]
     if kv_rank < 1 or kv_rank > d_n + width:
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
-    root = gram.root()
-    key_map = nope_proj.T @ aligned.key_rows()        # (d_n, model_dim)
+    root = _calibration_gram(aligned, calib).root()
+    key_map = nope_proj.T @ aligned.k_proj            # (d_n, model_dim)
     root_k = root @ key_map.T                         # (model_dim, d_n)
-    root_v = root @ aligned.value_rows().T            # (model_dim, key_width)
+    root_v = root @ aligned.v_proj.T                  # (model_dim, g*head_dim)
     norm_k = float(np.linalg.norm(root_k)) if d_n else 0.0
     norm_v = float(np.linalg.norm(root_v))
     if norm_v == 0.0 or (d_n and norm_k == 0.0):
@@ -407,7 +376,7 @@ def _balance_and_joint_pca(aligned: MergedWeights, gram: CovarianceAccumulator, 
     else:
         scale_k, scale_v = 1.0, 1.0
 
-    w_map = np.vstack([scale_k * key_map, scale_v * aligned.value_rows()])
+    w_map = np.vstack([scale_k * key_map, scale_v * aligned.v_proj])
     b = np.hstack([scale_k * root_k, scale_v * root_v])
     u = root_eig(b, kv_rank).eigenvectors
     v = u.T @ w_map
@@ -497,9 +466,9 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
 
     merged = merge_heads(src)
     gram = _calibration_gram(merged, calib)
-    aligned, _ = _rorope_align(merged, gram)
-    folded = _freqfold_compress(aligned, gram, target.kv_rank, d_r)
-    joint = _balance_and_joint_pca(aligned, gram, target.kv_rank, folded, balance=True)
+    aligned, _ = rorope_align(merged, gram)
+    folded = freqfold_compress(aligned, gram, target.kv_rank, d_r)
+    joint = balance_and_joint_pca(aligned, gram, target.kv_rank, folded, balance=True)
 
     # The merged form scores with 1/sqrt(head_dim); the emitted weights run
     # under the model's 1/sqrt(head_dim + rope_head_dim), so queries carry the
@@ -515,7 +484,7 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
         kv_down=joint.kv_down,
         k_up=joint.k_up,
         v_up=joint.v_up,
-        k_rope=folded.rope_basis.T @ aligned.key_rows(),
+        k_rope=folded.rope_basis.T @ aligned.k_proj,
         out_proj=src.out_proj.copy(),
     )
     weights.validate(target)

@@ -106,14 +106,12 @@ def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> Gr
 class GroupFactorization:
     """Per-group, per-side factors W_j ~ u_j @ v_j.
 
-    u_j is column-orthonormal ((h/g)*dim x rank), v_j = u_j^T W_j
-    (rank x kv_rank). energy_* hold the per-group retained activation energy
-    fraction.
+    u_j is column-orthonormal ((h/g)*dim x dim), v_j = u_j^T W_j
+    (dim x kv_rank), dim being head_dim for keys and value_head_dim for
+    values. energy_* hold the per-group retained activation energy fraction.
     """
 
     groups: int
-    key_rank: int
-    value_rank: int
     key_u: tuple
     key_v: tuple
     value_u: tuple
@@ -122,8 +120,7 @@ class GroupFactorization:
     value_energy: tuple
 
 
-def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
-           key_rank: int | None = None, value_rank: int | None = None) -> GroupFactorization:
+def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats) -> GroupFactorization:
     """Side-separated PCA of each group's stacked up-projection block.
 
     Group j's basis is the leading eigenbasis of its activation moment,
@@ -131,18 +128,11 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
     eigendecomposition of order min(model_dim, (h/g)*dim)), which is
     pca_factor's basis to rounding; the energy is the retained eigenvalues
     over the moment's trace, the root's squared norm.
-    Default ranks are the canonical ones (head_dim and value_head_dim), which
-    make every per-head sub-block square and therefore absorbable.
+    The ranks are head_dim and value_head_dim, which make every per-head
+    sub-block square and therefore absorbable.
     """
     _check_source(config)
     groups = stats.groups
-    hpg = config.num_heads // groups
-    key_rank = config.head_dim if key_rank is None else key_rank
-    value_rank = config.value_head_dim if value_rank is None else value_rank
-    if not 1 <= key_rank <= hpg * config.head_dim:
-        raise ParameterError(f"key rank {key_rank} outside [1, {hpg * config.head_dim}]")
-    if not 1 <= value_rank <= hpg * config.value_head_dim:
-        raise ParameterError(f"value rank {value_rank} outside [1, {hpg * config.value_head_dim}]")
 
     def side(proj, roots, rank):
         us, vs, energies = [], [], []
@@ -154,11 +144,11 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats,
             vs.append(eig.eigenvectors.T @ block)
         return tuple(us), tuple(vs), tuple(energies)
 
-    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, key_rank)
-    value_u, value_v, value_energy = side(weights.v_up, stats.value_root, value_rank)
-    return GroupFactorization(groups=groups, key_rank=key_rank, value_rank=value_rank,
-                              key_u=key_u, key_v=key_v, value_u=value_u, value_v=value_v,
-                              key_energy=key_energy, value_energy=value_energy)
+    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
+    value_u, value_v, value_energy = side(weights.v_up, stats.value_root,
+                                          config.value_head_dim)
+    return GroupFactorization(groups=groups, key_u=key_u, key_v=key_v, value_u=value_u,
+                              value_v=value_v, key_energy=key_energy, value_energy=value_energy)
 
 
 def absorb_factors(weights: MlaWeights, config: GqlaConfig,
@@ -168,14 +158,8 @@ def absorb_factors(weights: MlaWeights, config: GqlaConfig,
     The group-indexed up-projections become the stacked v_j factors (first
     dimension shrinks by heads-per-group); query and output projections keep
     their shapes; the latent and rotary projections pass through unchanged.
-    Requires canonical ranks so every per-head block of u_j is square.
     """
     _check_source(config)
-    if fact.key_rank != config.head_dim or fact.value_rank != config.value_head_dim:
-        raise ParameterError(
-            "absorption needs canonical ranks (square per-head blocks): "
-            f"got key rank {fact.key_rank} (head_dim {config.head_dim}), "
-            f"value rank {fact.value_rank} (value_head_dim {config.value_head_dim})")
     groups = fact.groups
     hpg = config.num_heads // groups
     d, dv = config.head_dim, config.value_head_dim
@@ -222,8 +206,8 @@ def unfused_forward(weights: MlaWeights, config: GqlaConfig, fact: GroupFactoriz
 
     latents = tokens @ weights.kv_down.T
     k_rope = np.stack([apply_rope(spec, weights.k_rope @ tokens[t], t) for t in range(length)])
-    group_k = [latents @ fact.key_v[j].T for j in range(fact.groups)]    # (L, key_rank)
-    group_v = [latents @ fact.value_v[j].T for j in range(fact.groups)]  # (L, value_rank)
+    group_k = [latents @ fact.key_v[j].T for j in range(fact.groups)]    # (L, head_dim)
+    group_v = [latents @ fact.value_v[j].T for j in range(fact.groups)]  # (L, value_head_dim)
 
     outputs = np.empty((s_q, config.model_dim))
     for idx, t in enumerate(range(length - s_q, length)):
@@ -272,7 +256,7 @@ _PROBE_SEED = 46301
 
 
 def convert(weights: MlaWeights, config: GqlaConfig, calib, groups: int):
-    """calibrate -> factor (canonical ranks) -> absorb.
+    """calibrate -> factor -> absorb.
 
     Returns (GqlaWeights, MlaConversionReport); the converted config is
     target_config(config, groups). Held-out probe sequences measure the

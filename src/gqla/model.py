@@ -184,6 +184,8 @@ def random_tokens(count: int, dim: int, seed: int) -> np.ndarray:
     and probe inputs at desk scale."""
     if count < 1 or dim < 1:
         raise ParameterError("count and dim must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed).standard_normal((count, dim))
 
 

@@ -251,3 +251,30 @@ class TestSeedHandling:
                          "--seed", "7"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("GQLA_SEED", "abc")
+        assert main(["roofline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "GQLA_SEED" in err
+
+    @pytest.mark.parametrize("command", ["verify", "sparse-check", "convert"])
+    def test_negative_seed_is_usage_error(self, command, gqla_ckpt, gqa_ckpt, tmp_path,
+                                          capsys):
+        if command == "convert":
+            argv = ["convert", "--from", "gqa", "--in", str(gqa_ckpt),
+                    "--out", str(tmp_path / "x.gqck"), "--rkv", "14", "--dhr", "4"]
+        else:
+            argv = [command, "--checkpoint", str(gqla_ckpt)]
+        assert main(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+
+
+@pytest.mark.parametrize("out", ["missing/x.gqck", "."])
+def test_unwritable_checkpoint_is_usage_error(out, gqa_ckpt, tmp_path, capsys):
+    rc = main(["convert", "--from", "gqa", "--in", str(gqa_ckpt), "--out", str(tmp_path / out),
+               "--rkv", "14", "--dhr", "4", "--calib-tokens", "64"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write checkpoint")

@@ -22,7 +22,11 @@ def gram(calib):
 
 def pair_moments(merged, calib):
     """The (g*d/2, 2, 2) rotary-pair key moments rorope_align reads, unnormalized."""
-    return block_moments(gram(calib), merged.key_rows().reshape(-1, 2, merged.model_dim))
+    return block_moments(gram(calib), merged.k_proj.reshape(-1, 2, merged.model_dim))
+
+
+def identity_rotations(merged):
+    return np.tile(np.eye(merged.head_dim), (merged.num_groups, 1, 1))
 
 
 def desk_target(kv_rank, rope_dim) -> GqlaConfig:
@@ -66,7 +70,7 @@ class TestMergeHeads:
 class TestRoRope:
     def test_identity_rotations_change_nothing(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
-        same = CG.apply_head_rotations(merged, CG.identity_rotations(merged))
+        same = CG.apply_head_rotations(merged, identity_rotations(merged))
         tokens = random_tokens(12, 64, 6)
         a = CG.merged_forward(merged, tokens, 2)
         b = CG.merged_forward(same, tokens, 2)
@@ -156,7 +160,7 @@ class TestRoRope:
 
     def test_rotations_of_wrong_shape_rejected(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
-        rotations = CG.identity_rotations(merged)
+        rotations = identity_rotations(merged)
         for bad in (rotations[:1], rotations[:, :-1, :-1], rotations[0]):
             with pytest.raises(ShapeError):
                 CG.apply_head_rotations(merged, bad)
@@ -184,7 +188,7 @@ class TestKeyCovariance:
 
     def test_gram_route_matches_direct_activations(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
-        keys = merged.key_rows()
+        keys = merged.k_proj
         g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
         bands = np.arange(g * d).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
         layouts = [keys, keys.reshape(g, d, dm), keys.reshape(-1, 2, dm), keys[bands]]
@@ -198,7 +202,7 @@ class TestKeyCovariance:
                 assert np.max(np.abs(moment - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wrong_row_width_raises(self, desk_gqa):
-        keys = CG.merge_heads(desk_gqa).key_rows()
+        keys = CG.merge_heads(desk_gqa).k_proj
         for bad in (keys[:, :-1], keys.reshape(2, -1, 64)[..., 1:], keys[0]):
             with pytest.raises(ShapeError):
                 block_moments(gram(CALIB), bad)
@@ -226,24 +230,77 @@ def test_calibration_batch_checked(stage):
         run(np.zeros((0, 64)))
 
 
+GQA_STAGES = ("rorope_align", "freqfold_compress", "balance_and_joint_pca")
+
+
+def assert_bitwise_equal(a, b):
+    """Two stage results (dataclasses, tuples of them or arrays) are bitwise equal."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bitwise_equal(x, y)
+    else:
+        assert np.array_equal(a, b)
+
+
+class TestSingleStagePath:
+    """Each calibrated GQA stage takes the tokens or their accumulator, and
+    convert runs every public stage once on one accumulator."""
+
+    @pytest.mark.parametrize("stage", GQA_STAGES)
+    def test_tokens_and_accumulator_agree_bitwise(self, stage):
+        run = CALIBRATED_STAGES[stage]
+        assert_bitwise_equal(run(CALIB), run(gram(CALIB)))
+
+    def test_joint_pca_with_freqfold_agrees_bitwise(self):
+        aligned, _ = CG.rorope_align(_CHECK_MERGED, gram(CALIB))
+        folded = CG.freqfold_compress(aligned, gram(CALIB), 24, 8)
+        assert_bitwise_equal(CG.balance_and_joint_pca(aligned, gram(CALIB), 24, folded),
+                             CG.balance_and_joint_pca(aligned, CALIB, 24, folded))
+
+    @pytest.mark.parametrize("stage", GQA_STAGES)
+    def test_accumulator_of_wrong_dim_raises(self, stage):
+        with pytest.raises(ShapeError):
+            CALIBRATED_STAGES[stage](gram(CALIB[:, :-1]))
+
+    def test_convert_runs_each_stage_once_on_one_accumulation(self, desk_gqa, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(CG, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(CG, name, wrapper)
+
+        for name in ("merge_heads", "accumulate") + GQA_STAGES:
+            counted(name)
+        CG.convert(desk_gqa, CALIB, desk_target(kv_rank=18, rope_dim=4))
+        assert calls == {name: 1 for name in ("merge_heads", "accumulate") + GQA_STAGES}
+
+
 class TestFreqFold:
     def setup_method(self):
         self.src = CG.init_random_gqa(8, 2, 16, 64, seed=5)
         self.aligned, _ = CG.rorope_align(CG.merge_heads(self.src), CALIB)
+        self.width = 2 * 16  # num_groups * head_dim of the key latent
 
     def test_full_retention_reconstructs_exactly(self):
-        width = self.aligned.key_width
+        width = self.width
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=width, rope_dim=width)
         basis = np.hstack([ff.rope_basis, ff.nope_basis])
         assert np.max(np.abs(basis @ basis.T - np.eye(width))) <= 1e-10
-        acts = CALIB @ self.aligned.key_rows().T
+        acts = CALIB @ self.aligned.k_proj.T
         recon = (acts @ ff.rope_basis) @ ff.rope_basis.T
         assert np.max(np.abs(recon - acts)) <= 1e-10 * (1 + np.max(np.abs(acts)))
 
     def test_band_partition_covers_all_key_dims(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
         flat = sorted(i for band in ff.band_partition for i in band)
-        assert flat == list(range(self.aligned.key_width))
+        assert flat == list(range(self.width))
         assert all(len(band) == 2 * self.aligned.num_groups for band in ff.band_partition)
 
     def test_energy_in_lowest_frequency_band_is_retained(self, desk_gqa):
@@ -273,7 +330,7 @@ class TestFreqFold:
 
     def test_bands_match_per_band_loop(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        rows = self.aligned.key_rows()[np.array(ff.band_partition)]
+        rows = self.aligned.k_proj[np.array(ff.band_partition)]
         blocks = block_moments(gram(CALIB), rows) / len(CALIB)
         energies, pairs = CG._band_complex_pca(blocks)
         for p, block in enumerate(blocks):
@@ -321,6 +378,7 @@ class TestBalanceAndJointPca:
     def setup_method(self):
         src = CG.init_random_gqa(8, 2, 16, 64, seed=5)
         self.aligned, _ = CG.rorope_align(CG.merge_heads(src), CALIB)
+        self.width = 2 * 16  # num_groups * head_dim of the key latent
 
     def test_near_equal_sides_give_near_identity_scales(self):
         joint = CG.balance_and_joint_pca(self.aligned, CALIB, kv_rank=16)
@@ -329,7 +387,7 @@ class TestBalanceAndJointPca:
         assert joint.scale_key * joint.scale_value == pytest.approx(1.0, abs=1e-12)
 
     def test_balancing_is_forward_noop_at_full_rank(self):
-        full = 2 * self.aligned.key_width
+        full = 2 * self.width
         bal = CG.balance_and_joint_pca(self.aligned, CALIB, full, balance=True)
         raw = CG.balance_and_joint_pca(self.aligned, CALIB, full, balance=False)
         comp_b = np.vstack([bal.k_up, bal.v_up]) @ bal.kv_down
@@ -344,10 +402,11 @@ class TestBalanceAndJointPca:
         assert bal.energy_key >= raw.energy_key
 
     def test_full_rank_reconstruction_exact(self):
-        full = 2 * self.aligned.key_width
+        full = 2 * self.width
         joint = CG.balance_and_joint_pca(self.aligned, CALIB, full)
         composed = np.vstack([joint.k_up, joint.v_up]) @ joint.kv_down
-        assert np.max(np.abs(composed - self.aligned.kv_down)) <= 1e-10
+        source = np.vstack([self.aligned.k_proj, self.aligned.v_proj])
+        assert np.max(np.abs(composed - source)) <= 1e-10
         assert joint.energy_key == pytest.approx(1.0, abs=1e-12)
         assert joint.energy_value == pytest.approx(1.0, abs=1e-12)
 
@@ -360,19 +419,20 @@ class TestBalanceAndJointPca:
 
 def dense_joint_pca(aligned, calib, kv_rank, freqfold=None, balance=True):
     """Referee for balance_and_joint_pca: the wide route, which accumulates the
-    N x (d_n + key_width) stacked activations and runs pca_factor on their
+    N x (d_n + g*head_dim) stacked activations and runs pca_factor on their
     second moment. Returns (kv_down, k_up, v_up, energy_key, energy_value)."""
-    g, d, width = aligned.num_groups, aligned.head_dim, aligned.key_width
+    g, d = aligned.num_groups, aligned.head_dim
+    width = g * d
     nope = np.eye(width) if freqfold is None else freqfold.nope_basis
     d_n = nope.shape[1]
-    act_k = (calib @ aligned.key_rows().T) @ nope
-    act_v = calib @ aligned.value_rows().T
+    act_k = (calib @ aligned.k_proj.T) @ nope
+    act_v = calib @ aligned.v_proj.T
     scale_k = scale_v = 1.0
     if balance:
         norm_k, norm_v = np.linalg.norm(act_k), np.linalg.norm(act_v)
         target = np.sqrt(norm_k * norm_v)
         scale_k, scale_v = target / norm_k, target / norm_v
-    w_map = np.vstack([scale_k * (nope.T @ aligned.key_rows()), scale_v * aligned.value_rows()])
+    w_map = np.vstack([scale_k * (nope.T @ aligned.k_proj), scale_v * aligned.v_proj])
     stacked = np.hstack([scale_k * act_k, scale_v * act_v])
     sigma = accumulate(CovarianceAccumulator.empty(d_n + width), stacked)
     u, v = pca_factor(w_map, sigma, kv_rank)
@@ -395,6 +455,7 @@ class TestIntrinsicJointPca:
     def setup_method(self):
         self.src = CG.init_random_gqa(8, 2, 16, 64, seed=5)
         self.aligned, _ = CG.rorope_align(CG.merge_heads(self.src), CALIB)
+        self.width = 2 * 16  # num_groups * head_dim of the key latent
         self.folded = CG.freqfold_compress(self.aligned, CALIB, kv_rank=24, rope_dim=8)
 
     @pytest.mark.parametrize("kv_rank", [6, 24, 40])
@@ -410,7 +471,7 @@ class TestIntrinsicJointPca:
         assert joint.energy_key < 1.0 and joint.energy_value < 1.0
 
     def test_full_rank_composed_map(self):
-        full = self.folded.nope_basis.shape[1] + self.aligned.key_width
+        full = self.folded.nope_basis.shape[1] + self.width
         joint = CG.balance_and_joint_pca(self.aligned, CALIB, full, freqfold=self.folded)
         kv_down, k_up, v_up, _, _ = dense_joint_pca(self.aligned, CALIB, full, self.folded)
         assert np.max(np.abs(composed(joint.k_up, joint.v_up, joint.kv_down) -

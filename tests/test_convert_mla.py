@@ -87,11 +87,6 @@ class TestFactor:
             energy = lam[:d].sum() / lam.sum()
             assert abs(fact.key_energy[j] - energy) <= 1e-14 * energy
 
-    def test_rank_bounds(self, mla_config, mla_weights):
-        stats = CM.calibrate(mla_weights, mla_config, CALIB[:64], 2)
-        with pytest.raises(ParameterError):
-            CM.factor(mla_weights, mla_config, stats, key_rank=65)
-
 
 class TestAbsorb:
     def test_planted_source_converts_losslessly(self, mla_config):
@@ -125,12 +120,6 @@ class TestAbsorb:
         # up-projection first dimension shrinks by heads-per-group
         assert converted.k_up.shape[0] == mla_weights.k_up.shape[0] // 4
         assert converted.v_up.shape[0] == mla_weights.v_up.shape[0] // 4
-
-    def test_non_canonical_rank_rejected(self, mla_config, mla_weights):
-        stats = CM.calibrate(mla_weights, mla_config, CALIB[:256], 2)
-        fact = CM.factor(mla_weights, mla_config, stats, key_rank=8)
-        with pytest.raises(ParameterError):
-            CM.absorb_factors(mla_weights, mla_config, fact)
 
     def test_latent_pathway_passes_through(self, mla_config, mla_weights):
         converted, _ = CM.convert(mla_weights, mla_config, CALIB[:512], 2)
