@@ -5,8 +5,9 @@ Four stages, the first two exact and the last two calibration-driven:
 1. merge_heads: read the source K/V projections as one joint latent whose
    key and value halves (k_proj, v_proj) hold one head_dim block of rows per
    group. Its output is the source's rows, copied: the merged module is
-   still standard grouped-query attention and runs through the source's
-   attention routine.
+   still standard grouped-query attention and runs, as the source does, on
+   the model's grouped attention core with every key dim rotated and no
+   shared rotary part.
 2. rorope_align: per K/V head, a rotation block-diagonal over rotary pairs is
    applied to the key path and folded into the matching query slices. Scores
    are preserved exactly; per-pair energy concentrates on the leading
@@ -39,8 +40,10 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
-from .model import GqlaConfig, GqlaWeights, _check_tokens, _softmax, random_tokens
-from .numerics import CovarianceAccumulator, accumulate, block_moments, root_eig
+from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_tokens,
+                    _fan_in_uniform, _grouped_core, _probe_deviation)
+from .numerics import (CovarianceAccumulator, _canonical_signs, accumulate, block_moments,
+                       root_eig)
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -65,6 +68,8 @@ class GqaWeights:
     out_proj: np.ndarray
 
     def __post_init__(self):
+        _check_counts(num_heads=self.num_heads, num_groups=self.num_groups,
+                      head_dim=self.head_dim, model_dim=self.model_dim)
         if self.num_heads % self.num_groups != 0:
             raise ParameterError("num_heads must be divisible by num_groups")
         if self.head_dim % 2 != 0:
@@ -78,90 +83,77 @@ class GqaWeights:
         return RopeSpec(self.head_dim, self.rope_base)
 
     def validate(self) -> None:
-        h, g, d, dm = self.num_heads, self.num_groups, self.head_dim, self.model_dim
-        expect = {"q_proj": (h * d, dm), "k_proj": (g * d, dm),
-                  "v_proj": (g * d, dm), "out_proj": (dm, h * d)}
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"{name} contains non-finite entries")
+        _check_arrays(self, _gqa_shapes(self.num_heads, self.num_groups, self.head_dim,
+                                        self.model_dim))
+
+
+def _gqa_shapes(num_heads: int, num_groups: int, head_dim: int, model_dim: int) -> dict:
+    q, kv = (num_heads * head_dim, model_dim), (num_groups * head_dim, model_dim)
+    return {"q_proj": q, "k_proj": kv, "v_proj": kv, "out_proj": q[::-1]}
 
 
 def init_random_gqa(num_heads: int, num_groups: int, head_dim: int, model_dim: int,
                     seed: int, rope_base: float = 10000.0) -> GqaWeights:
     """Seeded random source block, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    rng = np.random.default_rng(seed)
-    b = 1.0 / math.sqrt(model_dim)
-    bo = 1.0 / math.sqrt(num_heads * head_dim)
-    return GqaWeights(
-        num_heads=num_heads, num_groups=num_groups, head_dim=head_dim,
-        model_dim=model_dim, rope_base=rope_base,
-        q_proj=rng.uniform(-b, b, (num_heads * head_dim, model_dim)),
-        k_proj=rng.uniform(-b, b, (num_groups * head_dim, model_dim)),
-        v_proj=rng.uniform(-b, b, (num_groups * head_dim, model_dim)),
-        out_proj=rng.uniform(-bo, bo, (model_dim, num_heads * head_dim)),
-    )
+    dims = dict(num_heads=num_heads, num_groups=num_groups, head_dim=head_dim, model_dim=model_dim)
+    _check_counts(**dims)
+    return GqaWeights(rope_base=rope_base, **dims, **_fan_in_uniform(_gqa_shapes(**dims), seed))
 
 
-def _grouped_attention(src: GqaWeights, tokens: np.ndarray, s_q: int):
-    """Causal attention of the trailing s_q positions, scaled by 1/sqrt(head_dim).
-
-    Returns the pre-softmax logits (s_q, num_heads, L), upper triangle
-    included, and the per-head outputs (s_q, num_heads*head_dim) ahead of the
-    output projection.
-    """
+def _grouped_queries_keys(src: GqaWeights, tokens: np.ndarray, s_q: int) -> tuple:
+    """Rotated queries (g, s_q, heads per group, head_dim) of the trailing s_q
+    tokens and rotated keys (g, head_dim, L) of all L tokens, per group."""
     length = tokens.shape[0]
     g, d = src.num_groups, src.head_dim
     spec = src.rope_spec()
     positions = np.arange(length)
     q = apply_folded_rope(spec, tokens[-s_q:] @ src.q_proj.T, positions[-s_q:])
     k = apply_folded_rope(spec, tokens @ src.k_proj.T, positions)
-    v = tokens @ src.v_proj.T
-    # (g, s_q, heads per group, d) queries against each group's (d, L) keys
-    q = q.reshape(s_q, g, -1, d).transpose(1, 0, 2, 3)
-    logits = (q.reshape(g, -1, d) @ k.reshape(length, g, d).transpose(1, 2, 0)) / math.sqrt(d)
-    logits = logits.reshape(q.shape[:-1] + (length,))
-    attn = _softmax(logits, positions[-s_q:])
-    o = attn.reshape(g, -1, length) @ v.reshape(length, g, d).transpose(1, 0, 2)
-    o = o.reshape(g, s_q, -1, d).transpose(1, 0, 2, 3)
-    return logits.transpose(1, 0, 2, 3).reshape(s_q, -1, length), o.reshape(s_q, -1)
+    return (q.reshape(s_q, g, -1, d).transpose(1, 0, 2, 3),
+            k.reshape(length, g, d).transpose(1, 2, 0))
 
 
 def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
-    """Reference forward of the source block for the trailing s_q positions."""
+    """Reference forward of the source block for the trailing s_q positions: the
+    model's grouped attention core with every key dim rotated, so with
+    zero-width rotary queries and keys, scored with 1/sqrt(head_dim)."""
     tokens = _check_tokens(tokens, src.model_dim, s_q)
-    _, heads = _grouped_attention(src, tokens, s_q)
-    return heads @ src.out_proj.T
+    length = tokens.shape[0]
+    g, d = src.num_groups, src.head_dim
+    q, keys = _grouped_queries_keys(src, tokens, s_q)
+    values = (tokens @ src.v_proj.T).reshape(length, g, d).transpose(1, 0, 2)
+    reads = _grouped_core(q, q[..., :0], keys, values, np.empty((length, 0)),
+                          1.0 / math.sqrt(d), np.arange(length - s_q, length))
+    return reads.transpose(1, 0, 2, 3).reshape(s_q, -1) @ src.out_proj.T
 
 
-# Stage-1 form: the source's rows read as one stacked K/V latent, k_proj over
-# v_proj, group j's heads at rows j*head_dim to (j+1)*head_dim of each; the
-# rotary ladder repeats every head_dim coordinates of the key latent.
-MergedWeights = GqaWeights
-
-
-def merge_heads(src: GqaWeights) -> MergedWeights:
-    """The validated source block, its arrays copied."""
+def merge_heads(src: GqaWeights) -> GqaWeights:
+    """The validated source block, its arrays copied: the stage-1 form reads
+    the source's rows as one stacked K/V latent, k_proj over v_proj, group
+    j's heads at rows j*head_dim to (j+1)*head_dim of each; the rotary
+    ladder repeats every head_dim coordinates of the key latent."""
     src.validate()
     return GqaWeights(**asdict(src))
 
 
-def merged_forward(merged: MergedWeights, tokens, s_q: int = 1) -> np.ndarray:
+def merged_forward(merged: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     """Forward pass of the merged form for the trailing s_q positions: the
     source forward, since the merged form is the source's rows."""
     return forward_gqa_source(merged, tokens, s_q)
 
 
-def merged_scores(merged: MergedWeights, tokens) -> np.ndarray:
+def merged_scores(merged: GqaWeights, tokens) -> np.ndarray:
     """Causal pre-softmax logits (num_heads, L, L); upper triangle left zero."""
     tokens = _check_tokens(tokens, merged.model_dim, 1)
-    logits, _ = _grouped_attention(merged, tokens, tokens.shape[0])
-    return np.tril(logits.transpose(1, 0, 2))
+    length = tokens.shape[0]
+    q, keys = _grouped_queries_keys(merged, tokens, length)
+    logits = (q.reshape(merged.num_groups, -1, merged.head_dim) @ keys) / math.sqrt(
+        merged.head_dim)  # (g, L * heads per group, L)
+    logits = logits.reshape(q.shape[:-1] + (length,)).transpose(0, 2, 1, 3)
+    return np.tril(logits.reshape(merged.num_heads, length, length))
 
 
-def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
+def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
     """Rotate each group's key rows by its (head_dim x head_dim) block of
     rotations (num_groups, head_dim, head_dim) and fold the same rotation into
     the group's query slices; attention scores are unchanged because each
@@ -177,19 +169,22 @@ def apply_head_rotations(merged: MergedWeights, rotations) -> MergedWeights:
                    k_proj=keys.reshape(merged.k_proj.shape))
 
 
-def _calibration_gram(merged: MergedWeights, calib) -> CovarianceAccumulator:
+def _calibration_gram(merged: GqaWeights, calib) -> CovarianceAccumulator:
     """Second-moment accumulator of the calibration tokens (model_dim wide);
-    an accumulator passes through once its dim is checked."""
+    an accumulator passes through once its dim is checked and it holds a
+    sample."""
     if isinstance(calib, CovarianceAccumulator):
         if calib.dim != merged.model_dim:
             raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
                              f"expected model_dim {merged.model_dim}")
+        if calib.sample_count == 0:
+            raise DegenerateCalibrationError("calibration accumulator holds no samples")
         return calib
     return accumulate(CovarianceAccumulator.empty(merged.model_dim),
                       _check_tokens(calib, merged.model_dim, 1))
 
 
-def rorope_align(merged: MergedWeights, calib) -> tuple:
+def rorope_align(merged: GqaWeights, calib) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
     For every head and rotary pair, the leading eigenvector of the 2-dim
@@ -206,9 +201,8 @@ def rorope_align(merged: MergedWeights, calib) -> tuple:
     pairs = merged.k_proj.reshape(-1, 2, merged.model_dim)
     m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
-    cos, sin = np.cos(theta).reshape(g, -1), np.sin(theta).reshape(g, -1)
-    sign = np.where(np.abs(sin) > np.abs(cos), np.sign(sin), 1.0)
-    cos, sin = sign * cos, sign * sin
+    lead = _canonical_signs(np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None])
+    cos, sin = np.moveaxis(lead.reshape(g, -1, 2), -1, 0)
     # each pair's block is [[cos, sin], [-sin, cos]]
     x = np.arange(0, d, 2)
     rotations = np.zeros((g, d, d))
@@ -258,17 +252,14 @@ def _band_complex_pca(blocks: np.ndarray):
     order = np.argsort(-w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, axis=-1)
     u = np.take_along_axis(u, order[:, None, :], axis=-1)
-    # Phase: each column's largest-magnitude entry (the first on ties), not 0
-    # in a unit vector, turns real and positive.
-    top = np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1)
-    u = u * np.conj(top / np.abs(top))
-    u = u.transpose(0, 2, 1)  # (bands, direction, coordinate)
+    # each column's largest-magnitude entry turns real and positive
+    u = _canonical_signs(u).transpose(0, 2, 1)  # (bands, direction, coordinate)
     v1 = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:2] + (-1,))
     v2 = np.stack([-u.imag, u.real], axis=-1).reshape(v1.shape)
     return w, np.stack([v1, v2], axis=-1)
 
 
-def freqfold_compress(aligned: MergedWeights, calib, kv_rank: int,
+def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
                       rope_dim: int) -> FreqFoldResult:
     """Split the key coordinates into a rotary remainder and latent candidates.
 
@@ -336,7 +327,7 @@ class JointCompression:
     energy_value: float
 
 
-def balance_and_joint_pca(aligned: MergedWeights, calib, kv_rank: int,
+def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
                           freqfold: FreqFoldResult | None = None,
                           balance: bool = True) -> JointCompression:
     """Norm-balance the position-free key part against the values, then
@@ -406,7 +397,6 @@ class ConversionReport:
     source_elements_per_token: int
     latent_elements_per_token: int
     cache_ratio: float
-    merge_deviation: float
     score_deviation: float
     rotary_energy_retained: float
     key_energy_retained: float
@@ -422,7 +412,6 @@ class ConversionReport:
 
     def lines(self) -> list:
         return [
-            f"merge exactness:        max deviation {self.merge_deviation:.3e}",
             f"rotary alignment:       max score deviation {self.score_deviation:.3e}",
             f"rotary energy retained: {self.rotary_energy_retained:.6f}",
             f"key energy retained:    {self.key_energy_retained:.6f}",
@@ -489,19 +478,13 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     )
     weights.validate(target)
 
-    # Probe diagnostics: merge exactness, score invariance, end-to-end output
-    # deviation against the source on held-out sequences.
-    probes = [random_tokens(10, dm, _PROBE_SEED + n) for n in range(2)]
-    merge_dev = max(float(np.max(np.abs(
-        merged_forward(merged, p, 2) - forward_gqa_source(src, p, 2)))) for p in probes)
-    score_dev = max(float(np.max(np.abs(
-        merged_scores(aligned, p) - merged_scores(merged, p)))) for p in probes)
-    out_dev, out_scale = 0.0, 0.0
-    for p in probes:
-        ref = forward_gqa_source(src, p, 2)
-        got, _ = gqla_model.forward_gqa_path(weights, target, p, 2)
-        out_dev = max(out_dev, float(np.max(np.abs(got - ref))))
-        out_scale = max(out_scale, float(np.max(np.abs(ref))))
+    # Probe diagnostics on held-out sequences: score invariance of the rotary
+    # alignment and the end-to-end output deviation against the source.
+    score_dev, _ = _probe_deviation(lambda p: merged_scores(merged, p),
+                                    lambda p: merged_scores(aligned, p), dm, _PROBE_SEED)
+    out_dev, out_scale = _probe_deviation(
+        lambda p: forward_gqa_source(src, p, 2),
+        lambda p: gqla_model.forward_gqa_path(weights, target, p, 2)[0], dm, _PROBE_SEED)
 
     total_energy = sum(float(np.sum(w)) for w in folded.band_energies)
     kept_energy = sum(float(folded.band_energies[p][r]) for p, r in folded.retained)
@@ -509,7 +492,6 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
         source_elements_per_token=2 * g * d,
         latent_elements_per_token=target.kv_rank + d_r,
         cache_ratio=(target.kv_rank + d_r) / (2 * g * d),
-        merge_deviation=merge_dev,
         score_deviation=score_dev,
         rotary_energy_retained=(kept_energy / total_energy) if total_energy > 0 else 1.0,
         key_energy_retained=joint.energy_key,

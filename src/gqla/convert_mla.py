@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import ParameterError
-from .model import GqlaConfig, GqlaWeights, _check_tokens, random_tokens
+from .model import GqlaConfig, GqlaWeights, _check_tokens, _probe_deviation
 from .numerics import CovarianceAccumulator, accumulate, root_eig
 from .rope import apply_rope
 
@@ -59,30 +59,12 @@ class GroupStats:
     the calibration Gram root (CovarianceAccumulator.root), with k_up_j group
     j's (h/g)*head_dim rows of k_up; key_root[j]^T·key_root[j] is the
     normalized second moment of group j's key activations. value_root
-    likewise. key and value build those moments as CovarianceAccumulators
-    only when read.
+    likewise.
     """
 
     groups: int
-    sample_count: int
     key_root: np.ndarray    # (groups, model_dim, (h/g)*head_dim)
     value_root: np.ndarray  # (groups, model_dim, (h/g)*value_head_dim)
-
-    def _moments(self, roots) -> tuple:
-        def moment(b):
-            m = self.sample_count * (b.T @ b)
-            return CovarianceAccumulator(b.shape[1], (m + m.T) / 2.0, self.sample_count)
-        return tuple(moment(b) for b in roots)
-
-    @property
-    def key(self) -> tuple:
-        """One CovarianceAccumulator per group, dim (h/g)*head_dim."""
-        return self._moments(self.key_root)
-
-    @property
-    def value(self) -> tuple:
-        """One CovarianceAccumulator per group, dim (h/g)*value_head_dim."""
-        return self._moments(self.value_root)
 
 
 def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
@@ -98,8 +80,7 @@ def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> Gr
     def side(up):  # (groups, model_dim, rows per group)
         return (latent_root @ up.T).reshape(config.model_dim, groups, -1).transpose(1, 0, 2)
 
-    return GroupStats(groups=groups, sample_count=gram.sample_count,
-                      key_root=side(weights.k_up), value_root=side(weights.v_up))
+    return GroupStats(groups=groups, key_root=side(weights.k_up), value_root=side(weights.v_up))
 
 
 @dataclass(frozen=True)
@@ -267,13 +248,10 @@ def convert(weights: MlaWeights, config: GqlaConfig, calib, groups: int):
     converted = absorb_factors(weights, config, fact)
     tgt = target_config(config, groups)
 
-    dev, scale = 0.0, 0.0
-    for n in range(2):
-        probe = random_tokens(10, config.model_dim, _PROBE_SEED + n)
-        ref, _ = gqla_model.forward_gqa_path(weights, config, probe, 2)
-        got, _ = gqla_model.forward_gqa_path(converted, tgt, probe, 2)
-        dev = max(dev, float(np.max(np.abs(got - ref))))
-        scale = max(scale, float(np.max(np.abs(ref))))
+    dev, scale = _probe_deviation(
+        lambda p: gqla_model.forward_gqa_path(weights, config, p, 2)[0],
+        lambda p: gqla_model.forward_gqa_path(converted, tgt, p, 2)[0],
+        config.model_dim, _PROBE_SEED)
     report = MlaConversionReport(
         groups=groups,
         key_energy=fact.key_energy,

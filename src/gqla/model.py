@@ -28,6 +28,13 @@ from .errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
 from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 
+def _check_counts(**counts) -> None:
+    """Raise ParameterError unless every named count is >= 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class GqlaConfig:
     """Architecture dimensions plus the rotary base.
@@ -49,10 +56,9 @@ class GqlaConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self):
-        for f in ("model_dim", "num_heads", "num_groups", "head_dim",
-                  "value_head_dim", "rope_head_dim", "kv_rank", "q_rank"):
-            if getattr(self, f) < 1:
-                raise ParameterError(f"{f} must be >= 1, got {getattr(self, f)}")
+        _check_counts(**{f: getattr(self, f) for f in (
+            "model_dim", "num_heads", "num_groups", "head_dim",
+            "value_head_dim", "rope_head_dim", "kv_rank", "q_rank")})
         if self.num_heads % self.num_groups != 0:
             raise ParameterError(
                 f"num_heads ({self.num_heads}) must be divisible by num_groups ({self.num_groups})")
@@ -114,12 +120,18 @@ class GqlaWeights:
     out_proj: np.ndarray
 
     def validate(self, config: GqlaConfig, require_finite: bool = True) -> None:
-        for name, shape in expected_shapes(config).items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if require_finite and not np.all(np.isfinite(arr)):
-                raise ShapeError(f"{name} contains non-finite entries")
+        _check_arrays(self, expected_shapes(config), require_finite)
+
+
+def _check_arrays(weights, shapes: dict, require_finite: bool = True) -> None:
+    """Raise ShapeError unless each named array of weights has its shape in
+    shapes and, with require_finite, only finite entries."""
+    for name, shape in shapes.items():
+        arr = getattr(weights, name)
+        if arr.shape != shape:
+            raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+        if require_finite and not np.all(np.isfinite(arr)):
+            raise ShapeError(f"{name} contains non-finite entries")
 
 
 def expected_shapes(config: GqlaConfig) -> dict:
@@ -142,12 +154,18 @@ def init_random(config: GqlaConfig, seed: int) -> GqlaWeights:
     Matrices are drawn in the field order of GqlaWeights, so a (config, seed)
     pair is fully reproducible.
     """
+    return GqlaWeights(**_fan_in_uniform(expected_shapes(config), seed))
+
+
+def _fan_in_uniform(shapes: dict, seed: int) -> dict:
+    """One seeded matrix per (name, shape) of shapes, drawn in that order, with
+    entries uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = shape[1]."""
     rng = np.random.default_rng(seed)
     arrays = {}
-    for name, shape in expected_shapes(config).items():
-        bound = 1.0 / math.sqrt(shape[1])  # fan_in = input dimension
+    for name, shape in shapes.items():
+        bound = 1.0 / math.sqrt(shape[1])
         arrays[name] = rng.uniform(-bound, bound, size=shape)
-    return GqlaWeights(**arrays)
+    return arrays
 
 
 class _Cache:
@@ -187,6 +205,19 @@ def random_tokens(count: int, dim: int, seed: int) -> np.ndarray:
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed).standard_normal((count, dim))
+
+
+def _probe_deviation(reference, candidate, model_dim: int, seed: int) -> tuple:
+    """Largest |candidate(p) - reference(p)| entry and largest |reference(p)|
+    entry over two held-out 10-token probe sequences p (seeds seed and
+    seed + 1); reference and candidate map tokens to arrays."""
+    deviation, scale = 0.0, 0.0
+    for n in range(2):
+        probe = random_tokens(10, model_dim, seed + n)
+        ref = reference(probe)
+        deviation = max(deviation, float(np.max(np.abs(candidate(probe) - ref))))
+        scale = max(scale, float(np.max(np.abs(ref))))
+    return deviation, scale
 
 
 def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
@@ -268,7 +299,8 @@ def _grouped_core(q_nope, q_rope, keys, values, k_rope, scale: float, positions=
 
     Queries are (G, n, k, .): the k heads of each of G groups for n queries.
     keys are (G, d, L), values (G, L, dv), and the post-rotary k_rope (L,
-    rope_head_dim) is shared by every head. One matmul batched over the group
+    rope_head_dim) is shared by every head; a block without a shared rotary
+    part passes zero-width q_rope and k_rope. One matmul batched over the group
     axis scores all of a group's heads. Returns the value reads (G, n, k, dv).
     """
     groups, count, hpg, dim = q_nope.shape
@@ -276,7 +308,7 @@ def _grouped_core(q_nope, q_rope, keys, values, k_rope, scale: float, positions=
     out = np.empty((groups, count, hpg, values.shape[-1]))
     for block, seen, pos in _query_blocks(count, groups * hpg, length, positions):
         q_n = q_nope[:, block].reshape(groups, -1, dim)
-        q_r = q_rope[:, block].reshape(-1, q_rope.shape[-1])
+        q_r = q_rope[:, block].reshape(groups * q_n.shape[1], q_rope.shape[-1])
         scores = q_n @ keys[..., :seen]
         scores += (q_r @ k_rope[:seen].T).reshape(scores.shape)
         scores *= scale

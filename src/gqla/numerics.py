@@ -72,12 +72,12 @@ def sym_eig(m) -> EigenResult:
 
 
 def _canonical_signs(v: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude component is positive (first
-    such index wins on magnitude ties)."""
-    lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return np.ascontiguousarray(v * signs)
+    """Scale each column of the real or complex v (..., n, k) by the unit factor
+    (a sign, or a phase) that makes its largest-magnitude entry real and
+    positive (the first such entry on magnitude ties); a zero column stays."""
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    lead = np.where(lead == 0, 1.0, lead)
+    return np.ascontiguousarray(v * np.conj(lead / np.abs(lead)))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,18 @@ class TestMergeHeads:
         expect = loop_gqa_oracle(desk_gqa, tokens, 2)
         assert np.max(np.abs(got - expect)) <= 1e-10 * (1 + np.max(np.abs(expect)))
 
+    @pytest.mark.parametrize("block_elements", [64, 1])
+    @pytest.mark.parametrize("s_q", [1, 2, 8])
+    def test_source_query_blocks_match_loop_oracle(self, monkeypatch, block_elements, s_q):
+        # 4 heads over 8 keys: 64 score elements hold two queries, 1 holds one
+        monkeypatch.setattr(M, "SCORE_BLOCK_ELEMENTS", block_elements)
+        src = CG.init_random_gqa(num_heads=4, num_groups=2, head_dim=8, model_dim=32, seed=9)
+        tokens = random_tokens(8, 32, 10)
+        got = CG.forward_gqa_source(src, tokens, s_q)
+        expect = loop_gqa_oracle(src, tokens, s_q)
+        assert got.shape == expect.shape == (s_q, 32)
+        assert np.max(np.abs(got - expect)) <= 1e-10 * (1 + np.max(np.abs(expect)))
+
     def test_scores_match_per_head_rotary_dot_products(self, desk_gqa):
         tokens = random_tokens(9, 64, 8)
         scores = CG.merged_scores(CG.merge_heads(desk_gqa), tokens)
@@ -65,6 +77,35 @@ class TestMergeHeads:
                 assert np.max(np.abs(scores[i, t, : t + 1] - expect)) <= 1e-12 * (
                     1 + np.max(np.abs(expect)))
                 assert np.all(scores[i, t, t + 1:] == 0.0)
+
+
+@pytest.mark.parametrize("num_groups", [4, 1])  # one head per group; one group
+def test_merged_scores_match_longhand_products(num_groups):
+    src = CG.init_random_gqa(num_heads=4, num_groups=num_groups, head_dim=8, model_dim=32,
+                             seed=12)
+    length, d, hpg = 6, src.head_dim, src.heads_per_group
+    tokens = random_tokens(length, src.model_dim, 13)
+    spec = src.rope_spec()
+    expect = np.zeros((src.num_heads, length, length))
+    for i in range(src.num_heads):
+        q_rows = src.q_proj[i * d:(i + 1) * d]
+        k_rows = src.k_proj[(i // hpg) * d:(i // hpg + 1) * d]
+        for t in range(length):
+            q = apply_rope(spec, q_rows @ tokens[t], t)
+            for s in range(t + 1):
+                expect[i, t, s] = q @ apply_rope(spec, k_rows @ tokens[s], s) / np.sqrt(d)
+    got = CG.merged_scores(src, tokens)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("field", ["num_heads", "num_groups", "head_dim", "model_dim"])
+def test_source_counts_below_one_rejected(desk_gqa, field, value):
+    dims = dict(num_heads=8, num_groups=2, head_dim=16, model_dim=64)
+    with pytest.raises(ParameterError, match=field):
+        CG.init_random_gqa(**{**dims, field: value}, seed=1)
+    with pytest.raises(ParameterError, match=field):
+        dataclasses.replace(desk_gqa, **{field: value})
 
 
 class TestRoRope:
@@ -259,6 +300,11 @@ class TestSingleStagePath:
         folded = CG.freqfold_compress(aligned, gram(CALIB), 24, 8)
         assert_bitwise_equal(CG.balance_and_joint_pca(aligned, gram(CALIB), 24, folded),
                              CG.balance_and_joint_pca(aligned, CALIB, 24, folded))
+
+    @pytest.mark.parametrize("stage", GQA_STAGES)
+    def test_empty_accumulator_raises(self, stage):
+        with pytest.raises(DegenerateCalibrationError):
+            CALIBRATED_STAGES[stage](CovarianceAccumulator.empty(64))
 
     @pytest.mark.parametrize("stage", GQA_STAGES)
     def test_accumulator_of_wrong_dim_raises(self, stage):
@@ -554,7 +600,6 @@ class TestConvert:
 
     def test_stage_exactness_reported(self, desk_gqa):
         _, report = CG.convert(desk_gqa, CALIB, desk_target(kv_rank=18, rope_dim=4))
-        assert report.merge_deviation <= 1e-10
         assert report.score_deviation <= 1e-10
         assert 0.0 < report.rotary_energy_retained < 1.0
 

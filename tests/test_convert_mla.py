@@ -7,11 +7,25 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import ParameterError
 from gqla.model import random_tokens
-from gqla.numerics import pca_factor, sym_eig
+from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
 
 from conftest import dual_path_bound, plant_group_structured_mla
 
 CALIB = random_tokens(2048, 64, 17)
+
+
+def group_moments(weights, up, calib, groups):
+    """Referee for calibrate: one accumulator per group of that group's
+    activations calib @ (up_j @ kv_down).T, up_j being its rows of up."""
+    return [accumulate(CovarianceAccumulator.empty(len(block)),
+                       calib @ (block @ weights.kv_down).T)
+            for block in up.reshape(groups, -1, up.shape[1])]
+
+
+def assert_root_matches(root, acc, rtol):
+    """root.T @ root is the normalized moment acc holds, to rtol of its largest entry."""
+    ref = acc.normalized()
+    assert np.max(np.abs(root.T @ root - ref)) <= rtol * np.max(np.abs(ref))
 
 
 class TestCalibrate:
@@ -19,15 +33,17 @@ class TestCalibrate:
         token = random_tokens(1, 64, 30)
         stats = CM.calibrate(mla_weights, mla_config, token, 2)
         latent = mla_weights.kv_down @ token[0]
-        for j, acc in enumerate(stats.key):
+        for j, root in enumerate(stats.key_root):
             act = mla_weights.k_up[j * 64:(j + 1) * 64] @ latent
-            assert acc.sample_count == 1
-            assert np.max(np.abs(acc.second_moment - np.outer(act, act))) <= 1e-12
+            assert np.max(np.abs(root.T @ root - np.outer(act, act))) <= 1e-12
 
     def test_moments_are_symmetric_psd(self, mla_config, mla_weights):
         stats = CM.calibrate(mla_weights, mla_config, CALIB[:512], 2)
-        for acc in stats.key + stats.value:
-            m = acc.normalized()
+        accs = (group_moments(mla_weights, mla_weights.k_up, CALIB[:512], 2) +
+                group_moments(mla_weights, mla_weights.v_up, CALIB[:512], 2))
+        for root, acc in zip(list(stats.key_root) + list(stats.value_root), accs):
+            assert_root_matches(root, acc, 1e-12)
+            m = root.T @ root
             assert np.max(np.abs(m - m.T)) <= 1e-12 * (1 + np.abs(m).max())
             lam = sym_eig(m).eigenvalues
             assert np.all(lam >= -1e-9 * np.trace(m))
@@ -65,21 +81,24 @@ class TestFactor:
         from gqla.numerics import weighted_error
         stats = CM.calibrate(mla_weights, mla_config, CALIB[:512], 2)
         fact = CM.factor(mla_weights, mla_config, stats)
+        accs = group_moments(mla_weights, mla_weights.k_up, CALIB[:512], 2)
         rng = np.random.default_rng(60)
-        for j in range(2):
+        for j, acc in enumerate(accs):
+            assert_root_matches(stats.key_root[j], acc, 1e-12)
             block = mla_weights.k_up[j * 64:(j + 1) * 64]
-            err = weighted_error(block, fact.key_u[j], fact.key_v[j], stats.key[j])
+            err = weighted_error(block, fact.key_u[j], fact.key_v[j], acc)
             for _ in range(20):
                 b, _ = np.linalg.qr(rng.standard_normal((64, 16)))
-                assert err <= weighted_error(block, b, b.T @ block, stats.key[j]) + 1e-9
+                assert err <= weighted_error(block, b, b.T @ block, acc) + 1e-9
 
     def test_matches_pca_factor_and_eigenvalue_energy(self, mla_config, mla_weights):
         stats = CM.calibrate(mla_weights, mla_config, CALIB, 2)
         fact = CM.factor(mla_weights, mla_config, stats)
         d = mla_config.head_dim
-        # factor eigendecomposes the moment's root, pca_factor the moment itself:
-        # both give the same canonical columns, to rounding
-        for j, acc in enumerate(stats.key):
+        # factor eigendecomposes the moment's root, pca_factor the directly
+        # accumulated moment: both give the same canonical columns, to rounding
+        for j, acc in enumerate(group_moments(mla_weights, mla_weights.k_up, CALIB, 2)):
+            assert_root_matches(stats.key_root[j], acc, 1e-12)
             u, v = pca_factor(mla_weights.k_up[j * 4 * d:(j + 1) * 4 * d], acc, d)
             assert np.max(np.abs(fact.key_u[j] - u)) <= 1e-10
             assert np.max(np.abs(fact.key_v[j] - v)) <= 1e-10

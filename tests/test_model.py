@@ -11,7 +11,7 @@ from gqla.errors import OutOfSubspaceError, ParameterError, ShapeError
 from gqla.numerics import sym_eig
 from gqla.rope import RopeSpec, apply_rope
 
-from conftest import dual_path_bound
+from conftest import dual_path_bound, loop_gqa_oracle
 
 
 class TestInitRandom:
@@ -139,8 +139,10 @@ def test_referees_share_no_code_with_the_cores():
         nested = (names(const) for const in code.co_consts if hasattr(const, "co_names"))
         return set(code.co_names).union(*nested)
 
-    for referee in (M.oracle_mha, sparse.masked_reference, convert_mla.unfused_forward):
-        assert not names(referee.__code__) & {"_grouped_core", "_attention", "_extend"}
+    cores = {"_grouped_core", "_attention", "_extend", "forward_gqa_source"}
+    for referee in (M.oracle_mha, sparse.masked_reference, convert_mla.unfused_forward,
+                    loop_gqa_oracle):
+        assert not names(referee.__code__) & cores
 
 
 class TestForwardPaths:
