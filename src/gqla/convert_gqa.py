@@ -40,8 +40,8 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
-from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_tokens,
-                    _fan_in_uniform, _grouped_core, _probe_deviation)
+from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_rotary,
+                    _check_tokens, _fan_in_uniform, _grouped_core, _probe_deviation)
 from .numerics import (CovarianceAccumulator, _canonical_signs, accumulate, block_moments,
                        root_eig)
 from .rope import RopeSpec, apply_folded_rope
@@ -72,8 +72,7 @@ class GqaWeights:
                       head_dim=self.head_dim, model_dim=self.model_dim)
         if self.num_heads % self.num_groups != 0:
             raise ParameterError("num_heads must be divisible by num_groups")
-        if self.head_dim % 2 != 0:
-            raise ParameterError("head_dim must be even (rotary pairs)")
+        _check_rotary("head_dim", self.head_dim, self.rope_base)
 
     @property
     def heads_per_group(self) -> int:

@@ -13,7 +13,11 @@ shared code with the two paths and serves as their oracle.
 A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
 Prefill appends a sequence to an empty cache and decode a token or a block to
 a given one, through one append-and-attend routine; decode outputs are shaped
-like its input. All arithmetic is float64 and all functions are pure.
+like its input. All arithmetic is float64. No function writes an array that
+a caller made, and no row that any cache can see ever changes; but a decoded
+cache may share storage with the cache it extends, since decode appends into
+spare rows past it (see _append). Appending to one cache from several threads
+at once is not supported.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
-from .rope import RopeSpec, apply_folded_rope, apply_rope
+from .rope import RopeSpec, apply_folded_rope, apply_rope, rotors
 
 
 def _check_counts(**counts) -> None:
@@ -33,6 +37,14 @@ def _check_counts(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
+def _check_rotary(dim_name: str, dim: int, base: float) -> None:
+    """Raise ParameterError unless the rotary dim is even and its base > 1."""
+    if dim % 2 != 0:
+        raise ParameterError(f"{dim_name} must be even (rotary pairs), got {dim}")
+    if not base > 1.0:
+        raise ParameterError(f"rope_base must be > 1, got {base}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +74,7 @@ class GqlaConfig:
         if self.num_heads % self.num_groups != 0:
             raise ParameterError(
                 f"num_heads ({self.num_heads}) must be divisible by num_groups ({self.num_groups})")
-        if self.rope_head_dim % 2 != 0:
-            raise ParameterError(f"rope_head_dim must be even, got {self.rope_head_dim}")
-        if not self.rope_base > 1.0:
-            raise ParameterError(f"rope_base must be > 1, got {self.rope_base}")
+        _check_rotary("rope_head_dim", self.rope_head_dim, self.rope_base)
 
     @property
     def heads_per_group(self) -> int:
@@ -169,7 +178,14 @@ def _fan_in_uniform(shapes: dict, seed: int) -> dict:
 
 
 class _Cache:
-    """Per-token cache rows: every field is an (L, width) array."""
+    """Per-token cache rows: every field is an (L, width) array.
+
+    A cache that decode returns also carries, outside its fields, the
+    _RowBuffer its fields are the first L rows of; any other cache carries
+    none (see _append).
+    """
+
+    _buffer = None
 
     def __len__(self) -> int:
         return self.k_rope.shape[0]
@@ -231,27 +247,30 @@ def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
     return tokens
 
 
-def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position):
+def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position,
+                     rot=None):
     """Per-head queries of tokens x (..., model_dim) at their positions.
 
     Returns q_nope (..., num_heads, head_dim) and the post-rotary q_rope
     (..., num_heads, rope_head_dim). position is an int, or one per token of
-    an (n, model_dim) batch.
+    an (n, model_dim) batch; rot, if given, is its rope.rotors.
     """
     c_q = x @ weights.q_down.T
     q_nope = (c_q @ weights.q_up.T).reshape(x.shape[:-1] + (config.num_heads, config.head_dim))
-    return q_nope, _rope_queries(weights, config, c_q, position)
+    return q_nope, _rope_queries(weights, config, c_q, position, rot)
 
 
-def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position):
+def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position,
+                  rot=None):
     """Post-rotary per-head queries (..., num_heads, rope_head_dim) of query latents c_q."""
-    q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
+    q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position, rot)
     return q_rope.reshape(c_q.shape[:-1] + (config.num_heads, config.rope_head_dim))
 
 
-def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position):
+def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position, rot=None):
     """Latent kv (..., kv_rank) and post-rotary k_rope (..., rope_head_dim) of tokens x."""
-    return x @ weights.kv_down.T, apply_rope(config.rope_spec(), x @ weights.k_rope.T, position)
+    return x @ weights.kv_down.T, apply_rope(config.rope_spec(), x @ weights.k_rope.T,
+                                             position, rot)
 
 
 # Largest (queries, heads, keys) score array, in float64 elements (8 MiB), that
@@ -366,8 +385,8 @@ def _check_cache(weights: GqlaWeights, cache, layout) -> None:
     widths = {"kv": weights.k_up.shape[1], "k_nope": weights.k_up.shape[0],
               "v": weights.v_up.shape[0], "k_rope": weights.k_rope.shape[0]}
     rows = np.shape(cache.k_rope)[:1]
-    for name, arr in vars(cache).items():
-        shape = np.shape(arr)
+    for field in dataclasses.fields(cache):
+        name, shape = field.name, np.shape(getattr(cache, field.name))
         if shape != rows + (widths[name],):
             raise ShapeError(f"cache field {name} has shape {shape}; each field needs "
                              f"k_rope's rows and width {widths[name]}")
@@ -386,18 +405,66 @@ def _empty_cache(weights: GqlaWeights, config: GqlaConfig, layout: type):
                        np.empty((0, config.rope_head_dim)))
 
 
+class _RowBuffer:
+    """Preallocated rows for each field of a cache layout, of which the first
+    fill are written; caches over it are views of its first len(cache) rows."""
+
+    __slots__ = ("rows", "fill")
+
+    def __init__(self, rows: dict, fill: int):
+        self.rows, self.fill = rows, fill
+
+
+def _append(cache, new):
+    """The cache of cache's rows followed by new's, of cache's layout.
+
+    Onto an empty cache the new rows are the whole cache, with no copy and no
+    buffer. Otherwise new's rows are written in place after cache's when
+    cache's buffer is filled up to exactly len(cache) and has room for them;
+    else both are copied into a new buffer of twice the rows (at least all of
+    them). Either way no row that any cache can see is ever written, and the
+    given caches are left unchanged. The returned fields are read-only views,
+    so no caller can write through them into rows other caches share.
+    """
+    length = len(cache)
+    if not length:
+        return new
+    total = length + len(new)
+    buf = cache._buffer
+    if buf is None or buf.fill != length or total > buf.rows["k_rope"].shape[0]:
+        capacity = max(2 * length, total)
+        rows = {}
+        for f in dataclasses.fields(cache):
+            old = getattr(cache, f.name)
+            rows[f.name] = np.empty((capacity, old.shape[1]),
+                                    np.result_type(old, getattr(new, f.name)))
+            rows[f.name][:length] = old
+        buf = _RowBuffer(rows, length)
+    fields = {}
+    for name, arr in buf.rows.items():
+        arr[length:total] = getattr(new, name)
+        fields[name] = arr[:total]
+        fields[name].flags.writeable = False
+    buf.fill = total
+    grown = type(cache)(**fields)
+    object.__setattr__(grown, "_buffer", buf)
+    return grown
+
+
 def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray, s_q: int):
     """Append tokens (n, model_dim) to cache and score the trailing s_q of them.
 
     The new tokens take positions len(cache) .. len(cache) + n - 1, and each
     query sees the keys up to its own position. Returns (outputs (s_q,
-    model_dim), the extended cache); the given cache is left unchanged.
+    model_dim), the extended cache). The extended cache may share storage
+    with the given one, whose rows stay as they were (_append).
     """
     positions = np.arange(len(cache), len(cache) + tokens.shape[0])
-    new = _cache_rows(weights, type(cache), *_project_keys(weights, config, tokens, positions))
-    # appended to an empty cache, the new rows are the whole cache: no copy
-    cache = _fieldwise(lambda a, b: np.concatenate([a, b]), cache, new) if len(cache) else new
-    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:])
+    rot = rotors(config.rope_spec(), positions)  # shared by the key and query rotations
+    cache = _append(cache, _cache_rows(weights, type(cache),
+                                       *_project_keys(weights, config, tokens, positions, rot)))
+    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:],
+                                      rot[-s_q:])
     return _attention(weights, config, q_nope, q_rope, cache, config.score_scale,
                       positions[-s_q:]), cache
 

@@ -108,6 +108,15 @@ def test_source_counts_below_one_rejected(desk_gqa, field, value):
         dataclasses.replace(desk_gqa, **{field: value})
 
 
+@pytest.mark.parametrize("base", [1.0, 0.5, float("nan")])
+def test_source_rope_base_at_most_one_rejected(desk_gqa, base):
+    # rejected at construction, as GqlaConfig does, not on the first forward
+    with pytest.raises(ParameterError, match="rope_base"):
+        CG.init_random_gqa(8, 2, 16, 64, 1, rope_base=base)
+    with pytest.raises(ParameterError, match="rope_base"):
+        dataclasses.replace(desk_gqa, rope_base=base)
+
+
 class TestRoRope:
     def test_identity_rotations_change_nothing(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)

@@ -9,7 +9,7 @@ from gqla import model as M
 from gqla import sparse
 from gqla.errors import OutOfSubspaceError, ParameterError, ShapeError
 from gqla.numerics import sym_eig
-from gqla.rope import RopeSpec, apply_rope
+from gqla.rope import RopeSpec, apply_rope, rotors
 
 from conftest import dual_path_bound, loop_gqa_oracle
 
@@ -66,6 +66,19 @@ class TestProjectToken:
             assert np.max(np.abs(q_rope[i] - q_r)) <= 1e-12
         assert np.max(np.abs(kv - desk_weights.kv_down @ x)) <= 1e-12
         assert np.max(np.abs(k_rope - apply_rope(spec, desk_weights.k_rope @ x, t))) <= 1e-12
+
+    def test_shared_rotors_match_per_call_rotation(self, desk_config, desk_weights):
+        # the rotary table an append computes once serves keys and queries alike
+        x = M.random_tokens(3, 64, 4)
+        positions = np.arange(5, 8)
+        rot = rotors(desk_config.rope_spec(), positions)
+        for shared, own in zip((*M._project_queries(desk_weights, desk_config, x, positions, rot),
+                                *M._project_keys(desk_weights, desk_config, x, positions, rot)),
+                               (*M._project_queries(desk_weights, desk_config, x, positions),
+                                *M._project_keys(desk_weights, desk_config, x, positions))):
+            assert np.array_equal(shared, own)
+        with pytest.raises(ShapeError):
+            M._project_keys(desk_weights, desk_config, x, positions, rot[:2])
 
 
 _TOKEN_ENTRY_POINTS = {
@@ -280,6 +293,140 @@ class TestDecode:
         assert np.array_equal(first, second)
         for name, arr in before.items():
             assert np.array_equal(getattr(prompt, name), arr)
+
+
+_PATHS = {"expanded": (M.forward_gqa_path, M.decode_gqa),
+          "latent": (M.forward_absorb_path, M.decode_absorb)}
+
+
+def _fields(cache) -> dict:
+    return {f.name: getattr(cache, f.name) for f in dataclasses.fields(cache)}
+
+
+def _snapshot(cache) -> dict:
+    return {name: arr.copy() for name, arr in _fields(cache).items()}
+
+
+def _matches(cache, expect: dict, tol: float = 0.0) -> bool:
+    """Whether every field of cache has expect's shape and lies within tol,
+    relative to 1 + its largest entry, of expect's (tol 0: equal)."""
+    return all(arr.shape == expect[name].shape and np.max(np.abs(arr - expect[name]), initial=0)
+               <= tol * (1 + np.max(np.abs(expect[name]), initial=0))
+               for name, arr in _fields(cache).items())
+
+
+class TestCapacityBuffer:
+    """Decode appends into a shared buffer that doubles when full, yet every
+    cache stays a fixed value: no row any cache can see is ever written."""
+
+    @pytest.mark.parametrize("layout", ["expanded", "latent"])
+    def test_generation_across_doublings_matches_the_prefill(self, desk_config, desk_weights,
+                                                            layout):
+        # prefill 3, then blocks of 1, 2, 3, ... up to 41 tokens: the buffer
+        # is made with 6 rows at the first append and grows to 12, 24 and 48
+        forward, decode = _PATHS[layout]
+        tokens = M.random_tokens(41, 64, 60)
+        out, cache = forward(desk_weights, desk_config, tokens[:3], 1)
+        assert cache._buffer is None  # prefill makes no spare rows
+        outputs, buffers, start = [], [], 3
+        for block in [1, 2, 3] * 6 + [2]:
+            x = tokens[start] if block == 1 else tokens[start:start + block]
+            out, cache = decode(desk_weights, desk_config, cache, x)
+            outputs.append(out.reshape(-1, 64))
+            start += block
+            capacity = cache._buffer.rows["k_rope"].shape[0]
+            assert len(cache) == start and capacity <= 2 * len(cache)
+            if not buffers or buffers[-1] is not cache._buffer:
+                buffers.append(cache._buffer)
+        assert start == 41 and len(buffers) == 4
+        _, whole = forward(desk_weights, desk_config, tokens, 1)
+        assert _matches(cache, _fields(whole), 1e-12)
+        oracle = M.oracle_mha(desk_weights, desk_config, tokens, 38)
+        assert np.max(np.abs(np.vstack(outputs) - oracle)) <= dual_path_bound(oracle)
+
+    @pytest.mark.parametrize("layout", ["expanded", "latent"])
+    def test_branches_leave_every_earlier_cache_unchanged(self, desk_config, desk_weights,
+                                                          layout):
+        forward, decode = _PATHS[layout]
+        w, c = desk_weights, desk_config
+        tokens = M.random_tokens(12, 64, 61)
+        _, prompt = forward(w, c, tokens[:4], 1)
+        _, first = decode(w, c, prompt, tokens[4])        # copied into a new buffer
+        _, second = decode(w, c, first, tokens[5])        # written in place after first
+        assert second._buffer is first._buffer
+        with pytest.raises(ValueError):  # shared rows are read-only views
+            first.k_rope[-1] = 0.0
+        caches = [prompt, first, second]
+        snapshots = [_snapshot(cache) for cache in caches]
+        # branch from first after second was appended to it, and from second twice
+        y_a, branch = decode(w, c, first, tokens[6])
+        y_b, again = decode(w, c, first, tokens[6])
+        _, third = decode(w, c, second, tokens[7:9])
+        _, other = decode(w, c, second, tokens[9:11])
+        assert branch._buffer is not first._buffer and again._buffer is not branch._buffer
+        for cache, snapshot in zip(caches, snapshots):
+            assert _matches(cache, snapshot)
+        assert np.array_equal(y_a, y_b) and _matches(branch, _fields(again))
+        assert not any(np.shares_memory(getattr(third, name), getattr(other, name))
+                       for name in _fields(third))
+        for cache, tail in ((branch, [4, 6]), (third, [4, 5, 7, 8]), (other, [4, 5, 9, 10])):
+            _, whole = forward(w, c, np.vstack([tokens[:4], tokens[tail]]), 1)
+            assert _matches(cache, _fields(whole), 1e-12)
+
+    @pytest.mark.parametrize("layout", ["expanded", "latent"])
+    def test_read_only_caller_cache_is_never_written(self, desk_config, desk_weights, layout):
+        forward, decode = _PATHS[layout]
+        tokens = M.random_tokens(8, 64, 62)
+        _, built = forward(desk_weights, desk_config, tokens[:6], 1)
+        arrays = _snapshot(built)
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        caller = type(built)(**arrays)
+        snapshot = _snapshot(caller)
+        y_one, one = decode(desk_weights, desk_config, caller, tokens[6])
+        y_two, two = decode(desk_weights, desk_config, caller, tokens[6:8])
+        assert _matches(caller, snapshot)
+        assert np.max(np.abs(y_one - y_two[0])) <= dual_path_bound(y_one)
+        for cache in (one, two):
+            assert not any(np.shares_memory(getattr(cache, name), arr)
+                           for name, arr in arrays.items())
+
+    def test_switches_and_sparse_on_a_prefix_view_match_a_copy(self, desk_config, desk_weights):
+        w, c = desk_weights, desk_config
+        tokens = M.random_tokens(14, 64, 63)
+        _, expanded = M.forward_gqa_path(w, c, tokens[:5], 1)
+        _, latent = M.forward_absorb_path(w, c, tokens[:5], 1)
+        for t in range(5, 14):
+            _, expanded = M.decode_gqa(w, c, expanded, tokens[t])
+            _, latent = M.decode_absorb(w, c, latent, tokens[t])
+        assert expanded._buffer.rows["k_rope"].shape[0] > len(expanded)  # spare rows
+        for length in (len(expanded), 11):
+            views = [type(cache)(**{n: a[:length] for n, a in _fields(cache).items()})
+                     for cache in (expanded, latent)]
+            copies = [type(cache)(**{n: a.copy() for n, a in _fields(cache).items()})
+                      for cache in views]
+            x, selected = tokens[length - 1], np.array([0, 2, length - 1])
+            pairs = [
+                (M.cache_compress(views[0], w)[0].kv, M.cache_compress(copies[0], w)[0].kv),
+                (M.cache_expand(views[1], w).k_nope, M.cache_expand(copies[1], w).k_nope),
+                (sparse.sparse_attention(w, c, views[0], x, selected),
+                 sparse.sparse_attention(w, c, copies[0], x, selected)),
+                (sparse.sparse_attention_absorbed(w, c, views[1], x, selected),
+                 sparse.sparse_attention_absorbed(w, c, copies[1], x, selected)),
+            ]
+            for got, expect in pairs:
+                assert np.max(np.abs(got - expect)) <= 1e-13 * (1 + np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("layout", ["expanded", "latent"])
+    def test_buffered_cache_of_the_wrong_layout_rejected(self, desk_config, desk_weights, layout):
+        forward, decode = _PATHS[layout]
+        other = _PATHS["latent" if layout == "expanded" else "expanded"][1]
+        tokens = M.random_tokens(6, 64, 64)
+        _, cache = forward(desk_weights, desk_config, tokens[:4], 1)
+        _, cache = decode(desk_weights, desk_config, cache, tokens[4])
+        assert cache._buffer is not None
+        with pytest.raises(ShapeError):
+            other(desk_weights, desk_config, cache, tokens[5])
 
 
 class TestCacheLayouts:

@@ -5,6 +5,8 @@ Each suite is bounded and derandomized (a fixed example count drawn from a
 fixed seed), so every run checks the same cases and tier-1 stays fast.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,3 +59,32 @@ def test_expanded_absorbed_and_oracle_agree(case):
                  else M._empty_cache(weights, config, layout))
         decoded, _ = decode(weights, config, cache, tokens[prefix:])
         assert np.max(np.abs(decoded - oracle)) <= bound
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(attention_cases(), st.lists(st.integers(1, 3), min_size=1, max_size=12),
+       st.integers(0, 11))
+def test_decoded_blocks_match_the_prefill_and_leave_earlier_caches(case, blocks, branch_at):
+    # prefill the drawn tokens, then decode fresh tokens in the drawn blocks;
+    # a second block decoded from an earlier cache must leave every cache as it was
+    config, weights, prompt, _ = case
+    tokens = np.vstack([prompt, random_tokens(sum(blocks) + 1, config.model_dim, len(blocks))])
+    for forward, decode in ((M.forward_gqa_path, M.decode_gqa),
+                            (M.forward_absorb_path, M.decode_absorb)):
+        caches = [forward(weights, config, prompt)[1]]
+        start = len(prompt)
+        for block in blocks:
+            caches.append(decode(weights, config, caches[-1], tokens[start:start + block])[1])
+            start += block
+        fields = [{f.name: getattr(c, f.name).copy() for f in dataclasses.fields(c)}
+                  for c in caches]
+        earlier = caches[min(branch_at, len(caches) - 1)]
+        out, _ = decode(weights, config, earlier, tokens[start])
+        for cache, before in zip(caches, fields):
+            assert all(np.array_equal(getattr(cache, name), arr) for name, arr in before.items())
+        _, whole = forward(weights, config, tokens[:start])
+        for name, arr in fields[-1].items():
+            expect = getattr(whole, name)
+            assert np.max(np.abs(arr - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+        oracle = M.oracle_mha(weights, config, np.vstack([tokens[:len(earlier)], tokens[start]]))
+        assert np.max(np.abs(out - oracle[0])) <= dual_path_bound(oracle)
