@@ -27,9 +27,6 @@ from .model import GqlaConfig, GqlaWeights, _check_tokens, _probe_deviation
 from .numerics import CovarianceAccumulator, accumulate, root_eig
 from .rope import apply_rope
 
-# A head-indexed source is a GqlaWeights whose config has num_groups == num_heads.
-MlaWeights = GqlaWeights
-
 
 def _check_source(config: GqlaConfig) -> None:
     if config.num_groups != config.num_heads:
@@ -67,7 +64,7 @@ class GroupStats:
     value_root: np.ndarray  # (groups, model_dim, (h/g)*value_head_dim)
 
 
-def calibrate(weights: MlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
+def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
     """Per-group, per-side roots of the up-projection activation moments: the
     calibration Gram root r (model_dim square) times kv_down^T, the root of the
     latent moment, times each side's up-projection, one product per side."""
@@ -101,7 +98,7 @@ class GroupFactorization:
     value_energy: tuple
 
 
-def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats) -> GroupFactorization:
+def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> GroupFactorization:
     """Side-separated PCA of each group's stacked up-projection block.
 
     Group j's basis is the leading eigenbasis of its activation moment,
@@ -132,7 +129,7 @@ def factor(weights: MlaWeights, config: GqlaConfig, stats: GroupStats) -> GroupF
                               value_v=value_v, key_energy=key_energy, value_energy=value_energy)
 
 
-def absorb_factors(weights: MlaWeights, config: GqlaConfig,
+def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
                    fact: GroupFactorization) -> GqlaWeights:
     """Fold the square per-head factor blocks into the query/output slices.
 
@@ -169,7 +166,7 @@ def absorb_factors(weights: MlaWeights, config: GqlaConfig,
     return converted
 
 
-def unfused_forward(weights: MlaWeights, config: GqlaConfig, fact: GroupFactorization,
+def unfused_forward(weights: GqlaWeights, config: GqlaConfig, fact: GroupFactorization,
                     tokens, s_q: int = 1) -> np.ndarray:
     """Forward with the PCA factors applied but NOT absorbed.
 
@@ -236,7 +233,7 @@ class MlaConversionReport:
 _PROBE_SEED = 46301
 
 
-def convert(weights: MlaWeights, config: GqlaConfig, calib, groups: int):
+def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
     """calibrate -> factor -> absorb.
 
     Returns (GqlaWeights, MlaConversionReport); the converted config is

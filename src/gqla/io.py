@@ -245,10 +245,3 @@ def emit_table(table: ResultTable, format: str = "text") -> str:
              for row in cells]
     return "\n".join(lines) + "\n"
 
-
-def parse_csv(text: str) -> ResultTable:
-    """Inverse of emit_table(format="csv"); all values come back as strings."""
-    rows = list(csv.reader(_stringio.StringIO(text)))
-    if not rows:
-        raise CheckpointFormatError("empty CSV input")
-    return make_table(rows[0], rows[1:])

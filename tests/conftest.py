@@ -1,17 +1,21 @@
-"""Shared fixtures: desk-scale configs, planted sources, and loop oracles.
+"""Shared fixtures: desk-scale configs, planted sources, loop oracles, and a
+reader for the CSV tables the CLI prints.
 
 The loop oracles here are intentionally naive reimplementations (explicit
 per-head/per-position loops, no shared code with the package) used to check
 the vectorized implementations against an independent route.
 """
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 from gqla.convert_gqa import GqaWeights, init_random_gqa
+from gqla.io import ResultTable, make_table
 from gqla.model import GqlaConfig, init_random, random_tokens
 
 
@@ -148,3 +152,9 @@ def dual_path_bound(outputs, tol=1e-10) -> float:
 
 __all__ = ["plant_bandrank1_gqa", "plant_group_structured_mla", "loop_gqa_oracle",
            "dual_path_bound", "random_tokens"]
+
+
+def parse_csv(text: str) -> ResultTable:
+    """Inverse of gqla.io.emit_table(format="csv"); all values come back as strings."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return make_table(rows[0], rows[1:])

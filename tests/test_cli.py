@@ -10,6 +10,8 @@ from gqla.cli import main
 from gqla.convert_gqa import init_random_gqa
 from gqla.model import GqlaConfig
 
+from conftest import parse_csv
+
 
 @pytest.fixture
 def gqla_ckpt(tmp_path, desk_config, desk_weights):
@@ -69,6 +71,18 @@ class TestVerify:
         rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "12"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_failed_compression_solve_fails_the_cache_checks(self, gqla_ckpt, monkeypatch,
+                                                             capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "12"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.count("PASS") == 3 and out.count("FAIL") == 2
+        assert "FAIL  compressed cache vs latent" in out
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["verify", "--checkpoint", str(tmp_path / "nope.gqck")])
@@ -166,7 +180,7 @@ class TestRoofline:
         csv_out = capsys.readouterr().out
         assert main(["roofline", "--format", "text"]) == 0
         text_out = capsys.readouterr().out
-        parsed = gqck.parse_csv(csv_out)
+        parsed = parse_csv(csv_out)
         text_rows = [l.split() for l in text_out.splitlines()
                      if l and not l.startswith("#")][1:]
         assert [list(r) for r in parsed.rows] == text_rows

@@ -13,6 +13,8 @@ from gqla.cli import main
 from gqla.convert_gqa import init_random_gqa
 from gqla.errors import CheckpointFormatError
 
+from conftest import parse_csv
+
 
 def read_blob(path):
     with open(path, "rb") as fh:
@@ -279,7 +281,7 @@ class TestResultTable:
         table = gqck.make_table(["name", "value"],
                                 [["plain", "1.5"], ["with,comma", "2"]])
         text = gqck.emit_table(table, "csv")
-        parsed = gqck.parse_csv(text)
+        parsed = parse_csv(text)
         assert parsed.columns == table.columns
         assert parsed.rows == table.rows
         assert '"with,comma"' in text

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from gqla import convert_mla
+from gqla import convert_gqa, convert_mla
 from gqla import model as M
 from gqla import sparse
-from gqla.errors import OutOfSubspaceError, ParameterError, ShapeError
-from gqla.numerics import sym_eig
+from gqla.errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
 from gqla.rope import RopeSpec, apply_rope, rotors
 
 from conftest import dual_path_bound, loop_gqa_oracle
@@ -475,26 +474,207 @@ class TestCacheSwitching:
         recovered, _ = M.cache_compress(expanded, desk_weights)
         assert np.max(np.abs(recovered.kv - latent.kv)) <= 1e-9 * (1 + np.max(np.abs(latent.kv)))
 
-    def test_zero_cache_compresses_to_zero(self, desk_config, desk_weights):
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Count the calls of np.linalg.lstsq: cache_compress makes one only on its fallback route."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def _route_weights(weights, route: str):
+    """weights as given ("gram": the desk basis is well conditioned), or ("lstsq")
+    with [k_up; v_up] replaced by a random basis of the same shape whose
+    singular values spread log-evenly from 1 to 1e-5, so its Gram matrix has
+    condition number 1e10."""
+    if route == "gram":
+        return weights
+    rows_k, rank = weights.k_up.shape
+    rows = rows_k + weights.v_up.shape[0]
+    count = min(rows, rank)
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, count)))
+    v, _ = np.linalg.qr(rng.standard_normal((rank, count)))
+    basis = (u * np.logspace(0, -5, count)) @ v.T
+    return dataclasses.replace(weights, k_up=basis[:rows_k], v_up=basis[rows_k:])
+
+
+def _stacked_lstsq(cache, weights) -> np.ndarray:
+    basis = np.vstack([weights.k_up, weights.v_up])
+    return np.linalg.lstsq(basis, np.hstack([cache.k_nope, cache.v]).T, rcond=None)[0].T
+
+
+class TestCompressRoutes:
+    """cache_compress solves through the basis's Gram matrix when it is well
+    conditioned and through np.linalg.lstsq otherwise."""
+
+    def test_desk_weights_take_the_gram_route(self, desk_config, desk_weights, lstsq_calls):
+        _, expanded = M.forward_gqa_path(desk_weights, desk_config,
+                                         M.random_tokens(9, 64, 15), 1)
+        latent, _ = M.cache_compress(expanded, desk_weights)
+        assert not lstsq_calls
+        expect = _stacked_lstsq(expanded, desk_weights)
+        assert np.max(np.abs(latent.kv - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+
+    def test_converted_weights_take_the_gram_route(self, desk_gqa, mla_config, mla_weights,
+                                                   lstsq_calls):
+        target = M.GqlaConfig(model_dim=64, num_heads=8, num_groups=2, head_dim=16,
+                              value_head_dim=16, rope_head_dim=8, kv_rank=24, q_rank=64)
+        calib = M.random_tokens(256, 64, 3)
+        converted = [(convert_gqa.convert(desk_gqa, calib, target)[0], target),
+                     (convert_mla.convert(mla_weights, mla_config, calib, 2)[0],
+                      convert_mla.target_config(mla_config, 2))]
+        for weights, config in converted:
+            _, expanded = M.forward_gqa_path(weights, config, M.random_tokens(9, 64, 4), 1)
+            _, residuals = M.cache_compress(expanded, weights)
+            assert np.max(residuals) <= 1e-9
+        assert not lstsq_calls
+
+    def test_ill_conditioned_basis_takes_the_lstsq_fallback(self, desk_weights, lstsq_calls):
+        weights = _route_weights(desk_weights, "lstsq")
+        latent = M.LatentCache(kv=M.random_tokens(9, 32, 5), k_rope=np.zeros((9, 8)))
+        expanded = M.cache_expand(latent, weights)
+        compressed, residuals = M.cache_compress(expanded, weights)
+        assert len(lstsq_calls) == 1
+        assert np.array_equal(compressed.kv, _stacked_lstsq(expanded, weights))
+        assert np.max(residuals) <= 1e-9
+
+    def test_wide_basis_gives_the_minimum_norm_latents(self, lstsq_calls):
+        # kv_rank 24 > g*(d+dv) = 16: many latents give the cache, lstsq picks the
+        # shortest; the singular Gram matrix sends the solve to the lstsq fallback
+        config = M.GqlaConfig(model_dim=32, num_heads=4, num_groups=1, head_dim=8,
+                              value_head_dim=8, rope_head_dim=4, kv_rank=24, q_rank=16)
+        weights = M.init_random(config, 3)
+        _, expanded = M.forward_gqa_path(weights, config, M.random_tokens(12, 32, 8), 1)
+        compressed, residuals = M.cache_compress(expanded, weights)
+        assert len(lstsq_calls) == 1
+        expect = _stacked_lstsq(expanded, weights)
+        assert np.max(np.abs(compressed.kv - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+        assert np.max(residuals) <= 1e-9
+
+    @pytest.mark.parametrize("route", ["gram", "lstsq"])
+    def test_zero_cache_compresses_to_zero(self, desk_weights, lstsq_calls, route):
+        weights = _route_weights(desk_weights, route)
         expanded = M.ExpandedCache(k_nope=np.zeros((2, 32)), v=np.zeros((2, 32)),
                                    k_rope=np.zeros((2, 8)))
-        latent, residuals = M.cache_compress(expanded, desk_weights)
+        latent, residuals = M.cache_compress(expanded, weights)
         assert np.all(latent.kv == 0) and np.max(residuals) == 0
+        assert len(lstsq_calls) == (route == "lstsq")
 
-    def test_out_of_subspace_rejected(self, desk_config, desk_weights):
-        tokens = M.random_tokens(6, 64, 16)
-        _, expanded = M.forward_gqa_path(desk_weights, desk_config, tokens, 1)
-        # orthogonal complement of the stacked up-projection column space,
-        # found by eigendecomposing its Gram outer product
-        basis = np.vstack([desk_weights.k_up, desk_weights.v_up])
-        eig = sym_eig(basis @ basis.T)
-        complement = eig.eigenvectors[:, desk_config.kv_rank:]
-        noise = 1e-3 * complement[:, 0]
-        polluted = np.hstack([expanded.k_nope, expanded.v]) + noise
+    @pytest.mark.parametrize("route", ["gram", "lstsq"])
+    def test_out_of_subspace_rejected(self, desk_weights, lstsq_calls, route):
+        weights = _route_weights(desk_weights, route)
+        latent = M.LatentCache(kv=M.random_tokens(6, 32, 16), k_rope=np.zeros((6, 8)))
+        expanded = M.cache_expand(latent, weights)
+        basis = np.vstack([weights.k_up, weights.v_up])
+        outside = np.linalg.svd(basis)[0][:, 32]  # orthogonal to the basis's columns
+        polluted = np.hstack([expanded.k_nope, expanded.v]) + 1e-3 * outside
         bad = M.ExpandedCache(k_nope=polluted[:, :32], v=polluted[:, 32:],
                               k_rope=expanded.k_rope)
         with pytest.raises(OutOfSubspaceError):
-            M.cache_compress(bad, desk_weights)
+            M.cache_compress(bad, weights)
+        assert len(lstsq_calls) == (route == "lstsq")
+
+    def test_overflowing_residual_raises_numeric_error(self, desk_weights):
+        # finite entries whose squared norms overflow: no silent NaN residual
+        latent = M.LatentCache(kv=1e300 * M.random_tokens(2, 32, 3), k_rope=np.zeros((2, 8)))
+        expanded = M.cache_expand(latent, desk_weights)
+        assert np.all(np.isfinite(expanded.k_nope)) and np.all(np.isfinite(expanded.v))
+        with pytest.raises(NumericError):
+            M.cache_compress(expanded, desk_weights)
+
+    @pytest.mark.parametrize("route, solver", [("gram", "eigh"), ("lstsq", "lstsq")])
+    def test_failed_solve_raises_numeric_error(self, desk_weights, monkeypatch, route, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        weights = _route_weights(desk_weights, route)
+        expanded = M.cache_expand(M.LatentCache(kv=M.random_tokens(3, 32, 2),
+                                                k_rope=np.zeros((3, 8))), weights)
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with pytest.raises(NumericError):
+            M.cache_compress(expanded, weights)
+
+
+class _ThreadCount:
+    """Stands in for OpenBLAS's per-thread setter: holds a count, returns the previous one."""
+
+    def __init__(self, count: int):
+        self.count, self.calls = count, []
+
+    def __call__(self, count: int) -> int:
+        previous, self.count = self.count, count
+        self.calls.append(count)
+        return previous
+
+
+class TestSwitchBlasThreads:
+    """Switches up to SWITCH_SERIAL_WORK run their BLAS on the calling thread
+    and give the thread its previous count back, on success and on error."""
+
+    @pytest.fixture
+    def setter(self, monkeypatch):
+        fake = _ThreadCount(4)
+        monkeypatch.setattr(M, "_blas_thread_setter", lambda: fake)
+        return fake
+
+    @pytest.fixture
+    def caches(self, desk_weights):
+        latent = M.LatentCache(kv=M.random_tokens(5, 32, 6), k_rope=np.zeros((5, 8)))
+        return latent, M.cache_expand(latent, desk_weights)
+
+    def test_small_switches_run_on_the_calling_thread(self, desk_weights, caches, setter,
+                                                      monkeypatch):
+        latent, expanded = caches
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(*args, **kwargs):
+            seen.append(setter.count)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        M.cache_compress(expanded, desk_weights)
+        M.cache_expand(latent, desk_weights)
+        assert seen == [1]
+        assert setter.calls == [1, 4, 1, 4] and setter.count == 4
+
+    def test_larger_switches_keep_the_thread_count(self, desk_weights, caches, setter,
+                                                   monkeypatch):
+        latent, expanded = caches
+        monkeypatch.setattr(M, "SWITCH_SERIAL_WORK", 5 * 64 * 32 - 1)  # one token short
+        M.cache_compress(expanded, desk_weights)
+        M.cache_expand(latent, desk_weights)
+        assert setter.calls == []
+
+    def test_failed_solve_restores_the_thread_count(self, desk_weights, caches, setter,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            M.cache_compress(caches[1], desk_weights)
+        assert setter.calls == [1, 4] and setter.count == 4
+
+    def test_bundled_blas_count_is_restored(self, desk_weights, caches):
+        real = M._blas_thread_setter()
+        if real is None:
+            pytest.skip("numpy's BLAS has no per-thread thread count")
+        before = real(1)
+        real(before)
+        latent, expanded = caches
+        compressed, _ = M.cache_compress(expanded, desk_weights)
+        M.cache_expand(latent, desk_weights)
+        assert real(before) == before
+        assert np.max(np.abs(compressed.kv - latent.kv)) <= 1e-12 * (1 + np.max(np.abs(latent.kv)))
 
 
 class TestOracle:

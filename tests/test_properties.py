@@ -88,3 +88,19 @@ def test_decoded_blocks_match_the_prefill_and_leave_earlier_caches(case, blocks,
             assert np.max(np.abs(arr - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
         oracle = M.oracle_mha(weights, config, np.vstack([tokens[:len(earlier)], tokens[start]]))
         assert np.max(np.abs(out - oracle[0])) <= dual_path_bound(oracle)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(attention_cases())
+def test_cache_switch_round_trip(case):
+    # expand -> compress -> expand; the space holds kv_rank > g*(d+dv), where the
+    # compressed latent may differ from the decoded one but not in its image
+    config, weights, tokens, _ = case
+    expanded = M.cache_expand(M.forward_absorb_path(weights, config, tokens)[1], weights)
+    compressed, residuals = M.cache_compress(expanded, weights)
+    rebuilt = M.cache_expand(compressed, weights)
+    for name in ("k_nope", "v"):
+        expect = getattr(expanded, name)
+        assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
+            1 + np.max(np.abs(expect)))
+    assert np.max(residuals) <= 1e-9
