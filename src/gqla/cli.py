@@ -54,6 +54,8 @@ def _report_checks(checks) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise ParameterError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     # lenient load: corrupted payload values should fail verification (exit 1),
     # not parsing (exit 2)
     loaded = _load_checkpoint(args.checkpoint, strict=False)

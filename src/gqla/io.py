@@ -5,8 +5,8 @@ converters are file-to-file transforms. Layout: 4-byte magic "GQCK", a u32
 version and u64 header length (little-endian), a canonical-JSON manifest
 (kind, config, dtype, tensor directory with shapes and payload offsets), then
 the raw row-major little-endian payload. Writes are deterministic: sorted
-manifest keys, fixed tensor order, no timestamps. float64 round-trips
-bitwise; float32 is available for size experiments.
+manifest keys, fixed tensor order, no timestamps. Tensors are float64 and
+round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _GQA_FIELDS = ("q_proj", "k_proj", "v_proj", "out_proj")
 _GQA_CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "rope_base")
 _CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "value_head_dim",
                   "rope_head_dim", "kv_rank", "q_rank", "rope_base")
-_DTYPES = {"float64": np.dtype("<f8"), "float32": np.dtype("<f4")}
+_DTYPES = {"float64": np.dtype("<f8")}
 
 
 def _normalize_kind(kind: str) -> str:
@@ -69,8 +69,7 @@ def _validate_pair(kind: str, config, weights, require_finite: bool = True) -> N
     weights.validate(config, require_finite=require_finite)
 
 
-def write_checkpoint(path, kind: str, config, weights, dtype: str = "float64",
-                     provenance: str | None = None) -> None:
+def write_checkpoint(path, kind: str, config, weights, provenance: str | None = None) -> None:
     """Serialize one checkpoint; the file parses back to an identical value.
 
     For the GQA kind the dimensions live on the weights and ``config`` may be
@@ -78,21 +77,18 @@ def write_checkpoint(path, kind: str, config, weights, dtype: str = "float64",
     from value equality.
     """
     kind = _normalize_kind(kind)
-    if dtype not in _DTYPES:
-        raise CheckpointFormatError(f"unsupported dtype {dtype!r}")
     _validate_pair(kind, config, weights)
     names = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
-    np_dtype = _DTYPES[dtype]
     directory = []
     chunks = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(getattr(weights, name), dtype=np_dtype)
+        arr = np.ascontiguousarray(getattr(weights, name), dtype=_DTYPES["float64"])
         raw = arr.tobytes()
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
-    header = {"kind": kind, "dtype": dtype, "config": _config_dict(kind, config, weights),
+    header = {"kind": kind, "dtype": "float64", "config": _config_dict(kind, config, weights),
               "tensors": directory}
     if provenance is not None:
         header["provenance"] = provenance

@@ -22,13 +22,10 @@ at once is not supported.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -121,6 +118,13 @@ class GqlaWeights:
     v_up:   (num_groups*value_head_dim, kv_rank) per-group value up-projection
     k_rope: (rope_head_dim, model_dim)      shared rotary key projection
     out_proj:(model_dim, num_heads*value_head_dim) output combination
+
+    The first cache_compress with a weights object keeps its solve on that
+    object (_compress_map), so do not write the arrays in place once a switch
+    has used them: make new weights with dataclasses.replace, which start
+    without one. A stale solve can only make cache_compress raise
+    OutOfSubspaceError, never return latents that miss the cache, since the
+    residual is taken against the current arrays.
     """
 
     q_down: np.ndarray
@@ -134,6 +138,23 @@ class GqlaWeights:
 
     def validate(self, config: GqlaConfig, require_finite: bool = True) -> None:
         _check_arrays(self, expected_shapes(config), require_finite)
+
+    @functools.cached_property
+    def _compress_map(self) -> np.ndarray:
+        """The matrix M (rows of [k_up; v_up], kv_rank) with cache_compress's
+        latents kv = S·M for stacked cache rows S, by the rule it documents.
+        Computed on first use; a failed solve raises NumericError and keeps
+        nothing."""
+        basis = np.vstack([self.k_up, self.v_up])
+        gram = basis.T @ basis
+        try:
+            if np.all(np.isfinite(gram)):
+                lam, vecs = np.linalg.eigh(gram)  # ascending
+                if lam[0] > COMPRESS_GRAM_MIN_RATIO * lam[-1]:
+                    return (basis @ vecs / lam) @ vecs.T  # B·(Bᵀ·B)⁻¹
+            return np.linalg.pinv(basis, rcond=max(basis.shape) * np.finfo(np.float64).eps).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"cache compression solve failed: {exc}") from exc
 
 
 def _check_arrays(weights, shapes: dict, require_finite: bool = True) -> None:
@@ -511,59 +532,10 @@ def decode_absorb(weights: GqlaWeights, config: GqlaConfig, cache: LatentCache, 
     return _decode(weights, config, cache, LatentCache, x)
 
 
-# Largest cache switch, counted as L·rows(B)·kv_rank multiply-adds for a
-# cache of L tokens and the stacked up-projections B = [k_up; v_up], whose
-# BLAS calls run on the calling thread alone. Up to about this size a second
-# BLAS thread saves little, while each of the switch's parallel regions (the
-# Gram eigendecomposition alone has hundreds) waits whenever co-scheduled
-# load takes the worker's CPU. On a 2-vCPU Xeon VM (numpy 2.4.6, OpenBLAS
-# 0.3.31): a 128-token switch of a 256x128 basis (4M) took 4.7-5.1 ms either
-# way, a 768-token one (25M) 8.6-10.6 ms threaded against 11.1-11.6 ms on the
-# caller; with a process spinning a third of the time on the other vCPU they
-# took 1.44x and 1.50x their quiet time threaded, 0.94x and 1.14x on the
-# caller. At 3072 tokens (101M) threads saved a quarter (32 vs 43 ms).
-SWITCH_SERIAL_WORK = 2**25
-
-
-@functools.cache
-def _blas_thread_setter():
-    """OpenBLAS's per-thread thread-count setter (openblas_set_num_threads_local,
-    which returns the previous count) from the library bundled with numpy, or
-    None where numpy's BLAS has none."""
-    root = Path(np.__file__).resolve().parent
-    bundled = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    for path in sorted(bundled):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-@contextlib.contextmanager
-def _switch_blas(weights: GqlaWeights, length: int):
-    """Run the body's BLAS calls on the calling thread alone when a switch of
-    length tokens is at most SWITCH_SERIAL_WORK; other threads keep their count."""
-    work = length * (weights.k_up.shape[0] + weights.v_up.shape[0]) * weights.k_up.shape[1]
-    setter = _blas_thread_setter() if work <= SWITCH_SERIAL_WORK else None
-    if setter is None:
-        yield
-        return
-    previous = setter(1)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
 def cache_expand(cache: LatentCache, weights: GqlaWeights) -> ExpandedCache:
-    """One-shot latent -> expanded switch: up-project every cached token
-    (on the calling thread alone up to SWITCH_SERIAL_WORK)."""
+    """One-shot latent -> expanded switch: up-project every cached token."""
     _check_cache(weights, cache, LatentCache)
-    with _switch_blas(weights, len(cache)):
-        return _cache_rows(weights, ExpandedCache, cache.kv, cache.k_rope.copy())
+    return _cache_rows(weights, ExpandedCache, cache.kv, cache.k_rope.copy())
 
 
 COMPRESS_REJECT_ABOVE = 1e-6
@@ -578,33 +550,18 @@ COMPRESS_REJECT_ABOVE = 1e-6
 COMPRESS_GRAM_MIN_RATIO = 1e-6
 
 
-def _latents(basis: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """The least-squares latents kv (L, kv_rank) of the rows of stacked in the
-    column space of basis, minimum-norm where basis has more columns than
-    rows, by the rule cache_compress documents."""
-    gram = basis.T @ basis
-    try:
-        if np.all(np.isfinite(gram)):
-            lam, vecs = np.linalg.eigh(gram)  # ascending
-            if lam[0] > COMPRESS_GRAM_MIN_RATIO * lam[-1]:
-                return stacked @ ((basis @ vecs / lam) @ vecs.T)  # S·B·(Bᵀ·B)⁻¹
-        solution, _, _, _ = np.linalg.lstsq(basis, stacked.T, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"cache compression solve failed: {exc}") from exc
-    return solution.T
-
-
 def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     """One-shot expanded -> latent switch by per-token least squares.
 
-    The latents solve each token's least-squares problem against the stacked
-    up-projections B = [k_up; v_up] (minimum-norm where kv_rank exceeds B's
-    rows). They come from one eigendecomposition V·Λ·Vᵀ of the kv_rank-square
-    Gram matrix Bᵀ·B (kv = S·B·V·Λ⁻¹·Vᵀ for the stacked cache rows S) when
-    its smallest eigenvalue exceeds COMPRESS_GRAM_MIN_RATIO (1e-6) times its
-    largest; otherwise, as for every B with more columns than rows, from an
-    SVD-based np.linalg.lstsq. Neither route is selectable. Up to
-    SWITCH_SERIAL_WORK the solve runs its BLAS on the calling thread alone.
+    The latents kv = S·M of the stacked cache rows S solve each token's
+    least-squares problem against the stacked up-projections B = [k_up;
+    v_up], minimum-norm where kv_rank exceeds B's rows. M depends on the
+    weights alone and is solved on the first switch with them (see
+    GqlaWeights): M = B·V·Λ⁻¹·Vᵀ from one eigendecomposition V·Λ·Vᵀ of the
+    kv_rank-square Gram matrix Bᵀ·B when its smallest eigenvalue exceeds
+    COMPRESS_GRAM_MIN_RATIO (1e-6) times its largest; otherwise, as for
+    every B with more columns than rows, M = pinv(B)ᵀ (singular values cut
+    at max(B.shape)·eps of the largest). Neither route is selectable.
 
     Returns (LatentCache, relative residual per token), the residual taken
     explicitly as S - kv·Bᵀ. Raises OutOfSubspaceError when any entry's
@@ -617,9 +574,8 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     stacked = np.hstack([cache.k_nope, cache.v])  # (L, rows(basis))
     if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(stacked))):
         raise NumericError("cache compression needs finite weights and cache entries")
-    with _switch_blas(weights, len(cache)):
-        kv = _latents(basis, stacked)
-        misfit = kv @ basis.T
+    kv = stacked @ weights._compress_map
+    misfit = kv @ basis.T
     misfit -= stacked
     residual = np.sqrt(np.einsum("ij,ij->i", misfit, misfit))
     if not (np.all(np.isfinite(kv)) and np.all(np.isfinite(residual))):

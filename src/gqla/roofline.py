@@ -125,14 +125,14 @@ def step_time(hw: HardwareSpec, config: GqlaConfig, path: str, g: int | None = N
 
 
 # Default planner rows: the latent path at s_q in {1,2}, the expanded path at
-# the two ridge-relevant group counts. Compute-rich hardware (H100-class, by
-# name) only gets the latent rows, matching how the reference table is laid out.
+# the two ridge-relevant group counts. The H100 preset alone (not any spec so
+# named) gets only the latent rows, as the reference table is laid out.
 _LATENT_ROWS = [(MQA_ABSORB, 1, 1), (MQA_ABSORB, 1, 2)]
 _EXPANDED_ROWS = [(GQA, 8, 1), (GQA, 8, 2), (GQA, 4, 1), (GQA, 4, 2)]
 
 
 def default_rows(hw: HardwareSpec) -> list:
-    if hw.name == "H100":
+    if hw == H100:
         return list(_LATENT_ROWS)
     return _LATENT_ROWS + _EXPANDED_ROWS
 

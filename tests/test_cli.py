@@ -84,6 +84,13 @@ class TestVerify:
         assert out.count("PASS") == 3 and out.count("FAIL") == 2
         assert "FAIL  compressed cache vs latent" in out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_is_a_usage_error(self, gqla_ckpt, capsys, tolerance):
+        rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--tolerance", tolerance])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: --tolerance") and "Traceback" not in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["verify", "--checkpoint", str(tmp_path / "nope.gqck")])
         assert rc == 2

@@ -58,12 +58,6 @@ class TestCheckpointRoundTrip:
         for name in gqck._GQA_FIELDS:
             assert np.array_equal(getattr(weights, name), getattr(desk_gqa, name))
 
-    def test_float32_mode(self, tmp_path, desk_config, desk_weights):
-        path = tmp_path / "f32.gqck"
-        gqck.write_checkpoint(path, "gqla", desk_config, desk_weights, dtype="float32")
-        _, _, weights = gqck.read_checkpoint(path)
-        assert np.max(np.abs(weights.q_up - desk_weights.q_up)) <= 1e-6
-
     def test_writes_are_deterministic(self, tmp_path, desk_config, desk_weights):
         a, b = tmp_path / "a.gqck", tmp_path / "b.gqck"
         gqck.write_checkpoint(a, "gqla", desk_config, desk_weights)
@@ -161,6 +155,7 @@ MALFORMED_MANIFESTS = {
     "fractional num_heads": ("gqla", _set("config", "num_heads", 8.7)),
     "bool offset": ("gqla", _set("tensor", "offset", False)),
     "dtype not a string": ("gqla", _set("header", "dtype", [])),
+    "dtype float32": ("gqla", _set("header", "dtype", "float32")),
     "config not an object": ("gqla", _set("header", "config", None)),
     "string rope_base": ("gqla", _set("config", "rope_base", "10000")),
     "huge rope_base": ("gqla", _set("config", "rope_base", 10 ** 400)),

@@ -476,16 +476,18 @@ class TestCacheSwitching:
 
 
 @pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Count the calls of np.linalg.lstsq: cache_compress makes one only on its fallback route."""
+def solver_calls(monkeypatch):
+    """The names of the np.linalg solvers (eigh, pinv, svd, lstsq) called, in order."""
     calls = []
-    real = np.linalg.lstsq
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    for name in ("eigh", "pinv", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     return calls
 
 
@@ -493,7 +495,8 @@ def _route_weights(weights, route: str):
     """weights as given ("gram": the desk basis is well conditioned), or ("lstsq")
     with [k_up; v_up] replaced by a random basis of the same shape whose
     singular values spread log-evenly from 1 to 1e-5, so its Gram matrix has
-    condition number 1e10."""
+    condition number 1e10 and cache_compress solves by minimum-norm least
+    squares through pinv."""
     if route == "gram":
         return weights
     rows_k, rank = weights.k_up.shape
@@ -511,65 +514,95 @@ def _stacked_lstsq(cache, weights) -> np.ndarray:
     return np.linalg.lstsq(basis, np.hstack([cache.k_nope, cache.v]).T, rcond=None)[0].T
 
 
+def _assert_lstsq_latents(kv, cache, weights):
+    """kv is the minimum-norm least-squares solution within 1e-10 relative."""
+    expect = _stacked_lstsq(cache, weights)
+    assert np.max(np.abs(kv - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+
 class TestCompressRoutes:
     """cache_compress solves through the basis's Gram matrix when it is well
-    conditioned and through np.linalg.lstsq otherwise."""
+    conditioned and through np.linalg.pinv otherwise, once per weights object."""
 
-    def test_desk_weights_take_the_gram_route(self, desk_config, desk_weights, lstsq_calls):
+    def test_desk_weights_take_the_gram_route(self, desk_config, desk_weights, solver_calls):
         _, expanded = M.forward_gqa_path(desk_weights, desk_config,
                                          M.random_tokens(9, 64, 15), 1)
         latent, _ = M.cache_compress(expanded, desk_weights)
-        assert not lstsq_calls
+        assert solver_calls == ["eigh"]
         expect = _stacked_lstsq(expanded, desk_weights)
         assert np.max(np.abs(latent.kv - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
 
     def test_converted_weights_take_the_gram_route(self, desk_gqa, mla_config, mla_weights,
-                                                   lstsq_calls):
+                                                   solver_calls):
         target = M.GqlaConfig(model_dim=64, num_heads=8, num_groups=2, head_dim=16,
                               value_head_dim=16, rope_head_dim=8, kv_rank=24, q_rank=64)
         calib = M.random_tokens(256, 64, 3)
         converted = [(convert_gqa.convert(desk_gqa, calib, target)[0], target),
                      (convert_mla.convert(mla_weights, mla_config, calib, 2)[0],
                       convert_mla.target_config(mla_config, 2))]
+        solver_calls.clear()
         for weights, config in converted:
             _, expanded = M.forward_gqa_path(weights, config, M.random_tokens(9, 64, 4), 1)
             _, residuals = M.cache_compress(expanded, weights)
             assert np.max(residuals) <= 1e-9
-        assert not lstsq_calls
+        assert solver_calls == ["eigh", "eigh"]
 
-    def test_ill_conditioned_basis_takes_the_lstsq_fallback(self, desk_weights, lstsq_calls):
+    def test_ill_conditioned_basis_takes_the_pinv_fallback(self, desk_weights, solver_calls):
         weights = _route_weights(desk_weights, "lstsq")
         latent = M.LatentCache(kv=M.random_tokens(9, 32, 5), k_rope=np.zeros((9, 8)))
         expanded = M.cache_expand(latent, weights)
         compressed, residuals = M.cache_compress(expanded, weights)
-        assert len(lstsq_calls) == 1
-        assert np.array_equal(compressed.kv, _stacked_lstsq(expanded, weights))
+        assert solver_calls == ["eigh", "pinv"]
+        _assert_lstsq_latents(compressed.kv, expanded, weights)
         assert np.max(residuals) <= 1e-9
 
-    def test_wide_basis_gives_the_minimum_norm_latents(self, lstsq_calls):
-        # kv_rank 24 > g*(d+dv) = 16: many latents give the cache, lstsq picks the
-        # shortest; the singular Gram matrix sends the solve to the lstsq fallback
+    def test_wide_basis_gives_the_minimum_norm_latents(self, solver_calls):
+        # kv_rank 24 > g*(d+dv) = 16: many latents give the cache, pinv gives the
+        # shortest; the singular Gram matrix sends the solve to the pinv fallback
         config = M.GqlaConfig(model_dim=32, num_heads=4, num_groups=1, head_dim=8,
                               value_head_dim=8, rope_head_dim=4, kv_rank=24, q_rank=16)
         weights = M.init_random(config, 3)
         _, expanded = M.forward_gqa_path(weights, config, M.random_tokens(12, 32, 8), 1)
         compressed, residuals = M.cache_compress(expanded, weights)
-        assert len(lstsq_calls) == 1
-        expect = _stacked_lstsq(expanded, weights)
-        assert np.max(np.abs(compressed.kv - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
+        assert solver_calls == ["eigh", "pinv"]
+        _assert_lstsq_latents(compressed.kv, expanded, weights)
         assert np.max(residuals) <= 1e-9
 
     @pytest.mark.parametrize("route", ["gram", "lstsq"])
-    def test_zero_cache_compresses_to_zero(self, desk_weights, lstsq_calls, route):
+    def test_second_compress_reuses_the_solve(self, desk_weights, solver_calls, route):
+        weights = _route_weights(desk_weights, route)
+        latent = M.LatentCache(kv=M.random_tokens(5, 32, 6), k_rope=np.zeros((5, 8)))
+        expanded = M.cache_expand(latent, weights)
+        first, _ = M.cache_compress(expanded, weights)
+        solve = list(solver_calls)
+        solver_calls.clear()
+        second, _ = M.cache_compress(expanded, weights)
+        assert not solver_calls and np.array_equal(first.kv, second.kv)
+        # weights made by dataclasses.replace solve afresh
+        scaled = dataclasses.replace(weights, k_up=2 * weights.k_up)
+        third, residuals = M.cache_compress(M.cache_expand(latent, scaled), scaled)
+        assert solver_calls == solve
+        assert np.max(np.abs(third.kv - latent.kv)) <= 1e-9 * np.max(np.abs(latent.kv))
+        assert np.max(residuals) <= 1e-9
+
+    def test_stale_solve_after_an_in_place_write_is_rejected(self, desk_weights):
+        weights = dataclasses.replace(desk_weights, k_up=desk_weights.k_up.copy())
+        latent = M.LatentCache(kv=M.random_tokens(5, 32, 6), k_rope=np.zeros((5, 8)))
+        M.cache_compress(M.cache_expand(latent, weights), weights)
+        weights.k_up[:] *= 2  # the kept solve is now stale
+        with pytest.raises(OutOfSubspaceError):
+            M.cache_compress(M.cache_expand(latent, weights), weights)
+
+    @pytest.mark.parametrize("route", ["gram", "lstsq"])
+    def test_zero_cache_compresses_to_zero(self, desk_weights, route):
         weights = _route_weights(desk_weights, route)
         expanded = M.ExpandedCache(k_nope=np.zeros((2, 32)), v=np.zeros((2, 32)),
                                    k_rope=np.zeros((2, 8)))
         latent, residuals = M.cache_compress(expanded, weights)
         assert np.all(latent.kv == 0) and np.max(residuals) == 0
-        assert len(lstsq_calls) == (route == "lstsq")
 
     @pytest.mark.parametrize("route", ["gram", "lstsq"])
-    def test_out_of_subspace_rejected(self, desk_weights, lstsq_calls, route):
+    def test_out_of_subspace_rejected(self, desk_weights, route):
         weights = _route_weights(desk_weights, route)
         latent = M.LatentCache(kv=M.random_tokens(6, 32, 16), k_rope=np.zeros((6, 8)))
         expanded = M.cache_expand(latent, weights)
@@ -580,7 +613,6 @@ class TestCompressRoutes:
                               k_rope=expanded.k_rope)
         with pytest.raises(OutOfSubspaceError):
             M.cache_compress(bad, weights)
-        assert len(lstsq_calls) == (route == "lstsq")
 
     def test_overflowing_residual_raises_numeric_error(self, desk_weights):
         # finite entries whose squared norms overflow: no silent NaN residual
@@ -590,91 +622,22 @@ class TestCompressRoutes:
         with pytest.raises(NumericError):
             M.cache_compress(expanded, desk_weights)
 
-    @pytest.mark.parametrize("route, solver", [("gram", "eigh"), ("lstsq", "lstsq")])
+    @pytest.mark.parametrize("route, solver", [("gram", "eigh"), ("lstsq", "pinv")])
     def test_failed_solve_raises_numeric_error(self, desk_weights, monkeypatch, route, solver):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        weights = _route_weights(desk_weights, route)
+        weights = dataclasses.replace(_route_weights(desk_weights, route))  # holds no solve
         expanded = M.cache_expand(M.LatentCache(kv=M.random_tokens(3, 32, 2),
                                                 k_rope=np.zeros((3, 8))), weights)
+        real = getattr(np.linalg, solver)
         monkeypatch.setattr(np.linalg, solver, fail)
         with pytest.raises(NumericError):
             M.cache_compress(expanded, weights)
-
-
-class _ThreadCount:
-    """Stands in for OpenBLAS's per-thread setter: holds a count, returns the previous one."""
-
-    def __init__(self, count: int):
-        self.count, self.calls = count, []
-
-    def __call__(self, count: int) -> int:
-        previous, self.count = self.count, count
-        self.calls.append(count)
-        return previous
-
-
-class TestSwitchBlasThreads:
-    """Switches up to SWITCH_SERIAL_WORK run their BLAS on the calling thread
-    and give the thread its previous count back, on success and on error."""
-
-    @pytest.fixture
-    def setter(self, monkeypatch):
-        fake = _ThreadCount(4)
-        monkeypatch.setattr(M, "_blas_thread_setter", lambda: fake)
-        return fake
-
-    @pytest.fixture
-    def caches(self, desk_weights):
-        latent = M.LatentCache(kv=M.random_tokens(5, 32, 6), k_rope=np.zeros((5, 8)))
-        return latent, M.cache_expand(latent, desk_weights)
-
-    def test_small_switches_run_on_the_calling_thread(self, desk_weights, caches, setter,
-                                                      monkeypatch):
-        latent, expanded = caches
-        seen = []
-        real_eigh = np.linalg.eigh
-
-        def eigh(*args, **kwargs):
-            seen.append(setter.count)
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        M.cache_compress(expanded, desk_weights)
-        M.cache_expand(latent, desk_weights)
-        assert seen == [1]
-        assert setter.calls == [1, 4, 1, 4] and setter.count == 4
-
-    def test_larger_switches_keep_the_thread_count(self, desk_weights, caches, setter,
-                                                   monkeypatch):
-        latent, expanded = caches
-        monkeypatch.setattr(M, "SWITCH_SERIAL_WORK", 5 * 64 * 32 - 1)  # one token short
-        M.cache_compress(expanded, desk_weights)
-        M.cache_expand(latent, desk_weights)
-        assert setter.calls == []
-
-    def test_failed_solve_restores_the_thread_count(self, desk_weights, caches, setter,
-                                                    monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NumericError):
-            M.cache_compress(caches[1], desk_weights)
-        assert setter.calls == [1, 4] and setter.count == 4
-
-    def test_bundled_blas_count_is_restored(self, desk_weights, caches):
-        real = M._blas_thread_setter()
-        if real is None:
-            pytest.skip("numpy's BLAS has no per-thread thread count")
-        before = real(1)
-        real(before)
-        latent, expanded = caches
-        compressed, _ = M.cache_compress(expanded, desk_weights)
-        M.cache_expand(latent, desk_weights)
-        assert real(before) == before
-        assert np.max(np.abs(compressed.kv - latent.kv)) <= 1e-12 * (1 + np.max(np.abs(latent.kv)))
+        assert "_compress_map" not in vars(weights)
+        monkeypatch.setattr(np.linalg, solver, real)
+        _, residuals = M.cache_compress(expanded, weights)
+        assert np.max(residuals) <= 1e-9
 
 
 class TestOracle:

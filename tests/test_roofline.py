@@ -124,6 +124,10 @@ class TestOperatingTable:
         for p, row in zip(points, REFERENCE_ROWS):
             assert (p.gpu, p.path, p.g, p.s_q) == row[:4]
 
+    def test_only_the_h100_preset_gets_the_latent_rows_alone(self):
+        assert R.default_rows(R.H100) == R._LATENT_ROWS
+        assert len(R.default_rows(R.HardwareSpec("H100", 1e15, 1e12))) == 6
+
     def test_explicit_rows_cross_product(self):
         points = R.operating_table([R.H100, R.H20], CFG, rows=[(R.GQA, 8, 2)])
         assert [(p.gpu, p.g) for p in points] == [("H100", 8), ("H20", 8)]
