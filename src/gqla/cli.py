@@ -152,11 +152,9 @@ def cmd_convert(args) -> int:
 
 
 def _parse_hardware(spec: str):
-    tokens = [t.strip() for t in spec.split(",") if t.strip()]
+    tokens = iter([t.strip() for t in spec.split(",") if t.strip()])
     out = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
+    for token in tokens:
         low = token.lower()
         if low == "h100":
             out.append(roofline.H100)
@@ -164,20 +162,17 @@ def _parse_hardware(spec: str):
             out.append(roofline.H20)
         elif low.startswith("custom:"):
             # custom:FLOPS,BW: the comma doubles as the list separator, so the
-            # bandwidth may arrive as the next token
-            parts = [p for p in token.split(":", 1)[1].replace(";", "/").split("/") if p]
-            if len(parts) == 1 and i + 1 < len(tokens):
-                i += 1
-                parts.append(tokens[i])
-            if len(parts) != 2:
+            # bandwidth is the next token
+            bandwidth = next(tokens, None)
+            if bandwidth is None:
                 raise ValueError(f"custom hardware needs custom:FLOPS,BW, got {token!r}")
             try:
-                out.append(roofline.HardwareSpec("custom", float(parts[0]), float(parts[1])))
-            except (TypeError, ValueError) as exc:
+                out.append(roofline.HardwareSpec("custom", float(token.split(":", 1)[1]),
+                                                 float(bandwidth)))
+            except ValueError as exc:
                 raise ValueError(f"malformed custom hardware {token!r}: {exc}") from exc
         else:
             raise ValueError(f"unknown hardware {token!r}")
-        i += 1
     if not out:
         raise ValueError("no hardware specified")
     return out
@@ -335,8 +330,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except GqlaError as exc:
-        # bad parameters that only the package can judge (seeds, lengths, k, s_q)
+    except (GqlaError, MemoryError) as exc:
+        # bad parameters that only the package can judge (seeds, lengths, k,
+        # s_q), or token counts too large to allocate
         _err(str(exc))
         return 2
 

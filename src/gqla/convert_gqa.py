@@ -122,7 +122,7 @@ def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
     q, keys = _grouped_queries_keys(src, tokens, s_q)
     values = (tokens @ src.v_proj.T).reshape(length, g, d).transpose(1, 0, 2)
     reads = _grouped_core(q, q[..., :0], keys, values, np.empty((length, 0)),
-                          1.0 / math.sqrt(d), np.arange(length - s_q, length))
+                          1.0 / math.sqrt(d))
     return reads.transpose(1, 0, 2, 3).reshape(s_q, -1) @ src.out_proj.T
 
 
@@ -489,8 +489,8 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     kept_energy = sum(float(folded.band_energies[p][r]) for p, r in folded.retained)
     report = ConversionReport(
         source_elements_per_token=2 * g * d,
-        latent_elements_per_token=target.kv_rank + d_r,
-        cache_ratio=(target.kv_rank + d_r) / (2 * g * d),
+        latent_elements_per_token=target.latent_elements_per_token,
+        cache_ratio=target.latent_elements_per_token / (2 * g * d),
         score_deviation=score_dev,
         rotary_energy_retained=(kept_energy / total_energy) if total_energy > 0 else 1.0,
         key_energy_retained=joint.energy_key,

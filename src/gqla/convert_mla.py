@@ -255,6 +255,6 @@ def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
         value_energy=fact.value_energy,
         output_deviation=dev,
         output_scale=scale,
-        latent_elements_per_token=config.kv_rank + config.rope_head_dim,
+        latent_elements_per_token=config.latent_elements_per_token,
     )
     return converted, report

@@ -303,74 +303,70 @@ def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position, rot=None
 SCORE_BLOCK_ELEMENTS = 2 ** 20
 
 
-def _query_blocks(count: int, rows_per_query: int, length: int, positions):
-    """Split count queries into blocks whose scores fit SCORE_BLOCK_ELEMENTS.
+def _query_blocks(count: int, rows_per_query: int, length: int):
+    """Split count queries, the last count of length keys, into blocks whose
+    scores fit SCORE_BLOCK_ELEMENTS.
 
-    A block holds one query at least. Yields (slice, keys seen, positions):
-    with positions, which ascend, a block's queries see only the keys up to
-    the last of them, so the later keys are left out of its scores, and the
-    block's positions are None when every query sees all of those keys.
+    A block holds one query at least. Yields (slice, keys seen): a block's
+    queries see only the keys up to the last of them, so the later keys are
+    left out of its scores.
     """
     step = max(1, SCORE_BLOCK_ELEMENTS // (rows_per_query * length))
     for start in range(0, count, step):
         block = slice(start, min(start + step, count))
-        if positions is None:
-            yield block, length, None
-        else:
-            pos = positions[block]
-            seen = int(pos[-1]) + 1
-            yield block, seen, pos if pos[0] + 1 < seen else None
+        yield block, length - count + block.stop
 
 
-def _softmax(logits: np.ndarray, positions=None) -> np.ndarray:
-    """Softmax over the last axis.
-
-    With positions, logits are (..., n, k, L) for n queries and each query
-    sees only the keys at or before its position. Key 0 stays visible to
-    every query, so no row is fully masked.
-    """
-    if positions is not None:
-        hidden = np.arange(logits.shape[-1]) > positions[:, None]
-        logits = logits + np.where(hidden, -np.inf, 0.0)[:, None, :]
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, into a new array."""
     e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _grouped_core(q_nope, q_rope, keys, values, k_rope, scale: float, positions=None):
-    """Grouped attention: every K/V group's heads read that group's keys and values.
+def _grouped_core(q_nope, q_rope, keys, values, k_rope, scale: float):
+    """Causal grouped attention: every K/V group's heads read that group's keys
+    and values.
 
     Queries are (G, n, k, .): the k heads of each of G groups for n queries.
     keys are (G, d, L), values (G, L, dv), and the post-rotary k_rope (L,
     rope_head_dim) is shared by every head; a block without a shared rotary
-    part passes zero-width q_rope and k_rope. One matmul batched over the group
-    axis scores all of a group's heads. Returns the value reads (G, n, k, dv).
+    part passes zero-width q_rope and k_rope. The n queries are the last n of
+    the L keys, in order, and each sees the keys up to its own, so a block of
+    queries hides only the strict upper triangle of its own last key columns.
+    One matmul batched over the group axis scores all of a group's heads.
+    Returns the value reads (G, n, k, dv).
     """
     groups, count, hpg, dim = q_nope.shape
     length = k_rope.shape[0]
     out = np.empty((groups, count, hpg, values.shape[-1]))
-    for block, seen, pos in _query_blocks(count, groups * hpg, length, positions):
+    for block, seen in _query_blocks(count, groups * hpg, length):
+        n = block.stop - block.start
         q_n = q_nope[:, block].reshape(groups, -1, dim)
         q_r = q_rope[:, block].reshape(groups * q_n.shape[1], q_rope.shape[-1])
         scores = q_n @ keys[..., :seen]
         scores += (q_r @ k_rope[:seen].T).reshape(scores.shape)
         scores *= scale
-        attn = _softmax(scores.reshape(groups, -1, hpg, seen), pos)
+        scores = scores.reshape(groups, n, hpg, seen)
+        if n > 1:
+            np.copyto(scores[..., seen - n:], -np.inf,
+                      where=np.triu(np.ones((n, n), bool), 1)[:, None])
+        attn = _softmax(scores)
         out[:, block] = (attn.reshape(groups, -1, seen) @ values[:, :seen]).reshape(
             out[:, block].shape)
     return out
 
 
-def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, scale: float,
-               positions=None) -> np.ndarray:
-    """Attention of n queries (n, num_heads, .) over a cache of either layout.
+def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache,
+               scale: float) -> np.ndarray:
+    """Attention of n queries (n, num_heads, .) over a cache of either layout,
+    the queries being its last n tokens (see _grouped_core).
 
     An expanded cache is the grouped core's num_groups groups. A latent cache
     is its one group whose keys and values are both the latent (MQA): each K/V
     group's key up-projection is folded into its heads' queries and its value
-    up-projection into their reads. positions, if given, holds each query's
-    position for the causal mask. Returns (n, model_dim).
+    up-projection into their reads. Returns (n, model_dim).
     """
     c = config
     count = q_nope.shape[0]
@@ -380,7 +376,7 @@ def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, 
         v_up = weights.v_up.reshape(c.num_groups, c.value_head_dim, c.kv_rank)
         q_latent = (q_nope.reshape(grouped) @ k_up).reshape(1, count, c.num_heads, c.kv_rank)
         reads = _grouped_core(q_latent, q_rope[None], cache.kv.T[None], cache.kv[None],
-                              cache.k_rope, scale, positions)
+                              cache.k_rope, scale)
         o = reads.reshape(grouped) @ v_up.transpose(0, 2, 1)
     else:
         length = len(cache)
@@ -388,7 +384,7 @@ def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache, 
         values = cache.v.reshape(length, c.num_groups, c.value_head_dim).transpose(1, 0, 2)
         reads = _grouped_core(q_nope.reshape(grouped).transpose(1, 0, 2, 3),
                               q_rope.reshape(grouped).transpose(1, 0, 2, 3),
-                              keys, values, cache.k_rope, scale, positions)
+                              keys, values, cache.k_rope, scale)
         o = reads.transpose(1, 0, 2, 3)
     return o.reshape(count, -1) @ weights.out_proj.T
 
@@ -490,8 +486,7 @@ def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray,
                                        *_project_keys(weights, config, tokens, positions, rot)))
     q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:],
                                       rot[-s_q:])
-    return _attention(weights, config, q_nope, q_rope, cache, config.score_scale,
-                      positions[-s_q:]), cache
+    return _attention(weights, config, q_nope, q_rope, cache, config.score_scale), cache
 
 
 def _decode(weights: GqlaWeights, config: GqlaConfig, cache, layout: type, x):

@@ -49,8 +49,9 @@ def elements_per_token(config: GqlaConfig, path: str, g: int | None = None) -> i
     """Cached elements per token for a path (latent vs per-group expanded)."""
     _check_path(path)
     if path == MQA_ABSORB:
-        return config.kv_rank + config.rope_head_dim
-    g = config.num_groups if g is None else g
+        return config.latent_elements_per_token
+    if g is None:
+        return config.expanded_elements_per_token
     return g * (config.head_dim + config.value_head_dim) + config.rope_head_dim
 
 
@@ -137,14 +138,12 @@ def default_rows(hw: HardwareSpec) -> list:
     return _LATENT_ROWS + _EXPANDED_ROWS
 
 
-def operating_table(hardware, config: GqlaConfig, rows=None, length: int = 8192,
-                    element_bytes: int = BF16_BYTES) -> list:
+def operating_table(hardware, config: GqlaConfig, rows=None, length: int = 8192) -> list:
     """OperatingPoints for each hardware spec; rows=None uses default_rows per GPU."""
     points = []
     for hw in hardware:
         for path, g, s_q in (default_rows(hw) if rows is None else rows):
-            points.append(step_time(hw, config, path, g=g, s_q=s_q,
-                                    length=length, element_bytes=element_bytes))
+            points.append(step_time(hw, config, path, g=g, s_q=s_q, length=length))
     return points
 
 

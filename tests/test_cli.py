@@ -181,6 +181,9 @@ class TestRoofline:
     def test_malformed_custom_hardware(self, capsys):
         assert main(["roofline", "--hw", "custom:abc,def"]) == 2
         assert main(["roofline", "--hw", "custom:1e12"]) == 2
+        # custom:FLOPS,BW is the only form
+        assert main(["roofline", "--hw", "custom:1e12/2e12"]) == 2
+        assert main(["roofline", "--hw", "custom:1e12;2e12"]) == 2
 
     def test_csv_matches_text_values(self, capsys):
         assert main(["roofline", "--format", "csv"]) == 0
@@ -250,6 +253,19 @@ def test_out_of_range_parameters_are_usage_errors(argv, gqla_ckpt, capsys):
     if argv[0] != "roofline":
         argv = argv + ["--checkpoint", str(gqla_ckpt)]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sparse-check", "convert"])
+def test_oversized_inputs_are_usage_errors(command, gqla_ckpt, gqa_ckpt, tmp_path, capsys):
+    # 10**13 tokens exceed the address space, so numpy refuses them at once
+    if command == "convert":
+        argv = ["convert", "--from", "gqa", "--in", str(gqa_ckpt), "--out",
+                str(tmp_path / "x.gqck"), "--rkv", "14", "--dhr", "4", "--calib-tokens"]
+    else:
+        argv = [command, "--checkpoint", str(gqla_ckpt), "--seq-len"]
+    assert main(argv + [str(10 ** 13)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -6,6 +6,7 @@ fixed seed), so every run checks the same cases and tier-1 stays fast.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,25 +41,28 @@ def attention_cases(draw):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(attention_cases())
-def test_expanded_absorbed_and_oracle_agree(case):
+@given(attention_cases(), st.sampled_from([1, 7, 64, 2 ** 20]))
+def test_expanded_absorbed_and_oracle_agree(case, block_elements):
     config, weights, tokens, s_q = case
-    expanded, _ = M.forward_gqa_path(weights, config, tokens, s_q)
-    absorbed, _ = M.forward_absorb_path(weights, config, tokens, s_q)
-    oracle = M.oracle_mha(weights, config, tokens, s_q)
-    bound = dual_path_bound(oracle)
-    assert expanded.shape == oracle.shape == (s_q, config.model_dim)
-    assert np.max(np.abs(expanded - absorbed)) <= bound
-    assert np.max(np.abs(expanded - oracle)) <= bound
-    assert np.max(np.abs(absorbed - oracle)) <= bound
-    # the trailing s_q tokens decoded as one block onto the prefix cache
-    prefix = tokens.shape[0] - s_q
-    for forward, decode, layout in ((M.forward_gqa_path, M.decode_gqa, M.ExpandedCache),
-                                    (M.forward_absorb_path, M.decode_absorb, M.LatentCache)):
-        cache = (forward(weights, config, tokens[:prefix])[1] if prefix
-                 else M._empty_cache(weights, config, layout))
-        decoded, _ = decode(weights, config, cache, tokens[prefix:])
-        assert np.max(np.abs(decoded - oracle)) <= bound
+    # block_elements splits prefills and decoded blocks into query blocks of
+    # one query up to all of them
+    with mock.patch.object(M, "SCORE_BLOCK_ELEMENTS", block_elements):
+        expanded, _ = M.forward_gqa_path(weights, config, tokens, s_q)
+        absorbed, _ = M.forward_absorb_path(weights, config, tokens, s_q)
+        oracle = M.oracle_mha(weights, config, tokens, s_q)
+        bound = dual_path_bound(oracle)
+        assert expanded.shape == oracle.shape == (s_q, config.model_dim)
+        assert np.max(np.abs(expanded - absorbed)) <= bound
+        assert np.max(np.abs(expanded - oracle)) <= bound
+        assert np.max(np.abs(absorbed - oracle)) <= bound
+        # the trailing s_q tokens decoded as one block onto the prefix cache
+        prefix = tokens.shape[0] - s_q
+        for forward, decode, layout in ((M.forward_gqa_path, M.decode_gqa, M.ExpandedCache),
+                                        (M.forward_absorb_path, M.decode_absorb, M.LatentCache)):
+            cache = (forward(weights, config, tokens[:prefix])[1] if prefix
+                     else M._empty_cache(weights, config, layout))
+            decoded, _ = decode(weights, config, cache, tokens[prefix:])
+            assert np.max(np.abs(decoded - oracle)) <= bound
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
