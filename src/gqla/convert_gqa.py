@@ -314,7 +314,9 @@ class JointCompression:
     v_up are the group-indexed up-projections with the balancing scales
     already inverted, so the composed forward map is unchanged by balancing.
     energy_* are per-side retained activation energy fractions (unscaled
-    units).
+    units). latent_rank counts the latent dims that carry calibration energy
+    (root_eig's nonzero eigenvalues); each other dim has a zero kv_down row
+    and zero k_up and v_up columns.
     """
 
     kv_down: np.ndarray
@@ -324,6 +326,7 @@ class JointCompression:
     scale_value: float
     energy_key: float
     energy_value: float
+    latent_rank: int
 
 
 def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
@@ -368,7 +371,8 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
 
     w_map = np.vstack([scale_k * key_map, scale_v * aligned.v_proj])
     b = np.hstack([scale_k * root_k, scale_v * root_v])
-    u = root_eig(b, kv_rank).eigenvectors
+    eig = root_eig(b, kv_rank)
+    u = eig.eigenvectors
     v = u.T @ w_map
     k_up = nope_proj @ u[:d_n] / scale_k
     v_up = u[d_n:] / scale_v
@@ -386,7 +390,8 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     energy_value = retained(b[:, d_n:], recon[:, d_n:])
     return JointCompression(kv_down=v, k_up=k_up, v_up=v_up,
                             scale_key=scale_k, scale_value=scale_v,
-                            energy_key=energy_key, energy_value=energy_value)
+                            energy_key=energy_key, energy_value=energy_value,
+                            latent_rank=int(np.count_nonzero(eig.eigenvalues)))
 
 
 @dataclass(frozen=True)
@@ -400,6 +405,8 @@ class ConversionReport:
     rotary_energy_retained: float
     key_energy_retained: float
     value_energy_retained: float
+    latent_rank: int
+    kv_rank: int
     balance_scale_key: float
     balance_scale_value: float
     output_deviation: float
@@ -415,6 +422,7 @@ class ConversionReport:
             f"rotary energy retained: {self.rotary_energy_retained:.6f}",
             f"key energy retained:    {self.key_energy_retained:.6f}",
             f"value energy retained:  {self.value_energy_retained:.6f}",
+            f"latent rank:            {self.latent_rank}/{self.kv_rank}",
             f"balance scales:         key {self.balance_scale_key:.6g}, "
             f"value {self.balance_scale_value:.6g}",
             f"cache ratio:            {self.latent_elements_per_token}/"
@@ -495,6 +503,8 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
         rotary_energy_retained=(kept_energy / total_energy) if total_energy > 0 else 1.0,
         key_energy_retained=joint.energy_key,
         value_energy_retained=joint.energy_value,
+        latent_rank=joint.latent_rank,
+        kv_rank=target.kv_rank,
         balance_scale_key=joint.scale_key,
         balance_scale_value=joint.scale_value,
         output_deviation=out_dev,

@@ -146,12 +146,16 @@ class GqlaWeights:
         Computed on first use; a failed solve raises NumericError and keeps
         nothing."""
         basis = np.vstack([self.k_up, self.v_up])
-        gram = basis.T @ basis
+        live = np.flatnonzero(np.any(basis, axis=0))
+        sub = basis[:, live]
+        gram = sub.T @ sub
+        solve = np.zeros(basis.shape)
         try:
-            if np.all(np.isfinite(gram)):
+            if live.size and np.all(np.isfinite(gram)):
                 lam, vecs = np.linalg.eigh(gram)  # ascending
                 if lam[0] > COMPRESS_GRAM_MIN_RATIO * lam[-1]:
-                    return (basis @ vecs / lam) @ vecs.T  # B·(Bᵀ·B)⁻¹
+                    solve[:, live] = (sub @ vecs / lam) @ vecs.T  # B_l·(B_lᵀ·B_l)⁻¹
+                    return solve
             return np.linalg.pinv(basis, rcond=max(basis.shape) * np.finfo(np.float64).eps).T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"cache compression solve failed: {exc}") from exc
@@ -550,13 +554,16 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
 
     The latents kv = S·M of the stacked cache rows S solve each token's
     least-squares problem against the stacked up-projections B = [k_up;
-    v_up], minimum-norm where kv_rank exceeds B's rows. M depends on the
+    v_up], minimum-norm where B's columns are dependent. M depends on the
     weights alone and is solved on the first switch with them (see
-    GqlaWeights): M = B·V·Λ⁻¹·Vᵀ from one eigendecomposition V·Λ·Vᵀ of the
-    kv_rank-square Gram matrix Bᵀ·B when its smallest eigenvalue exceeds
-    COMPRESS_GRAM_MIN_RATIO (1e-6) times its largest; otherwise, as for
-    every B with more columns than rows, M = pinv(B)ᵀ (singular values cut
-    at max(B.shape)·eps of the largest). Neither route is selectable.
+    GqlaWeights). Over B's nonzero columns B_l (a converter leaves the latent
+    dims past its calibration rank as zero columns), M = B_l·V·Λ⁻¹·Vᵀ from
+    one eigendecomposition V·Λ·Vᵀ of the Gram matrix B_lᵀ·B_l when its
+    smallest eigenvalue exceeds COMPRESS_GRAM_MIN_RATIO (1e-6) times its
+    largest, and M's columns for the zero columns of B are zero; otherwise,
+    as for every B_l with more columns than rows, M = pinv(B)ᵀ (singular
+    values cut at max(B.shape)·eps of the largest). Neither route is
+    selectable.
 
     Returns (LatentCache, relative residual per token), the residual taken
     explicitly as S - kv·Bᵀ. Raises OutOfSubspaceError when any entry's

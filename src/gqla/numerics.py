@@ -8,7 +8,8 @@ the covariance-weighted low-rank factorization
 root_eig, which takes the leading eigenbasis of a wide second moment b^T·b
 from a short factor b (m x D, m < D): from one eigendecomposition of the
 m x m co-moment b·b^T, or, where squaring b would cost accuracy, from a thin
-SVD of b. Both converters take their wide bases from it.
+SVD of b. Columns past b's numerical rank are zero. Both converters take
+their wide bases from it.
 Everything here is a pure function: inputs are never mutated and identical
 inputs give byte-identical outputs.
 """
@@ -39,6 +40,7 @@ class EigenResult:
     Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``. The basis is
     canonicalized: ties keep their pre-sort order and each column's
     largest-magnitude entry is positive, so repeated runs agree bitwise.
+    root_eig's columns past its numerical rank are zero, with eigenvalue 0.
     """
 
     eigenvalues: np.ndarray
@@ -169,10 +171,6 @@ def weighted_error(w, u, v, sigma: CovarianceAccumulator) -> float:
     return float(np.trace(r.T @ sigma.normalized() @ r))
 
 
-# Largest departure from orthonormality accepted for a completed basis.
-_BASIS_TOL = 1e-12
-
-
 # Smallest retained eigenvalue, relative to the largest, that root_eig takes
 # from b·b^T or b^T·b: squaring b halves the usable precision.
 _GRAM_MIN_RATIO = math.sqrt(np.finfo(np.float64).eps)
@@ -196,27 +194,17 @@ def root_eig(b, rank: int) -> EigenResult:
 
     Past the numerical rank r of b (singular values above max(m, D)·eps times
     the largest, so r >= k on the co-moment route) the moment has no
-    preferred direction, so the last rank - r columns follow a fixed rule and
-    get eigenvalue 0: the identity columns least covered by the leading basis
-    (smallest ||u_r^T e_i||, lower index on ties), with the leading basis
-    projected out and then orthonormalized in column order (Gram-Schmidt's
-    result, computed as a Cholesky QR), both done twice. Should those columns
-    be numerically dependent on the leading basis (possible only when
-    r·(rank - r) >= D), so that the result is not orthonormal to 1e-12, the
-    leading columns of the complement from a complete QR of the leading basis
-    are used instead.
+    preferred direction, so the last rank - r columns are zero, with
+    eigenvalue 0.
     """
     b = _as_matrix(b, "b")
     m, dim = b.shape
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must be in [1, {dim}], got {rank}")
     lam, u = _gram_pairs(b, min(rank, m)) or _svd_pairs(b, rank)
-    lead = lam.size
-    if lead < rank:
-        u = np.hstack([u, _complete_basis(u, rank - lead)])
-    eigenvalues = np.zeros(rank)
-    eigenvalues[:lead] = lam
-    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(u))
+    eigenvalues, eigenvectors = np.zeros(rank), np.zeros((dim, rank))
+    eigenvalues[:lam.size], eigenvectors[:, :lam.size] = lam, u
+    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(eigenvectors))
 
 
 def _gram_pairs(b: np.ndarray, count: int):
@@ -246,24 +234,3 @@ def _svd_pairs(b: np.ndarray, rank: int):
     lead = min(rank, int(np.count_nonzero(s > tol)))
     return s[:lead] ** 2, vt[:lead].T
 
-
-def _complete_basis(u: np.ndarray, count: int) -> np.ndarray:
-    """count orthonormal columns orthogonal to the orthonormal columns of u,
-    by the rule root_eig documents."""
-    dim, lead = u.shape
-    coverage = np.einsum("ij,ij->i", u, u)
-    x = np.zeros((dim, count))
-    x[np.argsort(coverage, kind="stable")[:count], np.arange(count)] = 1.0
-    try:
-        for _ in range(2):
-            x -= u @ (u.T @ x)
-            # Cholesky QR: the Q factor of x whose R has a positive diagonal
-            x = x @ np.linalg.inv(np.linalg.cholesky(x.T @ x)).T
-        valid = (np.max(np.abs(x.T @ x - np.eye(count))) <= _BASIS_TOL
-                 and (lead == 0 or np.max(np.abs(u.T @ x)) <= _BASIS_TOL))
-    except np.linalg.LinAlgError:
-        valid = False
-    if valid:
-        return x
-    q, _ = np.linalg.qr(u, mode="complete")
-    return q[:, lead:lead + count]

@@ -77,13 +77,6 @@ def flops_per_step(config: GqlaConfig, path: str, s_q: int, length: int) -> floa
     return float(length) * c.num_heads * s_q * per_triplet
 
 
-def intensity(config: GqlaConfig, path: str, g: int | None = None, s_q: int = 1) -> float:
-    """FLOPs per byte of cache traffic; linear in s_q, length-independent."""
-    if s_q < 1:
-        raise ParameterError(f"s_q must be >= 1, got {s_q}")
-    return flops_per_step(config, path, s_q, 1) / bytes_per_token(config, path, g)
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """One planner row: a (hardware, path, g, s_q) combination at fixed L."""
@@ -103,15 +96,16 @@ class OperatingPoint:
 def step_time(hw: HardwareSpec, config: GqlaConfig, path: str, g: int | None = None,
               s_q: int = 1, length: int = 8192,
               element_bytes: int = BF16_BYTES) -> OperatingPoint:
-    """Per-step roofline timing for one operating point."""
+    """Per-step roofline timing for one operating point. On the expanded path
+    g (num_groups when None) must divide num_heads."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if s_q < 1:
         raise ParameterError(f"s_q must be >= 1, got {s_q}")
     _check_path(path)
     g_eff = (1 if path == MQA_ABSORB else (config.num_groups if g is None else g))
-    if g_eff < 1:
-        raise ParameterError(f"g must be >= 1, got {g_eff}")
+    if g_eff < 1 or config.num_heads % g_eff != 0:
+        raise ParameterError(f"g must divide num_heads ({config.num_heads}), got {g_eff}")
     b_tok = bytes_per_token(config, path, g_eff, element_bytes)
     total_bytes = float(length) * b_tok
     total_flops = flops_per_step(config, path, s_q, length)

@@ -114,6 +114,12 @@ class TestConvert:
         kind, config, _ = gqck.read_checkpoint(out_path)
         assert kind == "GQLA" and config.kv_rank == 14
 
+    def test_gqa_route_reports_latent_rank(self, gqa_ckpt, tmp_path, capsys):
+        rc = main(["convert", "--from", "gqa", "--in", str(gqa_ckpt), "--out",
+                   str(tmp_path / "out.gqck"), "--rkv", "14", "--dhr", "4"])
+        assert rc == 0
+        assert "latent rank:            14/14\n" in capsys.readouterr().out
+
     def test_mla_route_exact_at_group_per_head(self, mla_ckpt, tmp_path, capsys):
         out_path = tmp_path / "out.gqck"
         rc = main(["convert", "--from", "mla", "--in", str(mla_ckpt), "--out", str(out_path),
@@ -248,6 +254,8 @@ class TestSparseCheck:
     ["roofline", "--hw", "h20", "--rows", "gqa:0:1"],
     ["roofline", "--hw", "custom:nan,1e12"],
     ["roofline", "--hw", "custom:1e15,inf"],
+    ["roofline", "--rows", "gqa:3:1"],
+    ["roofline", "--rows", "gqa:256:1"],
 ])
 def test_out_of_range_parameters_are_usage_errors(argv, gqla_ckpt, capsys):
     if argv[0] != "roofline":

@@ -544,7 +544,10 @@ class TestIntrinsicJointPca:
             assert np.array_equal(getattr(joint, name), getattr(again, name))
         u = np.vstack([folded.nope_basis.T @ joint.k_up * joint.scale_key,
                        joint.v_up * joint.scale_value])
-        assert np.max(np.abs(u.T @ u - np.eye(target.kv_rank))) <= 1e-12
+        live = 16  # the dims past the calibration rank are exactly empty
+        assert np.max(np.abs(u[:, :live].T @ u[:, :live] - np.eye(live))) <= 1e-12
+        assert np.all(u[:, live:] == 0.0) and np.all(joint.kv_down[live:] == 0.0)
+        assert np.all(joint.k_up[:, live:] == 0.0) and np.all(joint.v_up[:, live:] == 0.0)
 
         weights, _ = CG.convert(self.src, calib, target)
         kv_down, k_up, v_up, _, _ = dense_joint_pca(aligned, calib, target.kv_rank, folded)
@@ -611,6 +614,21 @@ class TestConvert:
         _, report = CG.convert(desk_gqa, CALIB, desk_target(kv_rank=18, rope_dim=4))
         assert report.score_deviation <= 1e-10
         assert 0.0 < report.rotary_energy_retained < 1.0
+
+    def test_reference_shape_reports_half_the_latent_live(self, monkeypatch):
+        # kv_rank 512 above model_dim 256: calibration fills 256 latent dims,
+        # and the other 256 stay empty without costing the cache switch a pinv
+        src = CG.init_random_gqa(32, 8, 128, 256, seed=11)
+        target = GqlaConfig(model_dim=256, num_heads=32, num_groups=8, head_dim=128,
+                            value_head_dim=128, rope_head_dim=64, kv_rank=512, q_rank=256)
+        weights, report = CG.convert(src, random_tokens(1024, 256, 13), target)
+        assert "latent rank:            256/512" in report.lines()
+        assert np.count_nonzero(np.all(weights.kv_down == 0.0, axis=1)) == 256
+        pinv_calls = []
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pinv_calls.append(a))
+        _, expanded = M.forward_gqa_path(weights, target, random_tokens(6, 256, 4), 1)
+        _, residuals = M.cache_compress(expanded, weights)
+        assert not pinv_calls and np.max(residuals) <= 1e-9
 
     def test_incompatible_target_rejected(self, desk_gqa):
         bad = GqlaConfig(model_dim=64, num_heads=8, num_groups=4, head_dim=16,

@@ -521,8 +521,9 @@ def _assert_lstsq_latents(kv, cache, weights):
 
 
 class TestCompressRoutes:
-    """cache_compress solves through the basis's Gram matrix when it is well
-    conditioned and through np.linalg.pinv otherwise, once per weights object."""
+    """cache_compress solves through the Gram matrix of the basis's nonzero
+    columns when it is well conditioned and through np.linalg.pinv otherwise,
+    once per weights object."""
 
     def test_desk_weights_take_the_gram_route(self, desk_config, desk_weights, solver_calls):
         _, expanded = M.forward_gqa_path(desk_weights, desk_config,
@@ -555,6 +556,19 @@ class TestCompressRoutes:
         assert solver_calls == ["eigh", "pinv"]
         _assert_lstsq_latents(compressed.kv, expanded, weights)
         assert np.max(residuals) <= 1e-9
+
+    def test_zero_basis_columns_keep_the_gram_route(self, desk_weights, solver_calls):
+        # latent dims a converter leaves empty are zero up-projection columns:
+        # the Gram solve runs over the others and gives those latents 0
+        live = np.arange(32) < 20
+        weights = dataclasses.replace(desk_weights, k_up=desk_weights.k_up * live,
+                                      v_up=desk_weights.v_up * live)
+        latent = M.LatentCache(kv=M.random_tokens(9, 32, 5), k_rope=np.zeros((9, 8)))
+        expanded = M.cache_expand(latent, weights)
+        compressed, residuals = M.cache_compress(expanded, weights)
+        assert solver_calls == ["eigh"]
+        _assert_lstsq_latents(compressed.kv, expanded, weights)
+        assert np.all(compressed.kv[:, 20:] == 0.0) and np.max(residuals) <= 1e-9
 
     def test_wide_basis_gives_the_minimum_norm_latents(self, solver_calls):
         # kv_rank 24 > g*(d+dv) = 16: many latents give the cache, pinv gives the

@@ -216,35 +216,22 @@ class TestRootEig:
 
     def test_sign_convention(self):
         u = root_eig(np.random.default_rng(21).standard_normal((6, 15)), 9).eigenvectors
-        lead = np.argmax(np.abs(u), axis=0)
-        assert np.all(u[lead, np.arange(9)] > 0)
+        live = u[:, :6]  # 6 rows give the moment rank 6
+        lead = np.argmax(np.abs(live), axis=0)
+        assert np.all(live[lead, np.arange(6)] > 0)
 
-    def test_completion_past_numerical_rank(self):
+    def test_columns_past_numerical_rank_are_zero(self):
         rng = np.random.default_rng(22)
         b = rng.standard_normal((4, 16)) @ rng.standard_normal((16, 40))  # rank 4 of 40
         res = root_eig(np.vstack([b, np.zeros((3, 40))]), 25)
         u = res.eigenvectors
-        assert np.max(np.abs(u.T @ u - np.eye(25))) <= 1e-12
-        assert np.all(res.eigenvalues[4:] == 0.0) and np.all(res.eigenvalues[:4] > 0)
+        assert np.max(np.abs(u[:, :4].T @ u[:, :4] - np.eye(4))) <= 1e-12
+        assert np.all(u[:, 4:] == 0.0) and np.all(res.eigenvalues[4:] == 0.0)
+        assert np.all(res.eigenvalues[:4] > 0)
         assert projector_gap(u[:, :4], sym_eig(b.T @ b).eigenvectors[:, :4]) <= 1e-10
-        again = root_eig(np.vstack([b, np.zeros((3, 40))]), 25)
-        assert np.array_equal(again.eigenvectors, u)
-        assert np.array_equal(again.eigenvalues, res.eigenvalues)
-
-    def test_zero_root_completes_from_the_identity(self):
-        res = root_eig(np.zeros((2, 5)), 3)
-        assert np.array_equal(res.eigenvectors, np.eye(5)[:, :3])
-        assert np.array_equal(res.eigenvalues, np.zeros(3))
-
-    def test_completion_when_least_covered_columns_are_dependent(self):
-        # Leading directions (e0+e1)/sqrt2 and (e2+e3+e4)/sqrt3: the three
-        # least covered identity columns e2, e3, e4 sum into the leading span.
-        lead = np.zeros((2, 5))
-        lead[0, :2] = 2.0 / np.sqrt(2.0)
-        lead[1, 2:] = 1.0 / np.sqrt(3.0)
-        u = root_eig(lead, 5).eigenvectors
-        assert np.max(np.abs(u.T @ u - np.eye(5))) <= 1e-12
-        assert np.max(np.abs(u[:, :2].T @ lead.T @ lead @ u[:, 2:])) <= 1e-12
+        zero = root_eig(np.zeros((2, 5)), 3)
+        assert np.array_equal(zero.eigenvectors, np.zeros((5, 3)))
+        assert np.array_equal(zero.eigenvalues, np.zeros(3))
 
     def test_rank_bounds(self):
         with pytest.raises(ParameterError):
@@ -342,7 +329,7 @@ class TestRootEigRoutes:
             assert np.count_nonzero(root_eig(b, rank).eigenvalues) == svd_rule_count(b, rank)
 
     def test_repeated_calls_are_bitwise_equal(self):
-        # one root per route: the co-moment, then the thin SVD and its completion
+        # one root per route: the co-moment, then the thin SVD and its zero columns
         for b, rank, comoment in (
                 (with_singular_values(np.linspace(3.0, 0.5, 64), 64, 200, 34), 20, True),
                 (with_singular_values(np.array([1.0, 0.5, 1e-7]), 3, 9, 35), 5, False)):

@@ -1,5 +1,6 @@
 """Property tests: the decoding paths agree with each other and with the
-oracle across the valid configuration space, not only at the fixed shapes.
+oracle across the valid configuration space, not only at the fixed shapes,
+and GQA conversion keeps its contracts across small sources.
 
 Each suite is bounded and derandomized (a fixed example count drawn from a
 fixed seed), so every run checks the same cases and tier-1 stays fast.
@@ -9,11 +10,15 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqla import convert_gqa as CG
 from gqla import model as M
+from gqla.errors import GqlaError, ParameterError
 from gqla.model import GqlaConfig, random_tokens
+from gqla.numerics import root_eig
 
 from conftest import dual_path_bound
 
@@ -105,6 +110,67 @@ def test_cache_switch_round_trip(case):
     rebuilt = M.cache_expand(compressed, weights)
     for name in ("k_nope", "v"):
         expect = getattr(expanded, name)
+        assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
+            1 + np.max(np.abs(expect)))
+    assert np.max(residuals) <= 1e-9
+
+
+@st.composite
+def gqa_conversions(draw):
+    """A small GQA source, a target whose kv_rank is drawn up to 2·g·d (above
+    model_dim, and past the feasible budget 2·g·d - rope dims), and
+    calibration tokens fewer or more than model_dim."""
+    groups = draw(st.integers(1, 3))
+    head_dim = 2 * draw(st.integers(1, 4))
+    model_dim = draw(st.integers(2, 10))
+    base = draw(st.sampled_from([10.0, 10000.0]))
+    seed = draw(st.integers(0, 2 ** 16))
+    src = CG.init_random_gqa(groups * draw(st.integers(1, 3)), groups, head_dim, model_dim,
+                             seed, rope_base=base)
+    width = groups * head_dim
+    target = GqlaConfig(model_dim=model_dim, num_heads=src.num_heads, num_groups=groups,
+                        head_dim=head_dim, value_head_dim=head_dim,
+                        rope_head_dim=2 * draw(st.integers(1, width // 2)),
+                        kv_rank=draw(st.integers(1, 2 * width)), q_rank=model_dim,
+                        rope_base=base)
+    calib = random_tokens(draw(st.integers(1, 3 * model_dim)), model_dim, seed + 1)
+    return src, target, calib
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gqa_conversions())
+def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
+    src, target, calib = case
+    if target.kv_rank + target.rope_head_dim > 2 * src.num_groups * src.head_dim:
+        with pytest.raises(ParameterError):
+            CG.convert(src, calib, target)
+        return
+    ranks = []
+
+    def recording(b, rank):
+        eig = root_eig(b, rank)
+        ranks.append(int(np.count_nonzero(eig.eigenvalues)))
+        return eig
+
+    with mock.patch.object(CG, "root_eig", recording):
+        try:
+            weights, report = CG.convert(src, calib, target)
+        except GqlaError:
+            return
+    [live] = ranks
+    assert report.latent_rank == live
+    dead = ~np.any(np.vstack([weights.k_up, weights.v_up]), axis=0)
+    assert np.count_nonzero(dead) == target.kv_rank - live and not np.any(dead[:live])
+    assert np.all(weights.kv_down[live:] == 0.0)
+
+    tokens = random_tokens(6, target.model_dim, 7)
+    expanded, cache = M.forward_gqa_path(weights, target, tokens, 2)
+    absorbed, _ = M.forward_absorb_path(weights, target, tokens, 2)
+    assert np.max(np.abs(expanded - absorbed)) <= dual_path_bound(expanded, 1e-9)
+    compressed, residuals = M.cache_compress(cache, weights)
+    rebuilt = M.cache_expand(compressed, weights)
+    for name in ("k_nope", "v"):
+        expect = getattr(cache, name)
         assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
             1 + np.max(np.abs(expect)))
     assert np.max(residuals) <= 1e-9

@@ -50,30 +50,34 @@ class TestBytesPerToken:
             R.bytes_per_token(CFG, "MHA")
 
 
+def intensity_of(config, path, g=None, s_q=1):
+    return R.step_time(R.H20, config, path, g=g, s_q=s_q).intensity
+
+
 class TestIntensity:
     def test_latent_single_query(self):
-        assert R.intensity(CFG, R.MQA_ABSORB, s_q=1) == pytest.approx(241.78, abs=0.01)
+        assert intensity_of(CFG, R.MQA_ABSORB, s_q=1) == pytest.approx(241.78, abs=0.01)
 
     def test_expanded_points(self):
-        assert R.intensity(CFG, R.GQA, 8, 2) == pytest.approx(38.79, abs=0.01)
-        assert R.intensity(CFG, R.GQA, 4, 1) == pytest.approx(37.65, abs=0.01)
+        assert intensity_of(CFG, R.GQA, 8, 2) == pytest.approx(38.79, abs=0.01)
+        assert intensity_of(CFG, R.GQA, 4, 1) == pytest.approx(37.65, abs=0.01)
 
     def test_linear_in_s_q(self):
         for path, g in [(R.MQA_ABSORB, None), (R.GQA, 8)]:
-            base = R.intensity(CFG, path, g, 1)
+            base = intensity_of(CFG, path, g, 1)
             for s_q in (2, 3, 7):
-                assert R.intensity(CFG, path, g, s_q) == pytest.approx(s_q * base, rel=1e-12)
+                assert intensity_of(CFG, path, g, s_q) == pytest.approx(s_q * base, rel=1e-12)
 
     def test_halving_heads_halves_intensity(self):
         half = dataclasses.replace(CFG, num_heads=64)
         for path, g in [(R.MQA_ABSORB, None), (R.GQA, 8), (R.GQA, 4)]:
-            assert R.intensity(half, path, g, 1) == \
-                pytest.approx(R.intensity(CFG, path, g, 1) / 2, rel=1e-12)
+            assert intensity_of(half, path, g, 1) == \
+                pytest.approx(intensity_of(CFG, path, g, 1) / 2, rel=1e-12)
 
     def test_matches_flops_over_bytes_exactly(self):
         for path, g in [(R.MQA_ABSORB, None), (R.GQA, 8), (R.GQA, 4), (R.GQA, 2)]:
             for s_q in (1, 2):
-                closed = R.intensity(CFG, path, g, s_q)
+                closed = intensity_of(CFG, path, g, s_q)
                 ratio = R.flops_per_step(CFG, path, s_q, 8192) / \
                     (8192 * R.bytes_per_token(CFG, path, g))
                 assert closed == pytest.approx(ratio, rel=1e-12)
@@ -105,6 +109,13 @@ class TestStepTime:
         assert b.mem_time == pytest.approx(2 * a.mem_time, rel=1e-12)
         assert b.cmp_time == pytest.approx(2 * a.cmp_time, rel=1e-12)
         assert b.intensity == pytest.approx(a.intensity, rel=1e-12)
+
+    def test_expanded_groups_must_divide_the_heads(self):
+        for g in (3, 256, 0, -8):
+            with pytest.raises(ParameterError):
+                R.step_time(R.H20, CFG, R.GQA, g=g)
+        assert R.step_time(R.H20, CFG, R.GQA, g=128).g == 128
+        assert R.step_time(R.H20, CFG, R.MQA_ABSORB, g=3).g == 1  # one latent group
 
     def test_memory_bound_iff_under_ridge(self):
         for hw in (R.H100, R.H20):
