@@ -9,6 +9,8 @@ the default seed 0.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -197,8 +199,8 @@ def _parse_rows(spec: str):
     return rows
 
 
-def operating_points_table(points) -> gqck.ResultTable:
-    """Format planner rows as a 10-column table (strings, stable across formats)."""
+def operating_points_table(points):
+    """Planner rows as (columns, rows) of a 10-column table (strings, stable across formats)."""
     rows = []
     for p in points:
         rows.append([
@@ -206,9 +208,23 @@ def operating_points_table(points) -> gqck.ResultTable:
             f"{p.intensity:.2f}", f"{p.mem_time * 1e6:.2f}", f"{p.cmp_time * 1e6:.2f}",
             f"{p.step_time * 1e6:.2f}", f"{p.throughput:.0f}",
         ])
-    return gqck.make_table(
-        ["gpu", "path", "g", "s_q", "cache_bytes_per_token", "intensity_flops_per_byte",
-         "mem_us", "cmp_us", "step_us", "tokens_per_s"], rows)
+    return (["gpu", "path", "g", "s_q", "cache_bytes_per_token", "intensity_flops_per_byte",
+             "mem_us", "cmp_us", "step_us", "tokens_per_s"], rows)
+
+
+def emit_table(columns, rows, format: str) -> str:
+    """Render a table as fixed-width aligned text or RFC-style CSV."""
+    if format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buf.getvalue()
+    cells = [[str(c) for c in columns]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in cells]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_roofline(args) -> int:
@@ -229,14 +245,14 @@ def cmd_roofline(args) -> int:
             _err("roofline needs a GQLA or MLA checkpoint (or 'canonical')")
             return 2
     points = roofline.operating_table(hardware, config, rows=rows, length=args.seq_len)
-    table = operating_points_table(points)
+    columns, table = operating_points_table(points)
     if args.format == "text":
         for hw in hardware:
             print(f"# {hw.name}: {hw.flops_peak / 1e12:g} TFLOP/s, "
                   f"{hw.bandwidth / 1e12:g} TB/s, ridge {roofline.ridge(hw):.1f} FLOPs/byte")
         print(f"# per-step operating points at L={args.seq_len} "
               "(per attention layer per sequence)")
-    sys.stdout.write(gqck.emit_table(table, args.format))
+    sys.stdout.write(emit_table(columns, table, args.format))
     return 0
 
 

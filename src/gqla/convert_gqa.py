@@ -4,7 +4,7 @@ Four stages, the first two exact and the last two calibration-driven:
 
 1. merge_heads: read the source K/V projections as one joint latent whose
    key and value halves (k_proj, v_proj) hold one head_dim block of rows per
-   group. Its output is the source's rows, copied: the merged module is
+   group. Its output is the validated source itself: the merged module is
    still standard grouped-query attention and runs, as the source does, on
    the model's grouped attention core with every key dim rotated and no
    shared rotary part.
@@ -34,7 +34,7 @@ convert accumulates it once for all three.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,12 +127,13 @@ def forward_gqa_source(src: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
 
 
 def merge_heads(src: GqaWeights) -> GqaWeights:
-    """The validated source block, its arrays copied: the stage-1 form reads
-    the source's rows as one stacked K/V latent, k_proj over v_proj, group
-    j's heads at rows j*head_dim to (j+1)*head_dim of each; the rotary
-    ladder repeats every head_dim coordinates of the key latent."""
+    """The source block itself, once validated: the stage-1 form reads the
+    source's rows as one stacked K/V latent, k_proj over v_proj, group j's
+    heads at rows j*head_dim to (j+1)*head_dim of each; the rotary ladder
+    repeats every head_dim coordinates of the key latent. No stage writes
+    the source, so nothing is copied."""
     src.validate()
-    return GqaWeights(**asdict(src))
+    return src
 
 
 def merged_forward(merged: GqaWeights, tokens, s_q: int = 1) -> np.ndarray:
@@ -443,7 +444,6 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     model dim, and use q_rank == model_dim: queries are not compressed by
     this route, so the emitted query down-projection is the identity.
     """
-    src.validate()
     checks = [
         (target.num_heads == src.num_heads, "num_heads"),
         (target.num_groups == src.num_groups, "num_groups"),

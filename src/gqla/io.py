@@ -1,4 +1,4 @@
-"""Bit-exact checkpoint container (GQCK) and result tables.
+"""Bit-exact checkpoint container (GQCK).
 
 One self-describing file format serves all three architecture kinds so the
 converters are file-to-file transforms. Layout: 4-byte magic "GQCK", a u32
@@ -11,13 +11,10 @@ round-trip bitwise.
 
 from __future__ import annotations
 
-import csv
-import io as _stringio
 import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +35,7 @@ _GQA_FIELDS = ("q_proj", "k_proj", "v_proj", "out_proj")
 _GQA_CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "rope_base")
 _CONFIG_FIELDS = ("model_dim", "num_heads", "num_groups", "head_dim", "value_head_dim",
                   "rope_head_dim", "kv_rank", "q_rank", "rope_base")
-_DTYPES = {"float64": np.dtype("<f8")}
+_DTYPE = np.dtype("<f8")
 
 
 def _normalize_kind(kind: str) -> str:
@@ -83,7 +80,7 @@ def write_checkpoint(path, kind: str, config, weights, provenance: str | None = 
     chunks = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(getattr(weights, name), dtype=_DTYPES["float64"])
+        arr = np.ascontiguousarray(getattr(weights, name), dtype=_DTYPE)
         raw = arr.tobytes()
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(raw)
@@ -151,9 +148,8 @@ def read_checkpoint(path, strict: bool = True):
 
     kind = _normalize_kind(header.get("kind", ""))
     dtype = header.get("dtype", "float64")
-    if not isinstance(dtype, str) or dtype not in _DTYPES:
+    if dtype != "float64":
         raise CheckpointFormatError(f"unsupported dtype {dtype!r:.40}")
-    np_dtype = _DTYPES[dtype]
     expected = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
     directory = header.get("tensors", [])
     if not (isinstance(directory, list) and all(
@@ -177,11 +173,11 @@ def read_checkpoint(path, strict: bool = True):
         shape = tuple(_manifest_int(s, f"tensor {name!r} shape entry", 1) for s in shape)
         offset = _manifest_int(entry.get("offset"), f"tensor {name!r} offset", 0)
         count = math.prod(shape)
-        nbytes = count * np_dtype.itemsize
+        nbytes = count * _DTYPE.itemsize
         if offset + nbytes > len(payload):
             raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(payload, dtype=np_dtype, count=count, offset=offset).reshape(shape)
+        arr = np.frombuffer(payload, dtype=_DTYPE, count=count, offset=offset).reshape(shape)
         arrays[name] = arr.astype(np.float64, copy=True)
     spans.sort()
     for (_, end, name), (start, _, nxt) in zip(spans, spans[1:]):
@@ -204,40 +200,3 @@ def read_checkpoint(path, strict: bool = True):
         return kind, config, weights
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"checkpoint is internally inconsistent: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """A rectangular table with deterministic column order."""
-
-    columns: tuple
-    rows: tuple
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise CheckpointFormatError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns")
-
-
-def make_table(columns, rows) -> ResultTable:
-    return ResultTable(columns=tuple(columns), rows=tuple(tuple(r) for r in rows))
-
-
-def emit_table(table: ResultTable, format: str = "text") -> str:
-    """Render a table as fixed-width aligned text or RFC-style CSV."""
-    if format == "csv":
-        buf = _stringio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow(row)
-        return buf.getvalue()
-    if format != "text":
-        raise CheckpointFormatError(f"unknown table format {format!r}")
-    cells = [[str(c) for c in table.columns]] + [[str(c) for c in row] for row in table.rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(table.columns))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in cells]
-    return "\n".join(lines) + "\n"
-

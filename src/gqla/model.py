@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
-from .rope import RopeSpec, apply_folded_rope, apply_rope, rotors
+from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 
 def _check_counts(**counts) -> None:
@@ -276,30 +276,28 @@ def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
     return tokens
 
 
-def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position,
-                     rot=None):
+def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position):
     """Per-head queries of tokens x (..., model_dim) at their positions.
 
     Returns q_nope (..., num_heads, head_dim) and the post-rotary q_rope
     (..., num_heads, rope_head_dim). position is an int, or one per token of
-    an (n, model_dim) batch; rot, if given, is its rope.rotors.
+    an (n, model_dim) batch.
     """
     c_q = x @ weights.q_down.T
     q_nope = (c_q @ weights.q_up.T).reshape(x.shape[:-1] + (config.num_heads, config.head_dim))
-    return q_nope, _rope_queries(weights, config, c_q, position, rot)
+    return q_nope, _rope_queries(weights, config, c_q, position)
 
 
-def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position,
-                  rot=None):
+def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position):
     """Post-rotary per-head queries (..., num_heads, rope_head_dim) of query latents c_q."""
-    q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position, rot)
+    q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
     return q_rope.reshape(c_q.shape[:-1] + (config.num_heads, config.rope_head_dim))
 
 
-def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position, rot=None):
+def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position):
     """Latent kv (..., kv_rank) and post-rotary k_rope (..., rope_head_dim) of tokens x."""
     return x @ weights.kv_down.T, apply_rope(config.rope_spec(), x @ weights.k_rope.T,
-                                             position, rot)
+                                             position)
 
 
 # Largest (queries, heads, keys) score array, in float64 elements (8 MiB), that
@@ -485,11 +483,9 @@ def _extend(weights: GqlaWeights, config: GqlaConfig, cache, tokens: np.ndarray,
     with the given one, whose rows stay as they were (_append).
     """
     positions = np.arange(len(cache), len(cache) + tokens.shape[0])
-    rot = rotors(config.rope_spec(), positions)  # shared by the key and query rotations
     cache = _append(cache, _cache_rows(weights, type(cache),
-                                       *_project_keys(weights, config, tokens, positions, rot)))
-    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:],
-                                      rot[-s_q:])
+                                       *_project_keys(weights, config, tokens, positions)))
+    q_nope, q_rope = _project_queries(weights, config, tokens[-s_q:], positions[-s_q:])
     return _attention(weights, config, q_nope, q_rope, cache, config.score_scale), cache
 
 

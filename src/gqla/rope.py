@@ -5,7 +5,7 @@ rotated counterclockwise by angle t * base**(-2k/dim) at position t. The same
 convention must be used by the attention model and the checkpoint converter;
 the converter's exactness relies on per-pair rotations commuting with it.
 
-Pair k is rotated as the complex number v[2k] + i*v[2k+1] times its rotor
+Pair k is rotated as the complex number v[2k] + i*v[2k+1] times
 exp(i * angle): one complex multiply per pair.
 """
 
@@ -44,18 +44,11 @@ class RopeSpec:
         return _frequencies(self.dim, self.base)
 
 
-def rotors(spec: RopeSpec, t) -> np.ndarray:
-    """exp(i * angle) of every pair at positions t, complex: (dim/2,) for one
-    position, (n, dim/2) for a vector of n positions. Computed once, it serves
-    every apply_rope call at the same positions."""
-    return np.exp(1j * np.multiply.outer(np.asarray(t, dtype=np.float64), spec.frequencies()))
-
-
-def apply_rope(spec: RopeSpec, v, t, rot=None) -> np.ndarray:
+def apply_rope(spec: RopeSpec, v, t) -> np.ndarray:
     """Rotate each coordinate pair of v by its frequency times position t.
 
     t is one integer position, or an integer array giving the position of
-    each entry along v's leading axis. rot, if given, is rotors(spec, t).
+    each entry along v's leading axis.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != spec.dim:
@@ -64,21 +57,18 @@ def apply_rope(spec: RopeSpec, v, t, rot=None) -> np.ndarray:
     if t.ndim and (t.ndim != 1 or v.ndim < 2 or t.shape[0] != v.shape[0]):
         raise ShapeError(f"positions of shape {t.shape} do not align with the "
                          f"leading axis of shape {v.shape}")
-    if rot is None:
-        rot = rotors(spec, t)
-    elif rot.shape != t.shape + (spec.dim // 2,):
-        raise ShapeError(f"rotors of shape {rot.shape} do not match positions of shape {t.shape}")
+    rot = np.exp(1j * np.multiply.outer(t.astype(np.float64), spec.frequencies()))
     if t.ndim:
         rot = rot.reshape(t.shape + (1,) * (v.ndim - 2) + rot.shape[-1:])
     pairs = np.ascontiguousarray(v).view(np.complex128)
     return (pairs * rot).view(np.float64)
 
 
-def apply_folded_rope(spec: RopeSpec, v, t, rot=None) -> np.ndarray:
+def apply_folded_rope(spec: RopeSpec, v, t) -> np.ndarray:
     """Apply the same rotation independently to each consecutive dim-sized block.
 
-    t is a position or a position per entry along v's leading axis, and rot
-    optionally its rotors, as in apply_rope.
+    t is a position or a position per entry along v's leading axis, as in
+    apply_rope.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[-1]
@@ -87,4 +77,4 @@ def apply_folded_rope(spec: RopeSpec, v, t, rot=None) -> np.ndarray:
     if np.ndim(t) and v.ndim < 2:
         raise ShapeError("a position vector needs a leading position axis on v")
     blocks = v.reshape(v.shape[:-1] + (n // spec.dim, spec.dim))
-    return apply_rope(spec, blocks, t, rot).reshape(v.shape)
+    return apply_rope(spec, blocks, t).reshape(v.shape)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from gqla.convert_gqa import GqaWeights, init_random_gqa
-from gqla.io import ResultTable, make_table
 from gqla.model import GqlaConfig, init_random, random_tokens
 
 
@@ -154,7 +153,7 @@ __all__ = ["plant_bandrank1_gqa", "plant_group_structured_mla", "loop_gqa_oracle
            "dual_path_bound", "random_tokens"]
 
 
-def parse_csv(text: str) -> ResultTable:
-    """Inverse of gqla.io.emit_table(format="csv"); all values come back as strings."""
+def parse_csv(text: str):
+    """Inverse of gqla.cli.emit_table(format="csv"): (columns, rows), all strings."""
     rows = list(csv.reader(io.StringIO(text)))
-    return make_table(rows[0], rows[1:])
+    return rows[0], rows[1:]

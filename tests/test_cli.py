@@ -6,7 +6,7 @@ import pytest
 
 from gqla import io as gqck
 from gqla import model as M
-from gqla.cli import main
+from gqla.cli import emit_table, main, operating_points_table
 from gqla.convert_gqa import init_random_gqa
 from gqla.model import GqlaConfig
 
@@ -147,6 +147,20 @@ class TestConvert:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("route", [("gqa", "--rkv", "14", "--dhr", "4"),
+                                       ("gqa", "--rkv", "60", "--dhr", "4"),
+                                       ("mla", "--g", "2"), ("mla", "--g", "8")],
+                             ids=["gqa-rkv14", "gqa-rkv60", "mla-g2", "mla-g8"])
+    def test_converted_checkpoint_passes_verify_and_sparse_check(
+            self, gqa_ckpt, mla_ckpt, tmp_path, capsys, route):
+        source = gqa_ckpt if route[0] == "gqa" else mla_ckpt
+        out_path = str(tmp_path / "out.gqck")
+        assert main(["convert", "--from", route[0], "--in", str(source), "--out", out_path,
+                     *route[1:]]) == 0
+        assert main(["verify", "--checkpoint", out_path, "--sq", "2"]) == 0
+        assert main(["sparse-check", "--checkpoint", out_path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_kind_mismatch(self, mla_ckpt, tmp_path, capsys):
         rc = main(["convert", "--from", "gqa", "--in", str(mla_ckpt),
                    "--out", str(tmp_path / "x.gqck"), "--rkv", "8", "--dhr", "2"])
@@ -196,10 +210,10 @@ class TestRoofline:
         csv_out = capsys.readouterr().out
         assert main(["roofline", "--format", "text"]) == 0
         text_out = capsys.readouterr().out
-        parsed = parse_csv(csv_out)
+        _, rows = parse_csv(csv_out)
         text_rows = [l.split() for l in text_out.splitlines()
                      if l and not l.startswith("#")][1:]
-        assert [list(r) for r in parsed.rows] == text_rows
+        assert rows == text_rows
 
     def test_explicit_rows(self, capsys):
         rc = main(["roofline", "--hw", "h20", "--rows", "gqa:8:2,mqa:1:1", "--format", "csv"])
@@ -215,6 +229,32 @@ class TestRoofline:
         out = capsys.readouterr().out
         assert rc == 0
         assert "72" in out  # desk expanded cache: 72 elements * 2 bytes = 144 B/tok
+
+
+class TestResultTable:
+    def test_empty_rows_render_header_only(self):
+        assert emit_table(["a", "b"], [], "text") == "a  b\n"
+        assert emit_table(["a", "b"], [], "csv") == "a,b\n"
+
+    def test_csv_round_trip(self):
+        columns, rows = ["name", "value"], [["plain", "1.5"], ["with,comma", "2"]]
+        text = emit_table(columns, rows, "csv")
+        assert parse_csv(text) == (columns, rows)
+        assert '"with,comma"' in text
+
+    def test_text_is_fixed_width_aligned(self):
+        lines = emit_table(["col", "x"], [["aa", "1"], ["b", "22"]], "text").splitlines()
+        assert lines[0] == "col   x"
+        assert lines[1] == " aa   1"
+        assert lines[2] == "  b  22"
+
+    def test_planner_table_is_eight_by_ten(self):
+        from gqla import roofline as R
+        points = R.operating_table([R.H100, R.H20], M.canonical_config())
+        columns, rows = operating_points_table(points)
+        assert len(columns) == 10
+        assert len(rows) == 8
+        assert all(len(row) == len(columns) for row in rows)
 
 
 class TestSparseCheck:

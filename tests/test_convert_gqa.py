@@ -35,6 +35,18 @@ def desk_target(kv_rank, rope_dim) -> GqlaConfig:
 
 
 class TestMergeHeads:
+    def test_returns_the_source_itself(self, desk_gqa):
+        assert CG.merge_heads(desk_gqa) is desk_gqa
+
+    def test_non_finite_source_rejected(self, desk_gqa):
+        k = desk_gqa.k_proj.copy()
+        k[0, 0] = np.nan
+        src = dataclasses.replace(desk_gqa, k_proj=k)
+        with pytest.raises(ShapeError, match="non-finite"):
+            CG.merge_heads(src)
+        with pytest.raises(ShapeError, match="non-finite"):
+            CG.convert(src, CALIB, desk_target(kv_rank=18, rope_dim=4))
+
     def test_degenerate_grouping_is_reshape(self):
         src = CG.init_random_gqa(num_heads=4, num_groups=4, head_dim=8, model_dim=32, seed=2)
         merged = CG.merge_heads(src)

@@ -13,8 +13,6 @@ from gqla.cli import main
 from gqla.convert_gqa import init_random_gqa
 from gqla.errors import CheckpointFormatError
 
-from conftest import parse_csv
-
 
 def read_blob(path):
     with open(path, "rb") as fh:
@@ -260,38 +258,3 @@ def test_any_byte_edit_gives_a_checkpoint_or_format_error(tmp_path_factory, data
         blob[at] = byte
     path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
     _read_or_format_error(path)
-
-
-class TestResultTable:
-    def test_empty_rows_render_header_only(self):
-        table = gqck.make_table(["a", "b"], [])
-        assert gqck.emit_table(table, "text") == "a  b\n"
-        assert gqck.emit_table(table, "csv") == "a,b\n"
-
-    def test_rectangularity_enforced(self):
-        with pytest.raises(CheckpointFormatError):
-            gqck.make_table(["a", "b"], [[1]])
-
-    def test_csv_round_trip(self):
-        table = gqck.make_table(["name", "value"],
-                                [["plain", "1.5"], ["with,comma", "2"]])
-        text = gqck.emit_table(table, "csv")
-        parsed = parse_csv(text)
-        assert parsed.columns == table.columns
-        assert parsed.rows == table.rows
-        assert '"with,comma"' in text
-
-    def test_text_is_fixed_width_aligned(self):
-        table = gqck.make_table(["col", "x"], [["aa", "1"], ["b", "22"]])
-        lines = gqck.emit_table(table, "text").splitlines()
-        assert lines[0] == "col   x"
-        assert lines[1] == " aa   1"
-        assert lines[2] == "  b  22"
-
-    def test_planner_table_is_eight_by_ten(self):
-        from gqla import roofline as R
-        from gqla.cli import operating_points_table
-        points = R.operating_table([R.H100, R.H20], M.canonical_config())
-        table = operating_points_table(points)
-        assert len(table.columns) == 10
-        assert len(table.rows) == 8

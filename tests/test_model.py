@@ -8,7 +8,7 @@ from gqla import convert_gqa, convert_mla
 from gqla import model as M
 from gqla import sparse
 from gqla.errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
-from gqla.rope import RopeSpec, apply_rope, rotors
+from gqla.rope import RopeSpec, apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle
 
@@ -65,19 +65,6 @@ class TestProjectToken:
             assert np.max(np.abs(q_rope[i] - q_r)) <= 1e-12
         assert np.max(np.abs(kv - desk_weights.kv_down @ x)) <= 1e-12
         assert np.max(np.abs(k_rope - apply_rope(spec, desk_weights.k_rope @ x, t))) <= 1e-12
-
-    def test_shared_rotors_match_per_call_rotation(self, desk_config, desk_weights):
-        # the rotary table an append computes once serves keys and queries alike
-        x = M.random_tokens(3, 64, 4)
-        positions = np.arange(5, 8)
-        rot = rotors(desk_config.rope_spec(), positions)
-        for shared, own in zip((*M._project_queries(desk_weights, desk_config, x, positions, rot),
-                                *M._project_keys(desk_weights, desk_config, x, positions, rot)),
-                               (*M._project_queries(desk_weights, desk_config, x, positions),
-                                *M._project_keys(desk_weights, desk_config, x, positions))):
-            assert np.array_equal(shared, own)
-        with pytest.raises(ShapeError):
-            M._project_keys(desk_weights, desk_config, x, positions, rot[:2])
 
 
 _TOKEN_ENTRY_POINTS = {
