@@ -254,7 +254,15 @@ class TestResultTable:
         columns, rows = operating_points_table(points)
         assert len(columns) == 10
         assert len(rows) == 8
+
+    def test_rectangularity_enforced(self, capsys):
+        from gqla import roofline as R
+        points = R.operating_table([R.H100, R.H20], M.canonical_config())
+        columns, rows = operating_points_table(points)
         assert all(len(row) == len(columns) for row in rows)
+        assert main(["roofline", "--format", "csv"]) == 0
+        columns, rows = parse_csv(capsys.readouterr().out)
+        assert rows and all(len(row) == len(columns) for row in rows)
 
 
 class TestSparseCheck:
