@@ -26,9 +26,9 @@ Four stages, the first two exact and the last two calibration-driven:
 
 No gradient updates anywhere; calibration is a seeded synthetic token stream
 at desk scale. Every calibrated stage reads its second moments from the
-calibration Gram matrix (numerics.block_moments, CovarianceAccumulator.root)
-and takes as calib either the tokens or their CovarianceAccumulator, so
-convert accumulates it once for all three.
+calibration Gram matrix (numerics.block_moments; CovarianceAccumulator.root,
+its Cholesky or eigen root) and takes as calib either the tokens or their
+CovarianceAccumulator, so convert accumulates it once for all three.
 """
 
 from __future__ import annotations
@@ -155,16 +155,19 @@ def merged_scores(merged: GqaWeights, tokens) -> np.ndarray:
 
 def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
     """Rotate each group's key rows by its (head_dim x head_dim) block of
-    rotations (num_groups, head_dim, head_dim) and fold the same rotation into
-    the group's query slices; attention scores are unchanged because each
-    block rotates within a single rotary pair and therefore commutes with the
-    rotary map."""
+    rotations (num_groups, head_dim, head_dim), pair by pair, and fold the same
+    rotation into the group's query slices. Scores are unchanged because each
+    rotary pair's 2 x 2 block commutes with the rotary map; rotations that mix
+    two pairs raise ShapeError."""
     g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
     rotations = np.asarray(rotations, dtype=np.float64)
     if rotations.shape != (g, d, d):
         raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d, d)}")
-    keys = rotations @ merged.k_proj.reshape(g, d, dm)
-    q_proj = rotations[:, None] @ merged.q_proj.reshape(g, -1, d, dm)
+    blocks = np.einsum("gpipj->gpij", rotations.reshape(g, d // 2, 2, d // 2, 2))
+    if np.count_nonzero(blocks) != np.count_nonzero(rotations):
+        raise ShapeError("rotations must act within rotary pairs, one 2 x 2 block each")
+    keys = blocks @ merged.k_proj.reshape(g, d // 2, 2, dm)
+    q_proj = blocks[:, None] @ merged.q_proj.reshape(g, -1, d // 2, 2, dm)
     return replace(merged, q_proj=q_proj.reshape(merged.q_proj.shape),
                    k_proj=keys.reshape(merged.k_proj.shape))
 
@@ -202,13 +205,11 @@ def rorope_align(merged: GqaWeights, calib) -> tuple:
     m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     lead = _canonical_signs(np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None])
-    cos, sin = np.moveaxis(lead.reshape(g, -1, 2), -1, 0)
-    # each pair's block is [[cos, sin], [-sin, cos]]
-    x = np.arange(0, d, 2)
-    rotations = np.zeros((g, d, d))
-    rotations[:, x, x] = rotations[:, x + 1, x + 1] = cos
-    rotations[:, x, x + 1] = sin
-    rotations[:, x + 1, x] = -sin
+    pair = lead.reshape(g, -1, 2)  # (cos, sin) of each pair
+    rotations = np.zeros((g, d // 2, 2, d // 2, 2))
+    blocks = np.einsum("gpipj->gpij", rotations)  # each pair's own 2 x 2 block, as a view
+    blocks[..., 0, :], blocks[..., 1, :] = pair, pair[..., ::-1] * [-1.0, 1.0]  # -sin, cos
+    rotations = rotations.reshape(g, d, d)
     return apply_head_rotations(merged, rotations), rotations
 
 
@@ -341,9 +342,10 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
 
     The stacked activations calib·w_map^T have rank at most model_dim, so
     neither they nor their (d_n + g*head_dim)-square second moment are
-    formed: with the calibration Gram matrix's normalized moment E·Λ·E^T,
-    b = √Λ·E^T·w_map^T (model_dim rows) has that second moment as b^T·b, so
-    norms, energies and the PCA basis (numerics.root_eig) all come from b.
+    formed: with a root r of the calibration Gram matrix's normalized moment
+    r^T·r, b = r·w_map^T (model_dim rows) has that second moment as b^T·b, so
+    norms, energies and the PCA basis (numerics.root_eig) all come from b,
+    and products with the basis skip its dead (zero) columns.
     """
     width = aligned.num_groups * aligned.head_dim
     nope_proj = np.eye(width) if freqfold is None else freqfold.nope_basis
@@ -356,7 +358,7 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     key_map = nope_proj.T @ aligned.k_proj            # (d_n, model_dim)
     root_k = root @ key_map.T                         # (model_dim, d_n)
     root_v = root @ aligned.v_proj.T                  # (model_dim, g*head_dim)
-    norm_k = float(np.linalg.norm(root_k)) if d_n else 0.0
+    norm_k = float(np.linalg.norm(root_k))
     norm_v = float(np.linalg.norm(root_v))
     if norm_v == 0.0 or (d_n and norm_k == 0.0):
         raise DegenerateCalibrationError("a side has zero activation energy under calibration")
@@ -373,10 +375,12 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     w_map = np.vstack([scale_k * key_map, scale_v * aligned.v_proj])
     b = np.hstack([scale_k * root_k, scale_v * root_v])
     eig = root_eig(b, kv_rank)
-    u = eig.eigenvectors
-    v = u.T @ w_map
-    k_up = nope_proj @ u[:d_n] / scale_k
-    v_up = u[d_n:] / scale_v
+    live = int(np.count_nonzero(eig.eigenvalues))  # products over live columns: dead ones stay 0
+    u, dead = eig.eigenvectors[:, :live], ((0, 0), (0, kv_rank - live))
+    v = np.pad(u.T @ w_map, dead[::-1])
+    # u^T on the left: a column's bytes then do not depend on the live count
+    k_up = np.pad((u[:d_n].T @ nope_proj.T).T / scale_k, dead)
+    v_up = np.pad(u[d_n:] / scale_v, dead)
 
     # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
     # R^T·R = N·root^T·root, so ||calib·X|| = √N·||root·X|| for every X and
@@ -384,15 +388,13 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     recon = (b @ u) @ u.T
     def retained(full, kept):
         total = float(np.linalg.norm(full) ** 2)
-        if total == 0.0:
-            return 1.0
-        return 1.0 - float(np.linalg.norm(full - kept) ** 2) / total
-    energy_key = retained(b[:, :d_n], recon[:, :d_n]) if d_n else 1.0
+        return 1.0 - float(np.linalg.norm(full - kept) ** 2) / total if total else 1.0
+    energy_key = retained(b[:, :d_n], recon[:, :d_n])
     energy_value = retained(b[:, d_n:], recon[:, d_n:])
     return JointCompression(kv_down=v, k_up=k_up, v_up=v_up,
                             scale_key=scale_k, scale_value=scale_v,
                             energy_key=energy_key, energy_value=energy_value,
-                            latent_rank=int(np.count_nonzero(eig.eigenvalues)))
+                            latent_rank=live)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ absorbed path. The conversion recovers group-indexed up-projections by
 per-group, side-separated PCA on up-projection activations, then folds the
 square orthonormal factors into the query and output slices with no shape
 change. Each group's activation moment is held as its root, the calibration
-Gram root times the group's up·kv_down block (model_dim rows), and its basis
-is taken from that root (numerics.root_eig): the activations are never
-formed, and their moments only where (h/g)·head_dim <= model_dim. The latent
-down-projection and the rotary pathway pass through untouched, so the
-source's latent cache and absorbed kernel stay valid.
-No gradient updates; calibration only.
+Gram root (a Cholesky factor unless the Gram matrix is near singular) times
+the group's up·kv_down block (model_dim rows), and its basis is taken from
+that root (numerics.root_eig): the activations are never formed, and their
+moments only where (h/g)·head_dim <= model_dim. The latent down-projection
+and the rotary pathway pass through untouched, so the source's latent cache
+and absorbed kernel stay valid. No gradient updates; calibration only.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class GroupStats:
     """Per-group, per-side roots of the up-projection activation moments.
 
     key_root[j] (model_dim x (h/g)*head_dim) is r·(k_up_j·kv_down)^T, r being
-    the calibration Gram root (CovarianceAccumulator.root), with k_up_j group
-    j's (h/g)*head_dim rows of k_up; key_root[j]^T·key_root[j] is the
-    normalized second moment of group j's key activations. value_root
-    likewise.
+    any root (r^T·r) of the normalized calibration Gram matrix, as
+    CovarianceAccumulator.root gives it, and k_up_j group j's (h/g)*head_dim
+    rows of k_up; key_root[j]^T·key_root[j] is the normalized second moment
+    of group j's key activations. value_root likewise.
     """
 
     groups: int

@@ -2,16 +2,16 @@
 
 All matrices are plain float64 numpy arrays in row-major layout. The entry
 points are a canonicalized symmetric eigendecomposition, an uncentered
-second-moment accumulator and the block moments of linear maps read from it,
-the covariance-weighted low-rank factorization
+second-moment accumulator with a square root of its moment (Cholesky, or an
+eigendecomposition where the moment is near singular) and the block moments
+of linear maps read from it, the covariance-weighted low-rank factorization
 (the tests' referee for the converters' bases) and its square-root form,
 root_eig, which takes the leading eigenbasis of a wide second moment b^T·b
 from a short factor b (m x D, m < D): from one eigendecomposition of the
 m x m co-moment b·b^T, or, where squaring b would cost accuracy, from a thin
 SVD of b. Columns past b's numerical rank are zero. Both converters take
-their wide bases from it.
-Everything here is a pure function: inputs are never mutated and identical
-inputs give byte-identical outputs.
+their wide bases from it. Everything here is a pure function: inputs are
+never mutated and identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ def _canonical_signs(v: np.ndarray) -> np.ndarray:
     """Scale each column of the real or complex v (..., n, k) by the unit factor
     (a sign, or a phase) that makes its largest-magnitude entry real and
     positive (the first such entry on magnitude ties); a zero column stays."""
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    mag = np.abs(v)  # argmax over a non-last axis copies: take it over 1-byte hits
+    first = np.argmax(mag == mag.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
     lead = np.where(lead == 0, 1.0, lead)
     return np.ascontiguousarray(v * np.conj(lead / np.abs(lead)))
 
@@ -108,11 +110,21 @@ class CovarianceAccumulator:
     def root(self) -> np.ndarray:
         """A square root r (dim x dim) of the normalized moment: r^T·r = normalized().
 
-        r = √Λ·E^T from the eigendecomposition E·Λ·E^T; eigenvalues at rounding
-        level (at most dim·eps times the largest) count as 0, so the rows of r
-        that are not 0 are the moment's numerical rank.
+        r is the upper Cholesky factor given at least dim samples and every
+        squared pivot above √eps times the largest diagonal entry, else
+        r = √Λ·E^T from the eigendecomposition E·Λ·E^T with eigenvalues at
+        rounding level (at most dim·eps times the largest) set to 0: its nonzero
+        rows are the moment's numerical rank, where Cholesky's are √eps-sized.
         """
-        eig = sym_eig(self.normalized())
+        moment = self.normalized()
+        try:
+            low = np.linalg.cholesky(moment) if self.sample_count >= self.dim else None
+        except np.linalg.LinAlgError:
+            low = None
+        if low is not None and (low.diagonal().min() ** 2
+                                > _GRAM_MIN_RATIO * moment.diagonal().max()):
+            return low.T
+        eig = sym_eig(moment)
         lam = eig.eigenvalues
         lam = np.where(lam > self.dim * np.finfo(np.float64).eps * lam[0], lam, 0.0)
         return np.sqrt(lam)[:, None] * eig.eigenvectors.T
@@ -171,8 +183,9 @@ def weighted_error(w, u, v, sigma: CovarianceAccumulator) -> float:
     return float(np.trace(r.T @ sigma.normalized() @ r))
 
 
-# Smallest retained eigenvalue, relative to the largest, that root_eig takes
-# from b·b^T or b^T·b: squaring b halves the usable precision.
+# Smallest eigenvalue root_eig keeps from b·b^T or b^T·b, and smallest squared
+# Cholesky pivot CovarianceAccumulator.root accepts, relative to the largest
+# eigenvalue or diagonal entry: squaring a factor halves the usable precision.
 _GRAM_MIN_RATIO = math.sqrt(np.finfo(np.float64).eps)
 
 
@@ -180,17 +193,17 @@ def root_eig(b, rank: int) -> EigenResult:
     """Leading ``rank`` eigenpairs of the second moment b^T·b, taken from b.
 
     b (m x D) is a square root of the moment, usually with m much smaller than
-    D: activations x = c·w^T of inputs c whose normalized Gram matrix is
-    E·Λ·E^T have the normalized second moment b^T·b with b = √Λ·E^T·w^T, whose
-    m rows are at most the input width. The leading k = min(rank, m)
-    eigenpairs come from one sym_eig of order min(m, D): when m < D, of the
-    m x m co-moment b·b^T = V·Λ·V^T, which has the moment's nonzero
-    eigenvalues, with eigenvectors u = b^T·V/√Λ (the D x D moment is never
-    formed); otherwise of the moment b^T·b itself. Forming either squares b's
-    condition number, so that route is taken only when the k-th eigenvalue
-    exceeds √eps times the largest; otherwise the eigenpairs come from a thin
-    SVD of b. Neither route is selectable. Signs follow sym_eig: each column's
-    largest-magnitude entry is positive.
+    D: activations x = c·w^T of inputs c whose normalized Gram matrix is r^T·r
+    (CovarianceAccumulator.root) have the normalized second moment b^T·b with
+    b = r·w^T, whose m rows are at most the input width. The leading
+    k = min(rank, m) eigenpairs come from one sym_eig of order min(m, D):
+    when m < D, of the m x m co-moment b·b^T = V·Λ·V^T, which has the
+    moment's nonzero eigenvalues, with eigenvectors u = b^T·V/√Λ (the D x D
+    moment is never formed); otherwise of the moment b^T·b itself. Forming
+    either squares b's condition number, so that route is taken only when the
+    k-th eigenvalue exceeds √eps times the largest; otherwise the eigenpairs
+    come from a thin SVD of b. Neither route is selectable. Signs follow
+    sym_eig: each column's largest-magnitude entry is positive.
 
     Past the numerical rank r of b (singular values above max(m, D)·eps times
     the largest, so r >= k on the co-moment route) the moment has no
@@ -203,8 +216,8 @@ def root_eig(b, rank: int) -> EigenResult:
         raise ParameterError(f"rank must be in [1, {dim}], got {rank}")
     lam, u = _gram_pairs(b, min(rank, m)) or _svd_pairs(b, rank)
     eigenvalues, eigenvectors = np.zeros(rank), np.zeros((dim, rank))
-    eigenvalues[:lam.size], eigenvectors[:, :lam.size] = lam, u
-    return EigenResult(eigenvalues=eigenvalues, eigenvectors=_canonical_signs(eigenvectors))
+    eigenvalues[:lam.size], eigenvectors[:, :lam.size] = lam, _canonical_signs(u)
+    return EigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def _gram_pairs(b: np.ndarray, count: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ class TestRoRope:
                 i = j * d // 2 + p
                 assert post[i, 1, 1] <= pre[i, 1, 1] + 1e-12
                 assert post[i, 0, 0] >= post[i, 1, 1] - 1e-12
+
+    def test_rotations_that_leave_their_pair_rejected(self, desk_gqa):
+        merged = CG.merge_heads(desk_gqa)
+        _, aligned = CG.rorope_align(merged, CALIB)
+        for fine in (identity_rotations(merged), aligned):
+            CG.apply_head_rotations(merged, fine)
+        d = merged.head_dim
+        for g, a, b in ((0, 0, 2), (1, 1, d - 1), (1, d - 2, 5)):  # rows a, b in two pairs
+            mixing = identity_rotations(merged)
+            c, s = math.cos(0.3), math.sin(0.3)
+            mixing[g][np.ix_([a, b], [a, b])] = [[c, s], [-s, c]]
+            with pytest.raises(ShapeError):
+                CG.apply_head_rotations(merged, mixing)
 
     def test_rotations_of_wrong_shape_rejected(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)

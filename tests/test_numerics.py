@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gqla import convert_gqa as CG
 from gqla import numerics as N
-from gqla.errors import ParameterError, ShapeError
+from gqla.errors import GqlaError, ParameterError, ShapeError
+from gqla.model import GqlaConfig, random_tokens
 from gqla.numerics import (CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig,
                            weighted_error)
 
@@ -70,6 +72,40 @@ class TestSymEig:
             sym_eig(m)
 
 
+def argmax_signs(v):
+    """The sign rule as first written, the referee: argmax over the magnitudes."""
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    lead = np.where(lead == 0, 1.0, lead)
+    return np.ascontiguousarray(v * np.conj(lead / np.abs(lead)))
+
+
+class TestCanonicalSigns:
+    def cases(self):
+        rng = np.random.default_rng(40)
+        real = rng.standard_normal((3, 7, 5))
+        real[0, :, 1] = 0.0                         # a zero column
+        real[1, :, 2] = [0.5, -2.0, 2.0, 1.0, -2.0, 0.0, 0.25]  # ties of either sign
+        real[2, :, 0] = [2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        complex_ = real + 1j * rng.standard_normal((3, 7, 5))
+        complex_[0, :, 1] = 0.0
+        complex_[1, :, 3] = [1j, -1.0, 0.6 + 0.8j, 0.0, -1j, 0.5, 0.0]  # magnitude ties
+        return [real[0], complex_[0], real, complex_, np.zeros((4, 3)),
+                np.array([[-1.0], [1.0]]), rng.standard_normal((2, 3, 6, 4))]
+
+    def test_bitwise_equal_to_the_argmax_rule(self):
+        for v in self.cases():
+            got, want = N._canonical_signs(v), argmax_signs(v)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_first_largest_entry_wins_ties(self):
+        assert np.array_equal(N._canonical_signs(np.array([[-1.0], [1.0], [0.5]])),
+                              [[1.0], [-1.0], [-0.5]])
+        phased = N._canonical_signs(np.array([[1j], [-1.0]]))
+        assert np.array_equal(phased, [[1.0], [1j]])
+        assert np.array_equal(N._canonical_signs(np.zeros((3, 2))), np.zeros((3, 2)))
+
+
 class TestAccumulate:
     def test_single_sample_outer_product(self):
         v = np.arange(1.0, 5.0)
@@ -135,6 +171,76 @@ class TestAccumulate:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             accumulate(CovarianceAccumulator.empty(3), np.ones((2, 4)))
+
+
+def eigh_root(acc):
+    """The eigendecomposition root √Λ·E^T of the normalized moment, eigenvalues
+    at rounding level as 0: its nonzero rows are the moment's numerical rank."""
+    eig = sym_eig(acc.normalized())
+    lam = eig.eigenvalues
+    lam = np.where(lam > acc.dim * np.finfo(np.float64).eps * lam[0], lam, 0.0)
+    return np.sqrt(lam)[:, None] * eig.eigenvectors.T
+
+
+def boundary_calibrations(dim):
+    """Calibration tokens around the Cholesky/eigh boundary of a dim-wide Gram
+    matrix: N in {dim-2, dim-1, dim, dim+1, 4·dim} random tokens, ten seeds
+    each, then N in {dim, dim+1, 4·dim} tokens whose last column repeats an
+    earlier one, repeats it up to 1e-12, or mixes two earlier ones."""
+    for n in (dim - 2, dim - 1, dim, dim + 1, 4 * dim):
+        for seed in range(10):
+            yield f"random N={n} seed={seed}", random_tokens(n, dim, seed)
+    for n in (dim, dim + 1, 4 * dim):
+        for seed in range(10):
+            tokens = random_tokens(n, dim, seed)
+            i, j = np.random.default_rng(seed).choice(dim - 1, 2, replace=False)
+            for kind, last in (("repeated", tokens[:, i]),
+                               ("perturbed", tokens[:, i] + 1e-12 * tokens[:, j]),
+                               ("mixed", 0.6 * tokens[:, i] - 0.8 * tokens[:, j])):
+                dependent = tokens.copy()
+                dependent[:, -1] = last
+                yield f"{kind} N={n} seed={seed}", dependent
+
+
+def nonzero_rows(r):
+    return int(np.count_nonzero(np.any(r != 0.0, axis=1)))
+
+
+class TestRootRoutes:
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_root_squares_to_the_moment_with_the_eigh_roots_rank(self, dim):
+        for name, tokens in boundary_calibrations(dim):
+            acc = accumulate(CovarianceAccumulator.empty(dim), tokens)
+            r = acc.root()
+            assert np.max(np.abs(r.T @ r - acc.normalized())) <= 1e-12, name
+            assert nonzero_rows(r) == nonzero_rows(eigh_root(acc)), name
+            # the Cholesky factor, triangular, exactly where the moment has full rank
+            full_rank = name.startswith("random") and len(tokens) >= dim
+            assert np.all(np.tril(r, -1) == 0.0) == full_rank, name
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_gqa_conversion_has_the_eigh_roots_latent_rank_and_dead_dims(self, dim,
+                                                                         monkeypatch):
+        # kv_rank 20 exceeds model_dim, so the latent rank is the calibration rank
+        src = CG.init_random_gqa(4, 2, 8, dim, seed=dim)
+        target = GqlaConfig(model_dim=dim, num_heads=4, num_groups=2, head_dim=8,
+                            value_head_dim=8, rope_head_dim=4, kv_rank=20, q_rank=dim)
+
+        def outcome(acc):
+            try:
+                weights, report = CG.convert(src, acc, target)
+            except GqlaError as exc:
+                return type(exc)
+            dead_columns = ~np.any(np.vstack([weights.k_up, weights.v_up]), axis=0)
+            dead_rows = ~np.any(weights.kv_down, axis=1)
+            return report.latent_rank, dead_columns.tolist(), dead_rows.tolist()
+
+        grams = [(name, accumulate(CovarianceAccumulator.empty(dim), tokens))
+                 for name, tokens in boundary_calibrations(dim)]
+        routed = [outcome(acc) for _, acc in grams]
+        monkeypatch.setattr(CovarianceAccumulator, "root", eigh_root)
+        for (name, acc), got in zip(grams, routed):
+            assert got == outcome(acc), name
 
 
 def activation_sigma(w, n_samples, rng):

@@ -1,6 +1,6 @@
 """Property tests: the decoding paths agree with each other and with the
 oracle across the valid configuration space, not only at the fixed shapes,
-and GQA conversion keeps its contracts across small sources.
+and both converters keep their contracts across small sources.
 
 Each suite is bounded and derandomized (a fixed example count drawn from a
 fixed seed), so every run checks the same cases and tier-1 stays fast.
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqla import convert_gqa as CG
+from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import GqlaError, ParameterError
 from gqla.model import GqlaConfig, random_tokens
@@ -174,3 +175,41 @@ def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
         assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
             1 + np.max(np.abs(expect)))
     assert np.max(residuals) <= 1e-9
+
+
+@st.composite
+def mla_conversions(draw):
+    """A small head-indexed source, a group count that divides its heads, and
+    1..3·model_dim calibration tokens, so the calibration Gram matrix is
+    singular (fewer tokens than model_dim) or not."""
+    heads = draw(st.integers(1, 6))
+    model_dim = draw(st.integers(1, 10))
+    config = GqlaConfig(model_dim=model_dim, num_heads=heads, num_groups=heads,
+                        head_dim=draw(st.integers(1, 6)), value_head_dim=draw(st.integers(1, 6)),
+                        rope_head_dim=2 * draw(st.integers(1, 3)),
+                        kv_rank=draw(st.integers(1, 12)), q_rank=draw(st.integers(1, 10)),
+                        rope_base=draw(st.sampled_from([10.0, 10000.0])))
+    groups = draw(st.sampled_from([g for g in range(1, heads + 1) if heads % g == 0]))
+    seed = draw(st.integers(0, 2 ** 16))
+    calib = random_tokens(draw(st.integers(1, 3 * model_dim)), model_dim, seed + 1)
+    return config, M.init_random(config, seed), calib, groups
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mla_conversions())
+def test_mla_conversion_raises_only_package_errors_and_keeps_both_paths(case):
+    config, weights, calib, groups = case
+    try:
+        converted, _ = CM.convert(weights, config, calib, groups)
+    except GqlaError:
+        return
+    target = CM.target_config(config, groups)
+    tokens = random_tokens(6, config.model_dim, 7)
+    expanded, _ = M.forward_gqa_path(converted, target, tokens, 2)
+    absorbed, _ = M.forward_absorb_path(converted, target, tokens, 2)
+    assert np.max(np.abs(expanded - absorbed)) <= dual_path_bound(expanded, 1e-9)
+    # one head per group is a reparameterization wherever the calibration spans
+    # the inputs; past its rank the per-group bases hold zero columns
+    if groups == config.num_heads and np.linalg.matrix_rank(calib) == config.model_dim:
+        source, _ = M.forward_gqa_path(weights, config, tokens, 2)
+        assert np.max(np.abs(expanded - source)) <= 1e-10 * np.max(np.abs(source))
