@@ -217,20 +217,54 @@ def rorope_align(merged: GqaWeights, calib) -> tuple:
 class FreqFoldResult:
     """Band-wise split of the key coordinates into rotary and position-free parts.
 
-    rope_basis (g*head_dim x rope_dim) projects onto the retained rotary
-    directions; columns come in rotary pairs, each pair supported on a single
-    frequency band, placed in band-ascending order. nope_basis (g*head_dim x
-    g*head_dim - rope_dim) spans the complement and feeds the joint latent
-    compression. band_partition lists the key-coordinate indices of each
-    frequency band; retained names each kept (band, direction) pair and
-    band_energies holds the per-band direction energies.
+    band_bases (bands, 2g, 2g) holds each frequency band's orthonormal
+    direction basis over the band's 2g key coordinates band_partition[p]:
+    column 2r + k is column k of the band's direction r, directions in
+    descending energy. The columns are numbered band by band (band p's
+    column c is p*2g + c); rope_columns picks the retained rotary directions'
+    pairs and nope_columns the rest, both in band-ascending order. Products
+    with either basis run as one batched product over the bands (project,
+    lift). rope_basis (g*head_dim x rope_dim) and nope_basis (g*head_dim x
+    g*head_dim - rope_dim) are the dense forms: every column lives on a
+    single band, rotary pairs side by side; nope_basis spans the complement
+    and feeds the joint latent compression. retained names each kept (band,
+    direction) pair and band_energies holds the per-band direction energies.
     """
 
-    rope_basis: np.ndarray
-    nope_basis: np.ndarray
+    band_bases: np.ndarray
+    rope_columns: np.ndarray
+    nope_columns: np.ndarray
     band_partition: tuple
     retained: tuple
     band_energies: tuple
+
+    def project(self, key_rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """basis^T·key_rows over the basis columns named in columns, for key_rows
+        (g*head_dim, n): each band's basis^T times its coordinates' rows, then
+        the named rows of the result."""
+        per_band = (np.swapaxes(self.band_bases, -1, -2)
+                    @ key_rows[np.asarray(self.band_partition)])
+        return per_band.reshape(-1, key_rows.shape[-1])[columns]
+
+    def lift(self, coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """basis·coefficients (g*head_dim, n) over the basis columns named in
+        columns, for coefficients (len(columns), n): the coefficients scattered
+        to their bands, then each band's basis times its own."""
+        bands = np.asarray(self.band_partition)
+        per_band = np.zeros((bands.size, coefficients.shape[-1]))
+        per_band[columns] = coefficients
+        rows = np.empty_like(per_band)
+        rows[bands.ravel()] = (self.band_bases @ per_band.reshape(bands.shape + (-1,))
+                               ).reshape(per_band.shape)
+        return rows
+
+    @property
+    def rope_basis(self) -> np.ndarray:
+        return self.lift(np.eye(len(self.rope_columns)), self.rope_columns)
+
+    @property
+    def nope_basis(self) -> np.ndarray:
+        return self.lift(np.eye(len(self.nope_columns)), self.nope_columns)
 
 
 def _band_complex_pca(blocks: np.ndarray):
@@ -287,21 +321,15 @@ def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
     # Greedy retention by energy; on ties prefer the lower angular frequency
     # (larger band index), then the leading direction.
     # Directions are numbered p*g + r (band p, direction r), so sorting the
-    # numbers sorts by band, then direction.
+    # numbers sorts by band, then direction; direction n's pair is basis
+    # columns 2n and 2n + 1.
     band, direction = np.divmod(np.arange(energies.size), g)
     order = np.lexsort((direction, -band, -energies.ravel()))
     retained, dropped = np.sort(order[: rope_dim // 2]), np.sort(order[rope_dim // 2:])
-
-    def place(selection):
-        p, r = np.divmod(selection, g)
-        cols = np.zeros((width, 2 * len(selection)))
-        m = np.arange(len(selection))[:, None, None]
-        cols[bands[p][:, :, None], 2 * m + [0, 1]] = pairs[p, r]
-        return cols
-
     return FreqFoldResult(
-        rope_basis=place(retained),
-        nope_basis=place(dropped),
+        band_bases=pairs.transpose(0, 2, 1, 3).reshape(len(bands), 2 * g, 2 * g),
+        rope_columns=(2 * retained[:, None] + [0, 1]).ravel(),
+        nope_columns=(2 * dropped[:, None] + [0, 1]).ravel(),
         band_partition=tuple(map(tuple, bands.tolist())),
         retained=tuple(map(tuple, np.column_stack(np.divmod(retained, g)).tolist())),
         band_energies=tuple(energies),
@@ -340,22 +368,27 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     Without a freqfold result every key coordinate is treated as
     position-free (useful for testing the balancing semantics alone).
 
-    The stacked activations calib·w_map^T have rank at most model_dim, so
+    The stacked activations calib·w_map^T, w_map being the position-free
+    key map nope_basis^T·k_proj over v_proj, have rank at most model_dim, so
     neither they nor their (d_n + g*head_dim)-square second moment are
     formed: with a root r of the calibration Gram matrix's normalized moment
     r^T·r, b = r·w_map^T (model_dim rows) has that second moment as b^T·b, so
-    norms, energies and the PCA basis (numerics.root_eig) all come from b,
-    and products with the basis skip its dead (zero) columns.
+    norms and the PCA basis (numerics.root_eig) come from b, and the
+    per-side energies from root_eig's eigenvalues. w_map is never stacked,
+    products with the nope basis run band by band (FreqFoldResult.project,
+    lift), and products with the PCA basis skip its dead (zero) columns.
     """
     width = aligned.num_groups * aligned.head_dim
-    nope_proj = np.eye(width) if freqfold is None else freqfold.nope_basis
-    d_n = nope_proj.shape[1]
+    if freqfold is None:
+        key_map = aligned.k_proj
+    else:
+        key_map = freqfold.project(aligned.k_proj, freqfold.nope_columns)  # (d_n, model_dim)
+    d_n = key_map.shape[0]
     if kv_rank < 1 or kv_rank > d_n + width:
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
     root = _calibration_gram(aligned, calib).root()
-    key_map = nope_proj.T @ aligned.k_proj            # (d_n, model_dim)
     root_k = root @ key_map.T                         # (model_dim, d_n)
     root_v = root @ aligned.v_proj.T                  # (model_dim, g*head_dim)
     norm_k = float(np.linalg.norm(root_k))
@@ -372,26 +405,32 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     else:
         scale_k, scale_v = 1.0, 1.0
 
-    w_map = np.vstack([scale_k * key_map, scale_v * aligned.v_proj])
     b = np.hstack([scale_k * root_k, scale_v * root_v])
     eig = root_eig(b, kv_rank)
     live = int(np.count_nonzero(eig.eigenvalues))  # products over live columns: dead ones stay 0
-    u, dead = eig.eigenvectors[:, :live], ((0, 0), (0, kv_rank - live))
-    v = np.pad(u.T @ w_map, dead[::-1])
-    # u^T on the left: a column's bytes then do not depend on the live count
-    k_up = np.pad((u[:d_n].T @ nope_proj.T).T / scale_k, dead)
-    v_up = np.pad(u[d_n:] / scale_v, dead)
+    lam, u = eig.eigenvalues[:live], eig.eigenvectors[:, :live]
+    u_k, u_v = u[:d_n], u[d_n:]
+    kv_down = np.zeros((kv_rank, aligned.model_dim))
+    kv_down[:live] = (scale_k * u_k).T @ key_map + (scale_v * u_v).T @ aligned.v_proj
+    k_up, v_up = np.zeros((width, kv_rank)), np.zeros((width, kv_rank))
+    k_up[:, :live] = (u_k if freqfold is None
+                      else freqfold.lift(u_k, freqfold.nope_columns)) / scale_k
+    v_up[:, :live] = u_v / scale_v
 
     # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
     # R^T·R = N·root^T·root, so ||calib·X|| = √N·||root·X|| for every X and
-    # the √N cancels in each ratio.
-    recon = (b @ u) @ u.T
-    def retained(full, kept):
-        total = float(np.linalg.norm(full) ** 2)
-        return 1.0 - float(np.linalg.norm(full - kept) ** 2) / total if total else 1.0
-    energy_key = retained(b[:, :d_n], recon[:, :d_n])
-    energy_value = retained(b[:, d_n:], recon[:, d_n:])
-    return JointCompression(kv_down=v, k_up=k_up, v_up=v_up,
+    # the √N cancels in each ratio. With c_s = b_s·u_s and c = b·u = c_k + c_v,
+    # side s keeps all but ||b_s - c·u_s^T||^2 = ||b_s||^2 - 2<c_s, c> +
+    # Σ_i λ_i·||u_s,i||^2, since c^T·c = u^T·b^T·b·u = Λ over the live columns.
+    c_k, c_v = b[:, :d_n] @ u_k, b[:, d_n:] @ u_v
+    c = c_k + c_v
+
+    def retained(total, c_s, u_s):
+        lost = total - 2.0 * float(np.vdot(c_s, c)) + float(lam @ np.einsum("ij,ij->j", u_s, u_s))
+        return 1.0 - max(lost, 0.0) / total if total else 1.0
+    energy_key = retained((scale_k * norm_k) ** 2, c_k, u_k)
+    energy_value = retained((scale_v * norm_v) ** 2, c_v, u_v)
+    return JointCompression(kv_down=kv_down, k_up=k_up, v_up=v_up,
                             scale_key=scale_k, scale_value=scale_v,
                             energy_key=energy_key, energy_value=energy_value,
                             latent_rank=live)
@@ -472,9 +511,14 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     # under the model's 1/sqrt(head_dim + rope_head_dim), so queries carry the
     # compensating factor.
     q_scale = math.sqrt((d + d_r) / d)
-    # head i's rotary query rows: its group's block of rope_basis, transposed
-    rope_blocks = folded.rope_basis.reshape(g, 1, d, d_r).transpose(0, 1, 3, 2)
-    q_rope = q_scale * (rope_blocks @ aligned.q_proj.reshape(g, -1, d, dm))
+    k_rope = folded.project(aligned.k_proj, folded.rope_columns)
+    # Rotary direction n = p*g + r of band p: its pair of basis columns mixes
+    # each head's coordinates 2p, 2p + 1 with the head's group's 2 x 2 block
+    # of band_bases[p], so head i's rotary query rows gather only those rows.
+    band, column = np.divmod(folded.rope_columns[0::2], 2 * g)
+    blocks = folded.band_bases[band[:, None], :, column[:, None] + [0, 1]]  # (d_r/2, 2, 2g)
+    blocks = q_scale * blocks.reshape(-1, 2, g, 2).transpose(2, 0, 1, 3)   # (g, d_r/2, 2, 2)
+    q_rope = blocks[:, None] @ np.take(aligned.q_proj.reshape(g, -1, d // 2, 2, dm), band, axis=2)
     weights = GqlaWeights(
         q_down=np.eye(dm),
         q_up=q_scale * aligned.q_proj,
@@ -482,7 +526,7 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
         kv_down=joint.kv_down,
         k_up=joint.k_up,
         v_up=joint.v_up,
-        k_rope=folded.rope_basis.T @ aligned.k_proj,
+        k_rope=k_rope,
         out_proj=src.out_proj.copy(),
     )
     weights.validate(target)

@@ -7,11 +7,16 @@ per-group, side-separated PCA on up-projection activations, then folds the
 square orthonormal factors into the query and output slices with no shape
 change. Each group's activation moment is held as its root, the calibration
 Gram root (a Cholesky factor unless the Gram matrix is near singular) times
-the group's up·kv_down block (model_dim rows), and its basis is taken from
-that root (numerics.root_eig): the activations are never formed, and their
-moments only where (h/g)·head_dim <= model_dim. The latent down-projection
-and the rotary pathway pass through untouched, so the source's latent cache
-and absorbed kernel stay valid. No gradient updates; calibration only.
+the group's up·kv_down block (model_dim rows), and the bases of all groups
+are taken from those roots by one stacked numerics.root_eig per side: the
+activations are never formed, and their moments only where
+(h/g)·head_dim <= model_dim. Factors are stacked arrays over the groups,
+and the converted up-projections are views of them. With one head per
+group each factor is square, and its columns past the calibration rank are
+completed to an orthonormal basis, so that conversion is an exact
+reparameterization at any calibration size. The latent down-projection and
+the rotary pathway pass through untouched, so the source's latent cache and
+absorbed kernel stay valid. No gradient updates; calibration only.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from . import model as gqla_model
 from .errors import ParameterError
 from .model import GqlaConfig, GqlaWeights, _check_tokens, _probe_deviation
-from .numerics import CovarianceAccumulator, accumulate, root_eig
+from .numerics import CovarianceAccumulator, accumulate, root_eig, sym_eig
 from .rope import apply_rope
 
 
@@ -82,18 +87,19 @@ def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> G
 
 @dataclass(frozen=True)
 class GroupFactorization:
-    """Per-group, per-side factors W_j ~ u_j @ v_j.
+    """Per-group, per-side factors W_j ~ u_j @ v_j, stacked over the groups.
 
-    u_j is column-orthonormal ((h/g)*dim x dim), v_j = u_j^T W_j
-    (dim x kv_rank), dim being head_dim for keys and value_head_dim for
-    values. energy_* hold the per-group retained activation energy fraction.
+    key_u[j] is column-orthonormal ((h/g)*dim x dim) and key_v[j] =
+    key_u[j]^T W_j (dim x kv_rank), dim being head_dim for keys and
+    value_head_dim for values (value_u, value_v). energy_* hold the
+    per-group retained activation energy fraction.
     """
 
     groups: int
-    key_u: tuple
-    key_v: tuple
-    value_u: tuple
-    value_v: tuple
+    key_u: np.ndarray    # (groups, (h/g)*head_dim, head_dim)
+    key_v: np.ndarray    # (groups, head_dim, kv_rank)
+    value_u: np.ndarray  # (groups, (h/g)*value_head_dim, value_head_dim)
+    value_v: np.ndarray  # (groups, value_head_dim, kv_rank)
     key_energy: tuple
     value_energy: tuple
 
@@ -102,25 +108,31 @@ def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> Group
     """Side-separated PCA of each group's stacked up-projection block.
 
     Group j's basis is the leading eigenbasis of its activation moment,
-    taken from the moment's root in stats by numerics.root_eig (one
-    eigendecomposition of order min(model_dim, (h/g)*dim)), which is
-    pca_factor's basis to rounding; the energy is the retained eigenvalues
-    over the moment's trace, the root's squared norm.
+    taken from the moment's root in stats by numerics.root_eig, one stacked
+    call per side (one batched eigendecomposition of order
+    min(model_dim, (h/g)*dim)), which is pca_factor's basis to rounding; the
+    energy is the retained eigenvalues over the moment's trace, the root's
+    squared norm.
     The ranks are head_dim and value_head_dim, which make every per-head
-    sub-block square and therefore absorbable.
+    sub-block square and therefore absorbable. Past the calibration rank
+    root_eig's columns are zero; where the factor itself is square (one head
+    per group) those columns are completed to an orthonormal basis, so the
+    conversion stays an exact reparameterization.
     """
     _check_source(config)
     groups = stats.groups
 
     def side(proj, roots, rank):
-        us, vs, energies = [], [], []
-        for root, block in zip(roots, proj.reshape(groups, -1, proj.shape[1])):
-            eig = root_eig(root, rank)
-            total = float(np.linalg.norm(root)) ** 2  # the moment's trace
-            energies.append(float(eig.eigenvalues.sum()) / total if total > 0 else 1.0)
-            us.append(eig.eigenvectors)
-            vs.append(eig.eigenvectors.T @ block)
-        return tuple(us), tuple(vs), tuple(energies)
+        eig = root_eig(roots, rank)
+        u, dead = eig.eigenvectors, eig.eigenvalues == 0.0
+        if u.shape[-2] == rank and dead.any():
+            # the trailing eigenvectors of the projector u·u^T span what the
+            # live columns leave out
+            u = np.where(dead[:, None, :], sym_eig(u @ np.swapaxes(u, -1, -2)).eigenvectors, u)
+        totals = [float(np.linalg.norm(root)) ** 2 for root in roots]  # each moment's trace
+        energies = tuple(float(kept) / total if total > 0 else 1.0
+                         for kept, total in zip(eig.eigenvalues.sum(axis=-1), totals))
+        return u, np.swapaxes(u, -1, -2) @ proj.reshape(groups, -1, proj.shape[1]), energies
 
     key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
     value_u, value_v, value_energy = side(weights.v_up, stats.value_root,
@@ -134,8 +146,9 @@ def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
     """Fold the square per-head factor blocks into the query/output slices.
 
     The group-indexed up-projections become the stacked v_j factors (first
-    dimension shrinks by heads-per-group); query and output projections keep
-    their shapes; the latent and rotary projections pass through unchanged.
+    dimension shrinks by heads-per-group), read as views of fact; query and
+    output projections keep their shapes; the latent and rotary projections
+    pass through unchanged.
     """
     _check_source(config)
     groups = fact.groups
@@ -144,21 +157,21 @@ def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
 
     # Head i = j*hpg + pos folds the square block pos of group j's factors.
     # The output columns are written in place: no transposed copy is held.
-    q_up = np.matmul(np.reshape(fact.key_u, (groups, hpg, d, d)).transpose(0, 1, 3, 2),
+    q_up = np.matmul(fact.key_u.reshape(groups, hpg, d, d).transpose(0, 1, 3, 2),
                      weights.q_up.reshape(groups, hpg, d, -1)).reshape(weights.q_up.shape)
 
     def head_blocks(o):  # out_proj columns as (group, head in group, model_dim, dv)
         return o.reshape(config.model_dim, groups, hpg, dv).transpose(1, 2, 0, 3)
     out_proj = np.empty_like(weights.out_proj)
-    np.matmul(head_blocks(weights.out_proj), np.reshape(fact.value_u, (groups, hpg, dv, dv)),
+    np.matmul(head_blocks(weights.out_proj), fact.value_u.reshape(groups, hpg, dv, dv),
               out=head_blocks(out_proj))
     converted = GqlaWeights(
         q_down=weights.q_down.copy(),
         q_up=q_up,
         q_rope=weights.q_rope.copy(),
         kv_down=weights.kv_down.copy(),
-        k_up=np.vstack(fact.key_v),
-        v_up=np.vstack(fact.value_v),
+        k_up=fact.key_v.reshape(-1, config.kv_rank),
+        v_up=fact.value_v.reshape(-1, config.kv_rank),
         k_rope=weights.k_rope.copy(),
         out_proj=out_proj,
     )
@@ -240,9 +253,13 @@ def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
     target_config(config, groups). Held-out probe sequences measure the
     end-to-end output deviation against the source.
     """
-    stats = calibrate(weights, config, calib, groups)
-    fact = factor(weights, config, stats)
+    # Each stage's inputs are released as soon as the next stage has them: the
+    # roots once factored, the u factors once absorbed (the v factors live on
+    # as the converted up-projections).
+    fact = factor(weights, config, calibrate(weights, config, calib, groups))
+    key_energy, value_energy = fact.key_energy, fact.value_energy
     converted = absorb_factors(weights, config, fact)
+    del fact
     tgt = target_config(config, groups)
 
     dev, scale = _probe_deviation(
@@ -251,8 +268,8 @@ def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
         config.model_dim, _PROBE_SEED)
     report = MlaConversionReport(
         groups=groups,
-        key_energy=fact.key_energy,
-        value_energy=fact.value_energy,
+        key_energy=key_energy,
+        value_energy=value_energy,
         output_deviation=dev,
         output_scale=scale,
         latent_elements_per_token=config.latent_elements_per_token,

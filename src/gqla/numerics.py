@@ -10,7 +10,9 @@ root_eig, which takes the leading eigenbasis of a wide second moment b^T·b
 from a short factor b (m x D, m < D): from one eigendecomposition of the
 m x m co-moment b·b^T, or, where squaring b would cost accuracy, from a thin
 SVD of b. Columns past b's numerical rank are zero. Both converters take
-their wide bases from it. Everything here is a pure function: inputs are
+their wide bases from it. sym_eig and root_eig also take a stack (..., n, n)
+or (..., m, D) and treat each item exactly as a call on it alone, in one
+batched eigendecomposition. Everything here is a pure function: inputs are
 never mutated and identical inputs give byte-identical outputs.
 """
 
@@ -24,10 +26,11 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim != 2 and not (stack and m.ndim > 2):
+        raise ShapeError(f"{name} must be 2-D{' or a stack of them' if stack else ''}, "
+                         f"got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError(f"{name} contains non-finite entries")
     return m
@@ -37,7 +40,8 @@ def _as_matrix(a, name: str) -> np.ndarray:
 class EigenResult:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
 
-    Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``. The basis is
+    Column i of ``eigenvectors`` pairs with ``eigenvalues[i]``; for a stack
+    of matrices both carry its leading axes. The basis is
     canonicalized: ties keep their pre-sort order and each column's
     largest-magnitude entry is positive, so repeated runs agree bitwise.
     root_eig's columns past its numerical rank are zero, with eigenvalue 0.
@@ -53,24 +57,34 @@ SYMMETRY_RTOL = 1e-10
 def sym_eig(m) -> EigenResult:
     """Eigendecompose a symmetric matrix with deterministic ordering and signs.
 
-    Raises ShapeError for non-square input or asymmetry above SYMMETRY_RTOL
-    times the largest entry, and NumericError if the solver fails to converge.
+    m may be a stack (..., n, n): its items are eigendecomposed in one batch,
+    each bitwise as alone. Raises ShapeError for non-square input or an item
+    whose asymmetry exceeds SYMMETRY_RTOL times its largest entry, and
+    NumericError if the solver fails to converge.
     """
-    m = _as_matrix(m, "m")
-    n, k = m.shape
+    m = _as_matrix(m, "m", stack=True)
+    n, k = m.shape[-2:]
     if n != k:
         raise ShapeError(f"expected a square matrix, got {n}x{k}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+    scale = np.abs(m).max(axis=(-2, -1))
+    if np.any(np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
         raise ShapeError("matrix is not symmetric within tolerance")
+    w, v = _eigh(m)
+    return EigenResult(eigenvalues=w, eigenvectors=_canonical_signs(v))
+
+
+def _eigh(m: np.ndarray, count: int | None = None):
+    """The leading count (default all) eigenpairs of each item of the symmetric
+    stack m, unchecked, eigenvalues descending, signs as the solver leaves them."""
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
     # eigh returns ascending order; flip with a stable sort so exact ties keep
     # their original index order.
-    order = np.argsort(-w, kind="stable")
-    return EigenResult(eigenvalues=w[order], eigenvectors=_canonical_signs(v[:, order]))
+    order = np.argsort(-w, axis=-1, kind="stable")[..., :count]
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def _canonical_signs(v: np.ndarray) -> np.ndarray:
@@ -196,7 +210,8 @@ def root_eig(b, rank: int) -> EigenResult:
     D: activations x = c·w^T of inputs c whose normalized Gram matrix is r^T·r
     (CovarianceAccumulator.root) have the normalized second moment b^T·b with
     b = r·w^T, whose m rows are at most the input width. The leading
-    k = min(rank, m) eigenpairs come from one sym_eig of order min(m, D):
+    k = min(rank, m) eigenpairs come from one eigendecomposition of order
+    min(m, D) (sym_eig's, without its input checks or the unkept columns' signs):
     when m < D, of the m x m co-moment b·b^T = V·Λ·V^T, which has the
     moment's nonzero eigenvalues, with eigenvectors u = b^T·V/√Λ (the D x D
     moment is never formed); otherwise of the moment b^T·b itself. Forming
@@ -209,31 +224,46 @@ def root_eig(b, rank: int) -> EigenResult:
     the largest, so r >= k on the co-moment route) the moment has no
     preferred direction, so the last rank - r columns are zero, with
     eigenvalue 0.
+
+    b may be a stack (..., m, D): the items share one batched
+    eigendecomposition, and each takes its own route and comes out bitwise
+    as from a call on it alone.
     """
-    b = _as_matrix(b, "b")
-    m, dim = b.shape
+    b = _as_matrix(b, "b", stack=True)
+    m, dim = b.shape[-2:]
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must be in [1, {dim}], got {rank}")
-    lam, u = _gram_pairs(b, min(rank, m)) or _svd_pairs(b, rank)
-    eigenvalues, eigenvectors = np.zeros(rank), np.zeros((dim, rank))
-    eigenvalues[:lam.size], eigenvectors[:, :lam.size] = lam, _canonical_signs(u)
+    eigenvalues = np.zeros(b.shape[:-2] + (rank,))
+    eigenvectors = np.zeros(b.shape[:-2] + (dim, rank))
+    served = np.zeros(b.shape[:-2], dtype=bool)
+    if m:
+        lam, u, served = _gram_pairs(b, min(rank, m))
+        eigenvalues[..., :lam.shape[-1]], eigenvectors[..., :lam.shape[-1]] = lam, u
+    for item in np.ndindex(served.shape):
+        if not served[item]:
+            lam, u = _svd_pairs(b[item], rank)
+            eigenvalues[item], eigenvectors[item] = 0.0, 0.0
+            eigenvalues[item][:lam.size], eigenvectors[item][:, :lam.size] = \
+                lam, _canonical_signs(u)
     return EigenResult(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def _gram_pairs(b: np.ndarray, count: int):
-    """The leading count eigenpairs of b^T·b from the smaller of the co-moment
-    b·b^T and the moment b^T·b, or None where root_eig takes the thin SVD
-    instead (see there)."""
-    m, dim = b.shape
-    if m == 0:
-        return None
+    """The leading count eigenpairs (..., count), (..., D, count) of each item's
+    b^T·b from the smaller of the co-moment b·b^T and the moment b^T·b, signs
+    as sym_eig gives them, and whether that route serves the item (...);
+    root_eig takes the thin SVD for the others (see there), whose pairs here
+    are void. The Gram matrix is symmetric and finite by construction, so it
+    skips sym_eig's checks, and only the count kept columns are signed."""
+    m, dim = b.shape[-2:]
     wide = m < dim
-    eig = sym_eig(b @ b.T if wide else b.T @ b)
-    lam = eig.eigenvalues[:count]
-    if not lam[-1] > _GRAM_MIN_RATIO * lam[0]:
-        return None
-    v = eig.eigenvectors[:, :count]
-    return lam, (b.T @ v) / np.sqrt(lam) if wide else v
+    bt = np.swapaxes(b, -1, -2)
+    lam, v = _eigh(b @ bt if wide else bt @ b, count)
+    served = lam[..., -1] > _GRAM_MIN_RATIO * lam[..., 0]
+    if wide:
+        v = bt @ v
+        v /= np.sqrt(np.where(served[..., None], lam, 1.0))[..., None, :]
+    return lam, _canonical_signs(v), served
 
 
 def _svd_pairs(b: np.ndarray, rank: int):
@@ -246,4 +276,3 @@ def _svd_pairs(b: np.ndarray, rank: int):
     tol = max(b.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     lead = min(rank, int(np.count_nonzero(s > tol)))
     return s[:lead] ** 2, vt[:lead].T
-

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import DegenerateCalibrationError, ParameterError, ShapeError
 from gqla.model import GqlaConfig, random_tokens
-from gqla.numerics import CovarianceAccumulator, accumulate, block_moments, pca_factor, sym_eig
+from gqla.numerics import (CovarianceAccumulator, accumulate, block_moments, pca_factor,
+                           root_eig, sym_eig)
 from gqla.rope import apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
@@ -453,6 +456,94 @@ def per_band_complex_pca(block, g):
         v2[0::2], v2[1::2] = -col.imag, col.real
         pairs.append(np.stack([v1, v2], axis=-1))
     return w, np.array(pairs)
+
+
+def placed_bases(aligned, calib, folded):
+    """Referee for rope_basis and nope_basis: each retained, then each other,
+    direction's pair of columns written into its band's rows of a dense
+    matrix, band-ascending, as freqfold_compress first built them."""
+    g = aligned.num_groups
+    bands = np.array(folded.band_partition)
+    _, pairs = CG._band_complex_pca(block_moments(gram(calib), aligned.k_proj[bands]) / len(calib))
+    kept = {p * g + r for p, r in folded.retained}
+
+    def place(selection):
+        cols = np.zeros((bands.size, 2 * len(selection)))
+        for m, n in enumerate(selection):
+            p, r = divmod(n, g)
+            cols[bands[p], 2 * m:2 * m + 2] = pairs[p, r]
+        return cols
+    return place(sorted(kept)), place(sorted(set(range(bands.size // 2)) - kept))
+
+
+def assert_close(got, ref, rtol):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * np.max(np.abs(ref), initial=0.0)
+
+
+class TestBandProducts:
+    """The band-wise products with the FreqFold bases against dense ones."""
+
+    @pytest.mark.parametrize("shape, kv_rank, rope_dim, tokens", [
+        ((8, 2, 16, 64), 14, 4, 512),
+        ((8, 2, 16, 64), 40, 12, 16),       # calibration rank below kv_rank
+        ((8, 1, 16, 64), 8, 16, 512),       # every key dim rotary: no nope columns
+        ((12, 3, 8, 32), 30, 2, 256),
+        ((32, 8, 128, 256), 512, 64, 1024),  # the reference conversion shape
+    ])
+    def test_match_the_dense_bases(self, monkeypatch, shape, kv_rank, rope_dim, tokens):
+        h, g, d, dm = shape
+        src = CG.init_random_gqa(h, g, d, dm, seed=11)
+        calib = random_tokens(tokens, dm, 13)
+        target = GqlaConfig(model_dim=dm, num_heads=h, num_groups=g, head_dim=d,
+                            value_head_dim=d, rope_head_dim=rope_dim, kv_rank=kv_rank, q_rank=dm)
+        eigs = []
+
+        def recording(b, rank):
+            eigs.append(root_eig(b, rank))
+            return eigs[-1]
+        monkeypatch.setattr(CG, "root_eig", recording)
+        weights, report = CG.convert(src, calib, target)
+        aligned, _ = CG.rorope_align(CG.merge_heads(src), calib)
+        folded = CG.freqfold_compress(aligned, calib, kv_rank, rope_dim)
+        rope, nope = placed_bases(aligned, calib, folded)
+        assert np.array_equal(folded.rope_basis, rope)
+        assert np.array_equal(folded.nope_basis, nope)
+
+        key_map = folded.project(aligned.k_proj, folded.nope_columns)
+        assert_close(key_map, nope.T @ aligned.k_proj, 1e-13)
+        assert_close(weights.k_rope, rope.T @ aligned.k_proj, 1e-13)
+        q_scale = math.sqrt((d + rope_dim) / d)
+        q_rope = rope.reshape(g, 1, d, rope_dim).transpose(0, 1, 3, 2) @ \
+            aligned.q_proj.reshape(g, -1, d, dm)
+        assert_close(weights.q_rope, q_scale * q_rope.reshape(h * rope_dim, dm), 1e-13)
+
+        eig = eigs[0]  # convert's joint PCA
+        joint = CG.balance_and_joint_pca(aligned, calib, kv_rank, folded)
+        live, d_n = report.latent_rank, nope.shape[1]
+        u = eig.eigenvectors[:, :live]
+        assert_close(joint.k_up[:, :live], nope @ u[:d_n] / joint.scale_key, 1e-13)
+        w_map = np.vstack([joint.scale_key * (nope.T @ aligned.k_proj),
+                           joint.scale_value * aligned.v_proj])
+        assert_close(joint.kv_down[:live], u.T @ w_map, 1e-13)
+        for name in ("kv_down", "k_up", "v_up"):
+            assert np.array_equal(getattr(joint, name), getattr(weights, name))
+
+
+@pytest.mark.skipif(os.environ.get("GQLA_PAPER_WIDTH") != "1",
+                    reason="one LLaMA-3-8B layer (~1.5 GB, seconds): set GQLA_PAPER_WIDTH=1")
+def test_paper_width_layer_converts_within_twelve_seconds():
+    src = CG.init_random_gqa(32, 8, 128, 4096, seed=1)
+    calib = random_tokens(8192, 4096, 2)
+    target = GqlaConfig(model_dim=4096, num_heads=32, num_groups=8, head_dim=128,
+                        value_head_dim=128, rope_head_dim=64, kv_rank=512, q_rank=4096)
+    start = time.perf_counter()
+    _, report = CG.convert(src, calib, target)
+    seconds = time.perf_counter() - start
+    assert report.cache_ratio_text == "28.125%"
+    assert "cache ratio:            576/2048 elements/token = 28.125%" in report.lines()
+    assert report.latent_rank == 512
+    assert seconds <= 12.0, f"paper-width conversion took {seconds:.1f} s"
 
 
 class TestBalanceAndJointPca:

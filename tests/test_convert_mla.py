@@ -7,7 +7,7 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import ParameterError
 from gqla.model import random_tokens
-from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, sym_eig
+from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
 
 from conftest import dual_path_bound, plant_group_structured_mla
 
@@ -105,6 +105,70 @@ class TestFactor:
             lam = sym_eig(acc.normalized()).eigenvalues
             energy = lam[:d].sum() / lam.sum()
             assert abs(fact.key_energy[j] - energy) <= 1e-14 * energy
+
+
+def looped_factor(weights, config, stats):
+    """Referee for factor: one unstacked root_eig per group and side, each
+    group's v from its own u and block, stacked only at the end."""
+    def side(proj, roots, rank):
+        us, vs, energies = [], [], []
+        for root, block in zip(roots, proj.reshape(stats.groups, -1, proj.shape[1])):
+            eig = root_eig(root, rank)
+            total = float(np.linalg.norm(root)) ** 2
+            energies.append(float(eig.eigenvalues.sum()) / total if total > 0 else 1.0)
+            us.append(eig.eigenvectors)
+            vs.append(eig.eigenvectors.T @ block)
+        return np.stack(us), np.stack(vs), tuple(energies)
+
+    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
+    value_u, value_v, value_energy = side(weights.v_up, stats.value_root, config.value_head_dim)
+    return CM.GroupFactorization(stats.groups, key_u, key_v, value_u, value_v, key_energy,
+                                 value_energy)
+
+
+class TestStackedFactor:
+    def test_reference_shape_is_bitwise_the_per_group_loop(self):
+        config = M.GqlaConfig(model_dim=256, num_heads=32, num_groups=32, head_dim=128,
+                              value_head_dim=128, rope_head_dim=64, kv_rank=512, q_rank=256)
+        weights = M.init_random(config, 12)
+        calib = random_tokens(1024, 256, 13)
+        converted, report = CM.convert(weights, config, calib, 8)
+        fact = looped_factor(weights, config, CM.calibrate(weights, config, calib, 8))
+        referee = CM.absorb_factors(weights, config, fact)
+        for field in dataclasses.fields(referee):
+            assert np.array_equal(getattr(converted, field.name), getattr(referee, field.name))
+        assert report.key_energy == fact.key_energy
+        assert report.value_energy == fact.value_energy
+
+    def test_square_factors_are_completed_past_the_calibration_rank(self, mla_config,
+                                                                   mla_weights):
+        # 4 tokens give each head's 16-dim factor 4 live columns
+        calib = CALIB[:4]
+        stats = CM.calibrate(mla_weights, mla_config, calib, 8)
+        fact = CM.factor(mla_weights, mla_config, stats)
+        loop = looped_factor(mla_weights, mla_config, stats)
+        eye = np.eye(16)
+        for u, v, ref_u, block in zip(fact.key_u, fact.key_v, loop.key_u,
+                                      mla_weights.k_up.reshape(8, 16, -1)):
+            assert np.count_nonzero(np.any(ref_u, axis=0)) == 4
+            assert np.array_equal(u[:, :4], ref_u[:, :4])  # the live columns are kept
+            assert np.max(np.abs(u.T @ u - eye)) <= 1e-12
+            assert np.max(np.abs(u @ v - block)) <= 1e-12 * np.max(np.abs(block))
+        assert fact.key_energy == loop.key_energy and fact.value_energy == loop.value_energy
+        converted, report = CM.convert(mla_weights, mla_config, calib, 8)
+        tokens = random_tokens(15, 64, 44)
+        ref, _ = M.forward_gqa_path(mla_weights, mla_config, tokens, 2)
+        got, _ = M.forward_gqa_path(converted, mla_config, tokens, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert report.output_deviation <= 1e-10
+
+    def test_non_square_factors_keep_zero_columns(self, mla_config, mla_weights):
+        stats = CM.calibrate(mla_weights, mla_config, CALIB[:4], 2)
+        fact = CM.factor(mla_weights, mla_config, stats)
+        loop = looped_factor(mla_weights, mla_config, stats)
+        for name in ("key_u", "key_v", "value_u", "value_v"):
+            assert np.array_equal(getattr(fact, name), getattr(loop, name))
+        assert np.all(fact.key_u[:, :, 4:] == 0.0)
 
 
 class TestAbsorb:

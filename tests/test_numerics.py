@@ -371,7 +371,7 @@ class TestRootEigRoutes:
             b = with_singular_values(np.linspace(3.0, 0.5, n), m, width, seed)
             dense = sym_eig(b.T @ b)
             for k in (1, n // 2, n):
-                assert N._gram_pairs(b, k) is not None
+                assert N._gram_pairs(b, k)[2]  # the co-moment or moment route serves b
                 res = root_eig(b, k)
                 lam, u = N._svd_pairs(b, k)
                 assert projector_gap(res.eigenvectors, dense.eigenvectors[:, :k]) <= 1e-12
@@ -384,8 +384,8 @@ class TestRootEigRoutes:
         s = np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 1e-5, 5e-6])
         assert (s[-1] / s[0]) ** 2 < N._GRAM_MIN_RATIO < (s[5] / s[0]) ** 2
         b = with_singular_values(s, 8, 24, 33)
-        assert N._gram_pairs(b, 6) is not None
-        assert N._gram_pairs(b, 8) is None
+        assert N._gram_pairs(b, 6)[2]
+        assert not N._gram_pairs(b, 8)[2]
         res = root_eig(b, 8)
         lam, u = N._svd_pairs(b, 8)
         assert np.array_equal(res.eigenvalues, lam)
@@ -404,8 +404,8 @@ class TestRootEigRoutes:
 
         calls = []
 
-        def recording(b, rank):
-            calls.append((np.array(b), rank))
+        def recording(b, rank):  # one call per item of a stack
+            calls.extend((item, rank) for item in np.array(b).reshape((-1,) + np.shape(b)[-2:]))
             return root_eig(b, rank)
 
         monkeypatch.setattr(CG, "root_eig", recording)
@@ -439,7 +439,72 @@ class TestRootEigRoutes:
         for b, rank, comoment in (
                 (with_singular_values(np.linspace(3.0, 0.5, 64), 64, 200, 34), 20, True),
                 (with_singular_values(np.array([1.0, 0.5, 1e-7]), 3, 9, 35), 5, False)):
-            assert (N._gram_pairs(b, min(rank, len(b))) is not None) == comoment
+            assert N._gram_pairs(b, min(rank, len(b)))[2] == comoment
             first, again = root_eig(b, rank), root_eig(b.copy(), rank)
             assert np.array_equal(first.eigenvalues, again.eigenvalues)
             assert np.array_equal(first.eigenvectors, again.eigenvectors)
+
+
+class TestStacks:
+    """sym_eig and root_eig on a stack: each item bitwise as alone."""
+
+    def stack(self, m, width, seed):
+        # one item per route: well-conditioned (co-moment for m < width, the
+        # moment otherwise), ill-conditioned (thin SVD), rank-deficient, zero
+        rng = np.random.default_rng(seed)
+        n = min(m, width)
+        items = [with_singular_values(np.linspace(3.0, 0.5, n), m, width, seed),
+                 with_singular_values(np.r_[np.linspace(1.0, 0.3, n - 2), 1e-5, 5e-6],
+                                      m, width, seed + 1),
+                 rng.standard_normal((m, 3)) @ rng.standard_normal((3, width)),
+                 np.zeros((m, width))]
+        return np.stack(items)
+
+    @pytest.mark.parametrize("m, width", [(12, 30), (30, 12), (16, 16)])
+    def test_root_eig_items_are_bitwise_the_unstacked_calls(self, m, width):
+        b = self.stack(m, width, 40)
+        n = min(m, width)
+        served = [bool(N._gram_pairs(item, n)[2]) for item in b]
+        assert served == [True, False, False, False]  # both routes in one stack
+        for rank in (1, n // 2, n, width):
+            stacked = root_eig(b, rank)
+            nested = root_eig(b.reshape((2, 2) + b.shape[1:]), rank)
+            assert stacked.eigenvectors.shape == (4, width, rank)
+            for i, item in enumerate(b):
+                alone = root_eig(item, rank)
+                for res in (stacked, nested):
+                    assert np.array_equal(res.eigenvalues.reshape(4, rank)[i], alone.eigenvalues)
+                    assert np.array_equal(res.eigenvectors.reshape(4, width, rank)[i],
+                                          alone.eigenvectors)
+
+    def test_root_eig_reads_strided_stacks(self):
+        # the MLA converter's roots are views into one (model_dim, groups*rows) product
+        whole = np.random.default_rng(41).standard_normal((24, 4 * 40))
+        roots = whole.reshape(24, 4, 40).transpose(1, 0, 2)
+        stacked = root_eig(roots, 10)
+        for j in range(4):
+            alone = root_eig(np.ascontiguousarray(roots[j]), 10)
+            assert np.array_equal(stacked.eigenvalues[j], alone.eigenvalues)
+            assert np.array_equal(stacked.eigenvectors[j], alone.eigenvectors)
+
+    def test_sym_eig_items_are_bitwise_the_unstacked_calls(self):
+        ms = np.stack([random_symmetric(9, seed) for seed in range(5)]
+                      + [np.eye(9), np.zeros((9, 9))])
+        stacked = sym_eig(ms)
+        for i, m in enumerate(ms):
+            alone = sym_eig(m)
+            assert np.array_equal(stacked.eigenvalues[i], alone.eigenvalues)
+            assert np.array_equal(stacked.eigenvectors[i], alone.eigenvectors)
+
+    def test_stack_checks_every_item(self):
+        ms = np.stack([np.eye(4), np.eye(4)])
+        ms[1, 0, 1] = 1e-3
+        with pytest.raises(ShapeError):
+            sym_eig(ms)
+        ms[1, 0, 1] = np.nan
+        with pytest.raises(ShapeError):
+            sym_eig(ms)
+        with pytest.raises(ShapeError):
+            sym_eig(np.zeros((2, 3, 4)))
+        with pytest.raises(ParameterError):
+            root_eig(np.ones((3, 2, 4)), 5)

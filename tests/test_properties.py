@@ -177,6 +177,40 @@ def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
     assert np.max(residuals) <= 1e-9
 
 
+def reconstruction_energies(b, u, d_n):
+    """Referee for the joint PCA's per-side energies: the share of each side's
+    columns of b (key columns first, d_n of them) kept by the projection onto
+    the basis u, from the reconstruction (b·u)·u^T itself."""
+    recon = (b @ u) @ u.T
+
+    def retained(cols):
+        total = np.linalg.norm(b[:, cols]) ** 2
+        return 1.0 - np.linalg.norm(b[:, cols] - recon[:, cols]) ** 2 / total if total else 1.0
+    return retained(slice(0, d_n)), retained(slice(d_n, None))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gqa_conversions())
+def test_gqa_energies_match_the_reconstruction(case):
+    src, target, calib = case
+    width = src.num_groups * src.head_dim
+    roots = []
+
+    def recording(b, rank):
+        roots.append((b, root_eig(b, rank)))
+        return roots[-1][1]
+
+    with mock.patch.object(CG, "root_eig", recording):
+        try:
+            _, report = CG.convert(src, calib, target)
+        except GqlaError:
+            return
+    [(b, eig)] = roots
+    key, value = reconstruction_energies(b, eig.eigenvectors, b.shape[1] - width)
+    assert abs(report.key_energy_retained - key) <= 1e-12
+    assert abs(report.value_energy_retained - value) <= 1e-12
+
+
 @st.composite
 def mla_conversions(draw):
     """A small head-indexed source, a group count that divides its heads, and
@@ -208,8 +242,8 @@ def test_mla_conversion_raises_only_package_errors_and_keeps_both_paths(case):
     expanded, _ = M.forward_gqa_path(converted, target, tokens, 2)
     absorbed, _ = M.forward_absorb_path(converted, target, tokens, 2)
     assert np.max(np.abs(expanded - absorbed)) <= dual_path_bound(expanded, 1e-9)
-    # one head per group is a reparameterization wherever the calibration spans
-    # the inputs; past its rank the per-group bases hold zero columns
-    if groups == config.num_heads and np.linalg.matrix_rank(calib) == config.model_dim:
+    # one head per group is a reparameterization at any calibration rank: past
+    # it, each square per-group basis is completed to an orthonormal one
+    if groups == config.num_heads:
         source, _ = M.forward_gqa_path(weights, config, tokens, 2)
         assert np.max(np.abs(expanded - source)) <= 1e-10 * np.max(np.abs(source))
