@@ -119,12 +119,15 @@ class GqlaWeights:
     k_rope: (rope_head_dim, model_dim)      shared rotary key projection
     out_proj:(model_dim, num_heads*value_head_dim) output combination
 
-    The first cache_compress with a weights object keeps its solve on that
-    object (_compress_map), so do not write the arrays in place once a switch
-    has used them: make new weights with dataclasses.replace, which start
-    without one. A stale solve can only make cache_compress raise
-    OutOfSubspaceError, never return latents that miss the cache, since the
-    residual is taken against the current arrays.
+    A weights object keeps two matrices derived from its arrays, each made on
+    first use: the cache_compress solve (_compress_map) and the stub
+    indexer's query map (_index_query_map). So do not write the arrays in
+    place once either has been used: make new weights with
+    dataclasses.replace, which start without them. A stale solve can only
+    make cache_compress raise OutOfSubspaceError, never return latents that
+    miss the cache, since the residual is taken against the current arrays.
+    A stale query map is not caught at all: the stub's scores, and so the
+    top-k positions, silently follow the old q_down and q_rope.
     """
 
     q_down: np.ndarray
@@ -159,6 +162,15 @@ class GqlaWeights:
             return np.linalg.pinv(basis, rcond=max(basis.shape) * np.finfo(np.float64).eps).T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"cache compression solve failed: {exc}") from exc
+
+    @functools.cached_property
+    def _index_query_map(self) -> np.ndarray:
+        """The matrix Q̄ (rope_head_dim, model_dim) = (mean over heads of
+        q_rope's (rope_head_dim, q_rank) blocks)·q_down: the pre-rotary mean
+        of the heads' rotary queries of a token x is Q̄·x."""
+        rope_dim = self.k_rope.shape[0]
+        blocks = self.q_rope.reshape(-1, rope_dim, self.q_rope.shape[1])
+        return blocks.mean(axis=0) @ self.q_down
 
 
 def _check_arrays(weights, shapes: dict, require_finite: bool = True) -> None:
@@ -284,14 +296,10 @@ def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, po
     an (n, model_dim) batch.
     """
     c_q = x @ weights.q_down.T
-    q_nope = (c_q @ weights.q_up.T).reshape(x.shape[:-1] + (config.num_heads, config.head_dim))
-    return q_nope, _rope_queries(weights, config, c_q, position)
-
-
-def _rope_queries(weights: GqlaWeights, config: GqlaConfig, c_q: np.ndarray, position):
-    """Post-rotary per-head queries (..., num_heads, rope_head_dim) of query latents c_q."""
+    heads = x.shape[:-1] + (config.num_heads,)
+    q_nope = (c_q @ weights.q_up.T).reshape(heads + (config.head_dim,))
     q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
-    return q_rope.reshape(c_q.shape[:-1] + (config.num_heads, config.rope_head_dim))
+    return q_nope, q_rope.reshape(heads + (config.rope_head_dim,))
 
 
 def _project_keys(weights, config: GqlaConfig, x: np.ndarray, position):
@@ -578,7 +586,7 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
     residual = np.sqrt(np.einsum("ij,ij->i", misfit, misfit))
     if not (np.all(np.isfinite(kv)) and np.all(np.isfinite(residual))):
         raise NumericError("cache compression gave non-finite latents or residuals")
-    norms = np.linalg.norm(stacked, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))
     relative = np.where(norms > 0, residual / np.where(norms > 0, norms, 1.0), residual)
     worst = int(np.argmax(relative)) if len(cache) else 0
     if len(cache) and relative[worst] > COMPRESS_REJECT_ABOVE:

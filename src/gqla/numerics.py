@@ -144,16 +144,35 @@ class CovarianceAccumulator:
         return np.sqrt(lam)[:, None] * eig.eigenvectors.T
 
 
+# Rows per pass of _symmetrize: a pass holds one (rows, n) strip beside the
+# n-square matrix, not a second matrix.
+_SYMMETRIZE_ROWS = 256
+
+
+def _symmetrize(matrix: np.ndarray) -> None:
+    """Overwrite a square matrix m with (m + mᵀ)/2, bitwise, a strip of rows
+    at a time. Each pass averages its rows and columns from the diagonal on,
+    which no earlier pass has written, writes the means into its rows and
+    their transpose below its diagonal block, which comes out symmetric."""
+    for start in range(0, matrix.shape[0], _SYMMETRIZE_ROWS):
+        stop = min(start + _SYMMETRIZE_ROWS, matrix.shape[0])
+        mean = matrix[start:stop, start:] + matrix[start:, start:stop].T
+        mean *= 0.5
+        matrix[start:stop, start:] = mean
+        matrix[stop:, start:stop] = mean[:, stop - start:].T
+
+
 def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:
     """Fold a (samples x dim) batch into the accumulator."""
     batch = _as_matrix(batch, "batch")
     if batch.shape[1] != acc.dim:
         raise ShapeError(f"batch has {batch.shape[1]} columns, accumulator dim is {acc.dim}")
-    update = batch.T @ batch
-    update = (update + update.T) / 2.0  # keep the stored moment exactly symmetric
+    moment = batch.T @ batch
+    _symmetrize(moment)  # keep the stored moment exactly symmetric
+    moment += acc.second_moment
     return CovarianceAccumulator(
         dim=acc.dim,
-        second_moment=acc.second_moment + update,
+        second_moment=moment,
         sample_count=acc.sample_count + batch.shape[0],
     )
 

@@ -2,7 +2,10 @@
 
 The index scores come from a deliberately simple stub (mean over heads of the
 rotary query against cached rotary keys); real hierarchical indexers are out
-of scope. Sparse attention runs the dense paths' grouped attention core on the
+of scope. The stub reads one cached (rope_head_dim, model_dim) matrix of the
+weights, not the query path, and top-k selection partitions the scores
+rather than sorting them, so the pre-pass stays small next to the attention
+it prunes. Sparse attention runs the dense paths' grouped attention core on the
 selected cache rows and defaults to their logit scale, config.score_scale, so
 selecting every position reproduces the dense output without passing a scale.
 A latent-cache twin of the sparse step is provided behind the same signature,
@@ -17,8 +20,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .model import (ExpandedCache, GqlaConfig, GqlaWeights, LatentCache, _attention,
-                    _check_cache, _check_tokens, _fieldwise, _project_queries, _rope_queries,
-                    _softmax)
+                    _check_cache, _check_tokens, _fieldwise, _project_queries, _softmax)
+from .rope import apply_rope
 
 TILE_M = 16
 MASK_VALUE = -1e9
@@ -54,15 +57,20 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     """Fixed stub indexer: mean over heads of the rotary query-key dot product.
 
     Works on either cache layout (both carry the rotary keys). The query is
-    the newest cached token.
+    the newest cached token, at position t = len(cache) - 1. Every head's
+    rotary query R_t·Q_h·c_q is rotated by the same R_t, so the head mean of
+    its dot products with a cached key k_s is k_s·R_t·(Q̄·x), where Q̄ =
+    mean_h(Q_h)·q_down is kept on the weights (see GqlaWeights). One
+    (rope_head_dim, model_dim) product, one rotation and one read of the
+    cached rotary keys give the scores; they match the per-head form to
+    rounding, not bitwise.
     """
     x = _check_token(x, config.model_dim)
     _check_cache(weights, cache, (ExpandedCache, LatentCache))
     if len(cache) < 1:
         raise ParameterError("cache must be non-empty")
-    c_q = x @ weights.q_down.T
-    q_rope = _rope_queries(weights, config, c_q, len(cache) - 1)
-    return (q_rope @ cache.k_rope.T).mean(axis=0)
+    q = apply_rope(config.rope_spec(), weights._index_query_map @ x, len(cache) - 1)
+    return cache.k_rope @ q
 
 
 def topk_select(scores, k: int) -> np.ndarray:
@@ -77,10 +85,15 @@ def topk_select(scores, k: int) -> np.ndarray:
         raise ShapeError("scores contain non-finite entries")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    k = min(k, scores.size)
-    # lexsort: primary key last; descending score, then ascending position.
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return np.sort(order[:k])
+    if k >= scores.size:
+        return np.arange(scores.size)
+    # Keep every score above the k-th largest, then the first positions that
+    # tie it until k are kept.
+    kth = np.partition(scores, -k)[-k]
+    keep = scores > kth
+    ties = np.flatnonzero(scores == kth)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _check_token(x, model_dim: int) -> np.ndarray:

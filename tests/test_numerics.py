@@ -163,6 +163,25 @@ class TestAccumulate:
         assert np.max(np.abs(r.T @ r - acc.normalized())) <= 1e-12
         assert np.array_equal(CovarianceAccumulator.empty(3).root(), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("dim", [9, 600])
+    def test_moment_is_bitwise_the_out_of_place_formula(self, dim):
+        rng = np.random.default_rng(8)
+        acc = CovarianceAccumulator.empty(dim)
+        expect = acc.second_moment
+        for rows in (1, 4, 30, 7):
+            batch = rng.standard_normal((dim, rows)).T  # column-major too
+            update = batch.T @ batch
+            expect = expect + (update + update.T) / 2.0
+            acc = accumulate(acc, batch)
+            assert np.array_equal(acc.second_moment, expect)
+
+    @pytest.mark.parametrize("dim", [1, 9, 256, 600])  # one pass; 256, 256 and 88 rows
+    def test_in_place_symmetrization_is_bitwise_the_mean(self, dim):
+        matrix = np.random.default_rng(9).standard_normal((dim, dim))
+        expect = (matrix + matrix.T) / 2.0
+        N._symmetrize(matrix)
+        assert np.array_equal(matrix, expect)
+
     def test_input_not_mutated(self):
         acc = CovarianceAccumulator.empty(3)
         accumulate(acc, np.ones((2, 3)))

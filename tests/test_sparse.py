@@ -1,6 +1,9 @@
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqla import model as M
 from gqla import sparse
@@ -113,13 +116,65 @@ class TestStubIndexer:
         alt = sparse.stub_index_scores(desk_weights, desk_config, latent, tokens[-1])
         assert np.array_equal(scores, alt)
 
-    def test_rotary_only_projection_is_bitwise_the_full_one(self, desk_config, desk_weights,
-                                                            prefix):
+    def test_scores_match_the_head_mean_referee(self, desk_config, desk_weights, prefix):
         tokens, _, expanded, _ = prefix
-        _, q_rope = M._project_queries(desk_weights, desk_config, tokens[-1], len(expanded) - 1)
-        expect = (q_rope @ expanded.k_rope.T).mean(axis=0)
-        got = sparse.stub_index_scores(desk_weights, desk_config, expanded, tokens[-1])
-        assert np.array_equal(got, expect)
+        for length in (1, 2, 9, 24):
+            cache = M.ExpandedCache(k_nope=expanded.k_nope[:length], v=expanded.v[:length],
+                                    k_rope=expanded.k_rope[:length])
+            x = tokens[length - 1]
+            expect = head_mean_referee(desk_weights, desk_config, cache, x)
+            got = sparse.stub_index_scores(desk_weights, desk_config, cache, x)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_picks_the_referee_top_k(self, desk_config):
+        weights = M.init_random(desk_config, 7)
+        tokens = random_tokens(96, 64, 44)
+        _, expanded = M.forward_gqa_path(weights, desk_config, tokens, 1)
+        expect = head_mean_referee(weights, desk_config, expanded, tokens[-1])
+        got = sparse.stub_index_scores(weights, desk_config, expanded, tokens[-1])
+        for k in (1, 8, 33, 95):
+            assert np.array_equal(sparse.topk_select(got, k), lexsort_top_k(expect, k))
+
+    def test_replaced_weights_score_with_their_own_map(self, desk_config, desk_weights, prefix):
+        tokens, _, expanded, _ = prefix
+        before = sparse.stub_index_scores(desk_weights, desk_config, expanded, tokens[-1])
+        assert "_index_query_map" in vars(desk_weights)
+        q_rope = np.random.default_rng(45).standard_normal(desk_weights.q_rope.shape)
+        fresh = dataclasses.replace(desk_weights, q_rope=q_rope)
+        assert "_index_query_map" not in vars(fresh)
+        got = sparse.stub_index_scores(fresh, desk_config, expanded, tokens[-1])
+        expect = head_mean_referee(fresh, desk_config, expanded, tokens[-1])
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.max(np.abs(got - before)) > 1e-3 * np.max(np.abs(before))
+
+
+def head_mean_referee(weights, config, cache, x):
+    """The stub's definition: each head's rotary query against every cached
+    rotary key, averaged over heads."""
+    _, q_rope = M._project_queries(weights, config, x, len(cache) - 1)
+    return (q_rope @ cache.k_rope.T).mean(axis=0)
+
+
+def lexsort_top_k(scores, k):
+    """Descending score, ties to the smaller position, output sorted."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    return np.sort(order[:k])
+
+
+mixed_scores = st.lists(
+    st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]),
+              st.floats(-1e6, 1e6, allow_nan=False)),
+    min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(values=mixed_scores, data=st.data())
+def test_topk_select_is_the_lexsort_rule(values, data):
+    scores = np.array(values)
+    k = data.draw(st.integers(1, len(values) + 5), label="k")
+    got = sparse.topk_select(scores, k)
+    expect = lexsort_top_k(scores, k)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 def make_config(num_heads, num_groups) -> GqlaConfig:
