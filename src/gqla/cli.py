@@ -21,7 +21,7 @@ from . import convert_gqa, convert_mla, roofline, sparse
 from . import io as gqck
 from . import model as gqla_model
 from .errors import GqlaError, ParameterError
-from .model import GqlaConfig, canonical_config, random_tokens
+from .model import canonical_config, random_tokens
 
 
 def _default_seed() -> int:
@@ -120,14 +120,9 @@ def cmd_convert(args) -> int:
         if args.rkv is None or args.dhr is None:
             _err("--rkv and --dhr are required for --from gqa")
             return 2
-        src: convert_gqa.GqaWeights = weights
-        target = GqlaConfig(
-            model_dim=src.model_dim, num_heads=src.num_heads,
-            num_groups=src.num_groups, head_dim=src.head_dim,
-            value_head_dim=src.head_dim, rope_head_dim=args.dhr,
-            kv_rank=args.rkv, q_rank=src.model_dim, rope_base=src.rope_base)
-        calib = random_tokens(args.calib_tokens, src.model_dim, seed)
-        converted, report = convert_gqa.convert(src, calib, target)
+        target = convert_gqa.target_config(weights, args.rkv, args.dhr)
+        calib = random_tokens(args.calib_tokens, target.model_dim, seed)
+        converted, report = convert_gqa.convert(weights, calib, target)
     else:
         if args.g is None:
             _err("--g is required for --from mla")

@@ -42,8 +42,8 @@ from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
 from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_rotary,
                     _check_tokens, _fan_in_uniform, _grouped_core, _probe_deviation)
-from .numerics import (CovarianceAccumulator, _canonical_signs, accumulate, block_moments,
-                       root_eig)
+from .numerics import (CovarianceAccumulator, _canonical_signs, _eigh, accumulate,
+                       block_moments, root_eig)
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -281,12 +281,7 @@ def _band_complex_pca(blocks: np.ndarray):
     """
     xx, xy = blocks[:, 0::2, 0::2], blocks[:, 0::2, 1::2]
     yx, yy = blocks[:, 1::2, 0::2], blocks[:, 1::2, 1::2]
-    hermitian = (xx + yy) + 1j * (yx - xy)
-    hermitian = (hermitian + hermitian.conj().transpose(0, 2, 1)) / 2.0
-    w, u = np.linalg.eigh(hermitian)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    u = np.take_along_axis(u, order[:, None, :], axis=-1)
+    w, u = _eigh((xx + yy) + 1j * (yx - xy))  # exactly Hermitian: the blocks are symmetric
     # each column's largest-magnitude entry turns real and positive
     u = _canonical_signs(u).transpose(0, 2, 1)  # (bands, direction, coordinate)
     v1 = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:2] + (-1,))
@@ -359,14 +354,10 @@ class JointCompression:
     latent_rank: int
 
 
-def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
-                          freqfold: FreqFoldResult | None = None,
+def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int, freqfold: FreqFoldResult,
                           balance: bool = True) -> JointCompression:
     """Norm-balance the position-free key part against the values, then
     compress both jointly to kv_rank with a covariance-weighted PCA.
-
-    Without a freqfold result every key coordinate is treated as
-    position-free (useful for testing the balancing semantics alone).
 
     The stacked activations calib·w_map^T, w_map being the position-free
     key map nope_basis^T·k_proj over v_proj, have rank at most model_dim, so
@@ -379,10 +370,7 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     lift), and products with the PCA basis skip its dead (zero) columns.
     """
     width = aligned.num_groups * aligned.head_dim
-    if freqfold is None:
-        key_map = aligned.k_proj
-    else:
-        key_map = freqfold.project(aligned.k_proj, freqfold.nope_columns)  # (d_n, model_dim)
+    key_map = freqfold.project(aligned.k_proj, freqfold.nope_columns)  # (d_n, model_dim)
     d_n = key_map.shape[0]
     if kv_rank < 1 or kv_rank > d_n + width:
         raise ParameterError(
@@ -413,8 +401,7 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int,
     kv_down = np.zeros((kv_rank, aligned.model_dim))
     kv_down[:live] = (scale_k * u_k).T @ key_map + (scale_v * u_v).T @ aligned.v_proj
     k_up, v_up = np.zeros((width, kv_rank)), np.zeros((width, kv_rank))
-    k_up[:, :live] = (u_k if freqfold is None
-                      else freqfold.lift(u_k, freqfold.nope_columns)) / scale_k
+    k_up[:, :live] = freqfold.lift(u_k, freqfold.nope_columns) / scale_k
     v_up[:, :live] = u_v / scale_v
 
     # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
@@ -477,26 +464,27 @@ class ConversionReport:
 _PROBE_SEED = 91151
 
 
+def target_config(src: GqaWeights, kv_rank: int, rope_head_dim: int) -> GqlaConfig:
+    """Config of the converted checkpoint: the source's head count, group
+    count, head dim (keys and values), model dim and rotary base, the given
+    latent rank and rotary dim, and q_rank == model_dim, since this route
+    does not compress queries (the emitted query down-projection is the
+    identity)."""
+    return GqlaConfig(model_dim=src.model_dim, num_heads=src.num_heads,
+                      num_groups=src.num_groups, head_dim=src.head_dim,
+                      value_head_dim=src.head_dim, rope_head_dim=rope_head_dim,
+                      kv_rank=kv_rank, q_rank=src.model_dim, rope_base=src.rope_base)
+
+
 def convert(src: GqaWeights, calib, target: GqlaConfig):
     """Run the full pipeline and emit dual-path weights for the target config.
 
-    Returns (GqlaWeights, ConversionReport). The target must match the source
-    head count, group count, head dim (keys and values), rotary base and
-    model dim, and use q_rank == model_dim: queries are not compressed by
-    this route, so the emitted query down-projection is the identity.
+    Returns (GqlaWeights, ConversionReport). The target must equal
+    target_config(src, target.kv_rank, target.rope_head_dim).
     """
-    checks = [
-        (target.num_heads == src.num_heads, "num_heads"),
-        (target.num_groups == src.num_groups, "num_groups"),
-        (target.head_dim == src.head_dim, "head_dim"),
-        (target.value_head_dim == src.head_dim, "value_head_dim"),
-        (target.model_dim == src.model_dim, "model_dim"),
-        (target.rope_base == src.rope_base, "rope_base"),
-        (target.q_rank == src.model_dim, "q_rank (must equal model_dim)"),
-    ]
-    for ok, name in checks:
-        if not ok:
-            raise ParameterError(f"target config incompatible with source: {name}")
+    expected = target_config(src, target.kv_rank, target.rope_head_dim)
+    if target != expected:
+        raise ParameterError(f"target config incompatible with source: expected {expected}")
 
     h, g, d, dm = src.num_heads, src.num_groups, src.head_dim, src.model_dim
     d_r = target.rope_head_dim

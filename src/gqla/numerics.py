@@ -2,18 +2,19 @@
 
 All matrices are plain float64 numpy arrays in row-major layout. The entry
 points are a canonicalized symmetric eigendecomposition, an uncentered
-second-moment accumulator with a square root of its moment (Cholesky, or an
-eigendecomposition where the moment is near singular) and the block moments
-of linear maps read from it, the covariance-weighted low-rank factorization
-(the tests' referee for the converters' bases) and its square-root form,
-root_eig, which takes the leading eigenbasis of a wide second moment b^T·b
-from a short factor b (m x D, m < D): from one eigendecomposition of the
-m x m co-moment b·b^T, or, where squaring b would cost accuracy, from a thin
-SVD of b. Columns past b's numerical rank are zero. Both converters take
-their wide bases from it. sym_eig and root_eig also take a stack (..., n, n)
-or (..., m, D) and treat each item exactly as a call on it alone, in one
-batched eigendecomposition. Everything here is a pure function: inputs are
-never mutated and identical inputs give byte-identical outputs.
+second-moment accumulator, whose moment is exactly symmetric as formed, with
+a square root of its moment (Cholesky, or an eigendecomposition where the
+moment is near singular) and the block moments of linear maps read from it,
+the covariance-weighted low-rank factorization (the tests' referee for the
+converters' bases) and its square-root form, root_eig, which takes the
+leading eigenbasis of a wide second moment b^T·b from a short factor b
+(m x D, m < D): from one eigendecomposition of the m x m co-moment b·b^T,
+or, where squaring b would cost accuracy, from a thin SVD of b. Columns past
+b's numerical rank are zero. Both converters take their wide bases from it.
+sym_eig and root_eig also take a stack (..., n, n) or (..., m, D) and treat
+each item exactly as a call on it alone, in one batched eigendecomposition.
+Everything here is a pure function: inputs are never mutated and identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -144,31 +145,21 @@ class CovarianceAccumulator:
         return np.sqrt(lam)[:, None] * eig.eigenvectors.T
 
 
-# Rows per pass of _symmetrize: a pass holds one (rows, n) strip beside the
-# n-square matrix, not a second matrix.
-_SYMMETRIZE_ROWS = 256
-
-
-def _symmetrize(matrix: np.ndarray) -> None:
-    """Overwrite a square matrix m with (m + mᵀ)/2, bitwise, a strip of rows
-    at a time. Each pass averages its rows and columns from the diagonal on,
-    which no earlier pass has written, writes the means into its rows and
-    their transpose below its diagonal block, which comes out symmetric."""
-    for start in range(0, matrix.shape[0], _SYMMETRIZE_ROWS):
-        stop = min(start + _SYMMETRIZE_ROWS, matrix.shape[0])
-        mean = matrix[start:stop, start:] + matrix[start:, start:stop].T
-        mean *= 0.5
-        matrix[start:stop, start:] = mean
-        matrix[stop:, start:stop] = mean[:, stop - start:].T
-
-
 def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:
-    """Fold a (samples x dim) batch into the accumulator."""
+    """Fold a (samples x dim) batch into the accumulator.
+
+    For a C- or F-contiguous batch numpy forms batch^T·batch as one symmetric
+    rank-k update and mirrors its triangle, so the moment is exactly
+    symmetric as formed. A batch with other strides (a column slice, a
+    reversed view) is copied first: numpy forms its product as a general
+    one, whose two triangles can differ in the last bit.
+    """
     batch = _as_matrix(batch, "batch")
     if batch.shape[1] != acc.dim:
         raise ShapeError(f"batch has {batch.shape[1]} columns, accumulator dim is {acc.dim}")
+    if not (batch.flags.c_contiguous or batch.flags.f_contiguous):
+        batch = np.ascontiguousarray(batch)
     moment = batch.T @ batch
-    _symmetrize(moment)  # keep the stored moment exactly symmetric
     moment += acc.second_moment
     return CovarianceAccumulator(
         dim=acc.dim,

@@ -4,11 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from gqla import convert_gqa as CG
 from gqla import io as gqck
 from gqla import model as M
 from gqla.cli import emit_table, main, operating_points_table
 from gqla.convert_gqa import init_random_gqa
-from gqla.model import GqlaConfig
+from gqla.errors import NumericError
+from gqla.model import GqlaConfig, random_tokens
 
 from conftest import parse_csv
 
@@ -171,6 +173,26 @@ class TestConvert:
                    "--out", str(tmp_path / "x.gqck")])
         assert rc == 2
         assert "--rkv" in capsys.readouterr().err
+
+    def test_gqa_route_writes_the_target_config(self, gqa_ckpt, desk_gqa, tmp_path, capsys):
+        out_path = tmp_path / "out.gqck"
+        assert main(["convert", "--from", "gqa", "--in", str(gqa_ckpt), "--out", str(out_path),
+                     "--rkv", "14", "--dhr", "4", "--calib-tokens", "64"]) == 0
+        _, config, _ = gqck.read_checkpoint(out_path)
+        assert config == CG.target_config(desk_gqa, 14, 4)
+
+    def test_failed_freqfold_eigendecomposition_is_a_usage_error(self, gqa_ckpt, desk_gqa,
+                                                                  tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            CG.freqfold_compress(desk_gqa, random_tokens(64, 64, 1), 14, 4)
+        rc = main(["convert", "--from", "gqa", "--in", str(gqa_ckpt),
+                   "--out", str(tmp_path / "x.gqck"), "--rkv", "14", "--dhr", "4"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "did not converge" in err and "Traceback" not in err
 
     def test_infeasible_dims_are_usage_errors(self, gqa_ckpt, tmp_path, capsys):
         rc = main(["convert", "--from", "gqa", "--in", str(gqa_ckpt),

@@ -288,12 +288,15 @@ class TestKeyCovariance:
 
 
 _CHECK_MERGED = CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5))
+# A rotary dim of 0 makes every key direction position-free.
+_CHECK_FOLD = CG.freqfold_compress(_CHECK_MERGED, CALIB, 16, 0)
 _CHECK_MLA_CONFIG = GqlaConfig(model_dim=64, num_heads=8, num_groups=8, head_dim=16,
                                value_head_dim=16, rope_head_dim=8, kv_rank=32, q_rank=48)
 CALIBRATED_STAGES = {
     "rorope_align": lambda calib: CG.rorope_align(_CHECK_MERGED, calib),
     "freqfold_compress": lambda calib: CG.freqfold_compress(_CHECK_MERGED, calib, 32, 8),
-    "balance_and_joint_pca": lambda calib: CG.balance_and_joint_pca(_CHECK_MERGED, calib, 16),
+    "balance_and_joint_pca": lambda calib: CG.balance_and_joint_pca(_CHECK_MERGED, calib, 16,
+                                                                    _CHECK_FOLD),
     "calibrate": lambda calib: CM.calibrate(M.init_random(_CHECK_MLA_CONFIG, 21),
                                             _CHECK_MLA_CONFIG, calib, 2),
 }
@@ -551,17 +554,19 @@ class TestBalanceAndJointPca:
         src = CG.init_random_gqa(8, 2, 16, 64, seed=5)
         self.aligned, _ = CG.rorope_align(CG.merge_heads(src), CALIB)
         self.width = 2 * 16  # num_groups * head_dim of the key latent
+        # a rotary dim of 0 makes every key direction position-free
+        self.folded = CG.freqfold_compress(self.aligned, CALIB, 2 * self.width, 0)
 
     def test_near_equal_sides_give_near_identity_scales(self):
-        joint = CG.balance_and_joint_pca(self.aligned, CALIB, kv_rank=16)
+        joint = CG.balance_and_joint_pca(self.aligned, CALIB, kv_rank=16, freqfold=self.folded)
         assert abs(joint.scale_key - 1.0) <= 0.1
         assert abs(joint.scale_value - 1.0) <= 0.1
         assert joint.scale_key * joint.scale_value == pytest.approx(1.0, abs=1e-12)
 
     def test_balancing_is_forward_noop_at_full_rank(self):
         full = 2 * self.width
-        bal = CG.balance_and_joint_pca(self.aligned, CALIB, full, balance=True)
-        raw = CG.balance_and_joint_pca(self.aligned, CALIB, full, balance=False)
+        bal = CG.balance_and_joint_pca(self.aligned, CALIB, full, self.folded, balance=True)
+        raw = CG.balance_and_joint_pca(self.aligned, CALIB, full, self.folded, balance=False)
         comp_b = np.vstack([bal.k_up, bal.v_up]) @ bal.kv_down
         comp_r = np.vstack([raw.k_up, raw.v_up]) @ raw.kv_down
         assert np.max(np.abs(comp_b - comp_r)) <= 1e-12 * (1 + np.max(np.abs(comp_r)))
@@ -569,13 +574,14 @@ class TestBalanceAndJointPca:
     def test_balancing_protects_the_quiet_side(self, desk_gqa):
         loud = dataclasses.replace(desk_gqa, v_proj=desk_gqa.v_proj * 100.0)
         aligned, _ = CG.rorope_align(CG.merge_heads(loud), CALIB)
-        bal = CG.balance_and_joint_pca(aligned, CALIB, kv_rank=16, balance=True)
-        raw = CG.balance_and_joint_pca(aligned, CALIB, kv_rank=16, balance=False)
+        folded = CG.freqfold_compress(aligned, CALIB, 16, 0)
+        bal = CG.balance_and_joint_pca(aligned, CALIB, 16, folded, balance=True)
+        raw = CG.balance_and_joint_pca(aligned, CALIB, 16, folded, balance=False)
         assert bal.energy_key >= raw.energy_key
 
     def test_full_rank_reconstruction_exact(self):
         full = 2 * self.width
-        joint = CG.balance_and_joint_pca(self.aligned, CALIB, full)
+        joint = CG.balance_and_joint_pca(self.aligned, CALIB, full, self.folded)
         composed = np.vstack([joint.k_up, joint.v_up]) @ joint.kv_down
         source = np.vstack([self.aligned.k_proj, self.aligned.v_proj])
         assert np.max(np.abs(composed - source)) <= 1e-10
@@ -585,17 +591,18 @@ class TestBalanceAndJointPca:
     def test_zero_side_raises(self, desk_gqa):
         dead = dataclasses.replace(desk_gqa, v_proj=np.zeros_like(desk_gqa.v_proj))
         aligned, _ = CG.rorope_align(CG.merge_heads(dead), CALIB)
+        folded = CG.freqfold_compress(aligned, CALIB, 16, 0)
         with pytest.raises(DegenerateCalibrationError):
-            CG.balance_and_joint_pca(aligned, CALIB, kv_rank=16)
+            CG.balance_and_joint_pca(aligned, CALIB, 16, folded)
 
 
-def dense_joint_pca(aligned, calib, kv_rank, freqfold=None, balance=True):
+def dense_joint_pca(aligned, calib, kv_rank, freqfold, balance=True):
     """Referee for balance_and_joint_pca: the wide route, which accumulates the
     N x (d_n + g*head_dim) stacked activations and runs pca_factor on their
     second moment. Returns (kv_down, k_up, v_up, energy_key, energy_value)."""
     g, d = aligned.num_groups, aligned.head_dim
     width = g * d
-    nope = np.eye(width) if freqfold is None else freqfold.nope_basis
+    nope = freqfold.nope_basis
     d_n = nope.shape[1]
     act_k = (calib @ aligned.k_proj.T) @ nope
     act_v = calib @ aligned.v_proj.T
@@ -748,11 +755,11 @@ class TestConvert:
         assert not pinv_calls and np.max(residuals) <= 1e-9
 
     def test_incompatible_target_rejected(self, desk_gqa):
-        bad = GqlaConfig(model_dim=64, num_heads=8, num_groups=4, head_dim=16,
-                         value_head_dim=16, rope_head_dim=4, kv_rank=18, q_rank=64)
-        with pytest.raises(ParameterError):
-            CG.convert(desk_gqa, CALIB, bad)
-        bad_q = desk_target(kv_rank=18, rope_dim=4)
-        bad_q = dataclasses.replace(bad_q, q_rank=32)
-        with pytest.raises(ParameterError):
-            CG.convert(desk_gqa, CALIB, bad_q)
+        # every field a GQA target takes from its source, one at a time
+        good = desk_target(kv_rank=18, rope_dim=4)
+        assert CG.target_config(desk_gqa, 18, 4) == good
+        for field, value in (("model_dim", 32), ("num_heads", 16), ("num_groups", 4),
+                             ("head_dim", 8), ("value_head_dim", 8), ("q_rank", 32),
+                             ("rope_base", 500.0)):
+            with pytest.raises(ParameterError, match="incompatible"):
+                CG.convert(desk_gqa, CALIB, dataclasses.replace(good, **{field: value}))

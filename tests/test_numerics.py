@@ -175,12 +175,14 @@ class TestAccumulate:
             acc = accumulate(acc, batch)
             assert np.array_equal(acc.second_moment, expect)
 
-    @pytest.mark.parametrize("dim", [1, 9, 256, 600])  # one pass; 256, 256 and 88 rows
-    def test_in_place_symmetrization_is_bitwise_the_mean(self, dim):
-        matrix = np.random.default_rng(9).standard_normal((dim, dim))
-        expect = (matrix + matrix.T) / 2.0
-        N._symmetrize(matrix)
-        assert np.array_equal(matrix, expect)
+    @pytest.mark.parametrize("layout", ["C", "F", "column-strided", "reversed", "one-row"])
+    def test_moment_is_exactly_symmetric(self, layout):
+        # numpy's product of a strided batch with itself need not be symmetric
+        base = np.random.default_rng(9).standard_normal((37, 513))
+        batch = {"C": base, "F": np.asfortranarray(base), "column-strided": base[:, ::2],
+                 "reversed": base[:, ::-1], "one-row": base[:1]}[layout]
+        m = accumulate(CovarianceAccumulator.empty(batch.shape[1]), batch).second_moment
+        assert np.array_equal(m, m.T)
 
     def test_input_not_mutated(self):
         acc = CovarianceAccumulator.empty(3)
@@ -436,8 +438,8 @@ class TestRootEigRoutes:
                                    (plant_bandrank1_gqa(8, 2, 16, 64, seed=7), 48, 16)):
             CG.convert(src, calib, GqlaConfig(rope_head_dim=rope, kv_rank=kv_rank, q_rank=64,
                                               **desk))
-        CG.balance_and_joint_pca(CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5)),
-                                 calib, 64)
+        merged = CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5))
+        CG.balance_and_joint_pca(merged, calib, 64, CG.freqfold_compress(merged, calib, 64, 0))
         mla = GqlaConfig(model_dim=64, num_heads=8, num_groups=8, head_dim=16,
                          value_head_dim=16, rope_head_dim=8, kv_rank=32, q_rank=48)
         for source in (init_random(mla, 21), plant_group_structured_mla(mla, groups=2, seed=5)):
