@@ -6,9 +6,10 @@ grouped-query attention against an ExpandedCache; the absorbed path folds the
 K/V up-projections into the query/output sides so every head attends directly
 to the cached latent (LatentCache). Both run one grouped attention core: the
 absorbed path is its one-group (MQA) case, whose keys and values are both the
-latent. Switching between them is a one-shot cache expand/compress. A
-deliberately naive brute-force attention (oracle_mha) is kept free of any
-shared code with the two paths and serves as their oracle.
+latent. Switching between them is a one-shot cache expand/compress. Their
+oracle is a brute-force attention (oracle_mha): per head and per query, with
+one product per head over all positions, its own rotation and softmax, and
+no shared helper.
 
 A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
 Prefill appends a sequence to an empty cache and decode a token or a block to
@@ -599,45 +600,36 @@ def cache_compress(cache: ExpandedCache, weights: GqlaWeights):
 def oracle_mha(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1) -> np.ndarray:
     """Brute-force reference attention for the trailing s_q positions.
 
-    Materializes every per-head K/V through replicated up-projections and
-    evaluates the causal attention with explicit loops, its own softmax, and
-    rotations written out longhand. Intentionally shares no code with
-    forward_gqa_path / forward_absorb_path so it can serve as their oracle.
+    Per head and per query, with one product per head over all positions,
+    its own rotation and softmax, and no shared helper beyond the token
+    check: each head reads its own replicated block of k_up/v_up, with no
+    grouping, absorption or cache. It shares no code with the two paths, so
+    it can serve as their oracle.
     """
     tokens = _check_tokens(tokens, config.model_dim, s_q)
     c = config
     length = tokens.shape[0]
     hpg = c.heads_per_group
-    half = c.rope_head_dim // 2
-    freqs = [c.rope_base ** (-2.0 * k / c.rope_head_dim) for k in range(half)]
+    freqs = c.rope_base ** (-2.0 * np.arange(c.rope_head_dim // 2) / c.rope_head_dim)
 
-    def rotate(vec, t):
-        out = np.empty_like(vec)
-        for k in range(half):
-            a = t * freqs[k]
-            ca, sa = math.cos(a), math.sin(a)
-            out[2 * k] = vec[2 * k] * ca - vec[2 * k + 1] * sa
-            out[2 * k + 1] = vec[2 * k] * sa + vec[2 * k + 1] * ca
+    def rotate(vecs, t):
+        # pair (2k, 2k+1) of each row turned by angle t * freqs[k]; t per row or one
+        a = np.multiply.outer(t, freqs)
+        ca, sa = np.cos(a), np.sin(a)
+        even, odd = vecs[..., 0::2], vecs[..., 1::2]
+        out = np.empty_like(vecs)
+        out[..., 0::2] = even * ca - odd * sa
+        out[..., 1::2] = even * sa + odd * ca
         return out
 
-    # Replicated per-head up-projections (head i uses its group's block).
-    k_maps = []
-    v_maps = []
+    # Per-head keys/values for every position (head i uses its group's block).
+    latents = tokens @ weights.kv_down.T
+    k_rope = rotate(tokens @ weights.k_rope.T, np.arange(length))
+    keys, vals = [], []
     for i in range(c.num_heads):
         j = i // hpg
-        k_maps.append(weights.k_up[j * c.head_dim:(j + 1) * c.head_dim])
-        v_maps.append(weights.v_up[j * c.value_head_dim:(j + 1) * c.value_head_dim])
-
-    # Fully materialized per-head keys/values for every position.
-    keys = [[None] * c.num_heads for _ in range(length)]
-    vals = [[None] * c.num_heads for _ in range(length)]
-    k_ropes = []
-    for s in range(length):
-        latent = weights.kv_down @ tokens[s]
-        k_ropes.append(rotate(weights.k_rope @ tokens[s], s))
-        for i in range(c.num_heads):
-            keys[s][i] = k_maps[i] @ latent
-            vals[s][i] = v_maps[i] @ latent
+        keys.append(latents @ weights.k_up[j * c.head_dim:(j + 1) * c.head_dim].T)
+        vals.append(latents @ weights.v_up[j * c.value_head_dim:(j + 1) * c.value_head_dim].T)
 
     outputs = np.empty((s_q, c.model_dim))
     scale = 1.0 / math.sqrt(c.head_dim + c.rope_head_dim)
@@ -647,16 +639,8 @@ def oracle_mha(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1) -
         for i in range(c.num_heads):
             q_n = weights.q_up[i * c.head_dim:(i + 1) * c.head_dim] @ c_q
             q_r = rotate(weights.q_rope[i * c.rope_head_dim:(i + 1) * c.rope_head_dim] @ c_q, t)
-            logits = []
-            for s in range(t + 1):
-                logits.append((float(np.dot(q_n, keys[s][i])) +
-                               float(np.dot(q_r, k_ropes[s]))) * scale)
-            m = max(logits)
-            exps = [math.exp(l - m) for l in logits]
-            z = sum(exps)
-            o = np.zeros(c.value_head_dim)
-            for s in range(t + 1):
-                o += (exps[s] / z) * vals[s][i]
-            per_head.append(o)
+            logits = (keys[i][:t + 1] @ q_n + k_rope[:t + 1] @ q_r) * scale
+            exps = np.exp(logits - logits.max())
+            per_head.append((exps / exps.sum()) @ vals[i][:t + 1])
         outputs[idx] = weights.out_proj @ np.concatenate(per_head)
     return outputs

@@ -145,12 +145,73 @@ def loop_gqa_oracle(src: GqaWeights, tokens, s_q=1) -> np.ndarray:
     return outputs
 
 
+def longhand_mha(weights, config: GqlaConfig, tokens, s_q=1) -> np.ndarray:
+    """oracle_mha written out longhand, as the referee of oracle_mha itself:
+    a scalar rotation, one matvec per (position, head) and a math.exp softmax."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    c = config
+    length = tokens.shape[0]
+    hpg = c.heads_per_group
+    half = c.rope_head_dim // 2
+    freqs = [c.rope_base ** (-2.0 * k / c.rope_head_dim) for k in range(half)]
+
+    def rotate(vec, t):
+        out = np.empty_like(vec)
+        for k in range(half):
+            a = t * freqs[k]
+            ca, sa = math.cos(a), math.sin(a)
+            out[2 * k] = vec[2 * k] * ca - vec[2 * k + 1] * sa
+            out[2 * k + 1] = vec[2 * k] * sa + vec[2 * k + 1] * ca
+        return out
+
+    # Replicated per-head up-projections (head i uses its group's block).
+    k_maps = []
+    v_maps = []
+    for i in range(c.num_heads):
+        j = i // hpg
+        k_maps.append(weights.k_up[j * c.head_dim:(j + 1) * c.head_dim])
+        v_maps.append(weights.v_up[j * c.value_head_dim:(j + 1) * c.value_head_dim])
+
+    # Fully materialized per-head keys/values for every position.
+    keys = [[None] * c.num_heads for _ in range(length)]
+    vals = [[None] * c.num_heads for _ in range(length)]
+    k_ropes = []
+    for s in range(length):
+        latent = weights.kv_down @ tokens[s]
+        k_ropes.append(rotate(weights.k_rope @ tokens[s], s))
+        for i in range(c.num_heads):
+            keys[s][i] = k_maps[i] @ latent
+            vals[s][i] = v_maps[i] @ latent
+
+    outputs = np.empty((s_q, c.model_dim))
+    scale = 1.0 / math.sqrt(c.head_dim + c.rope_head_dim)
+    for idx, t in enumerate(range(length - s_q, length)):
+        c_q = weights.q_down @ tokens[t]
+        per_head = []
+        for i in range(c.num_heads):
+            q_n = weights.q_up[i * c.head_dim:(i + 1) * c.head_dim] @ c_q
+            q_r = rotate(weights.q_rope[i * c.rope_head_dim:(i + 1) * c.rope_head_dim] @ c_q, t)
+            logits = []
+            for s in range(t + 1):
+                logits.append((float(np.dot(q_n, keys[s][i])) +
+                               float(np.dot(q_r, k_ropes[s]))) * scale)
+            m = max(logits)
+            exps = [math.exp(l - m) for l in logits]
+            z = sum(exps)
+            o = np.zeros(c.value_head_dim)
+            for s in range(t + 1):
+                o += (exps[s] / z) * vals[s][i]
+            per_head.append(o)
+        outputs[idx] = weights.out_proj @ np.concatenate(per_head)
+    return outputs
+
+
 def dual_path_bound(outputs, tol=1e-10) -> float:
     return tol * (1.0 + float(np.max(np.abs(outputs))))
 
 
 __all__ = ["plant_bandrank1_gqa", "plant_group_structured_mla", "loop_gqa_oracle",
-           "dual_path_bound", "random_tokens"]
+           "longhand_mha", "dual_path_bound", "random_tokens"]
 
 
 def parse_csv(text: str):

@@ -10,7 +10,7 @@ from gqla import sparse
 from gqla.errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
 from gqla.rope import RopeSpec, apply_rope
 
-from conftest import dual_path_bound, loop_gqa_oracle
+from conftest import dual_path_bound, longhand_mha, loop_gqa_oracle
 
 
 class TestInitRandom:
@@ -142,6 +142,25 @@ def test_referees_share_no_code_with_the_cores():
     for referee in (M.oracle_mha, sparse.masked_reference, convert_mla.unfused_forward,
                     loop_gqa_oracle):
         assert not names(referee.__code__) & cores
+    # the oracle also keeps its own rotation, softmax, projections and scoring
+    # (masked_reference projects queries and normalizes through the model's own)
+    shared = {"apply_rope", "apply_folded_rope", "rope_spec", "RopeSpec", "frequencies",
+              "_softmax", "_project_queries", "_project_keys", "_cache_rows", "_query_blocks"}
+    assert not names(M.oracle_mha.__code__) & shared
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"num_groups": 1}, {"num_groups": 8}, {"rope_base": 10.0}, {"rope_base": 1e6}])
+@pytest.mark.parametrize("length, s_q", [(12, 3), (17, 17)])
+def test_oracle_matches_its_longhand_form(desk_config, change, length, s_q):
+    # num_groups 8 is one group per head
+    config = dataclasses.replace(desk_config, **change)
+    weights = M.init_random(config, 2)
+    tokens = M.random_tokens(length, config.model_dim, 5)
+    ref = longhand_mha(weights, config, tokens, s_q)
+    out = M.oracle_mha(weights, config, tokens, s_q)
+    assert out.shape == ref.shape == (s_q, config.model_dim)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
 
 
 class TestForwardPaths:

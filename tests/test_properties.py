@@ -21,7 +21,7 @@ from gqla.errors import GqlaError, ParameterError
 from gqla.model import GqlaConfig, random_tokens
 from gqla.numerics import root_eig
 
-from conftest import dual_path_bound
+from conftest import dual_path_bound, longhand_mha
 
 
 @st.composite
@@ -71,6 +71,15 @@ def test_expanded_absorbed_and_oracle_agree(case, block_elements):
             assert np.max(np.abs(decoded - oracle)) <= bound
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(attention_cases())
+def test_oracle_matches_its_longhand_form(case):
+    config, weights, tokens, s_q = case
+    ref = longhand_mha(weights, config, tokens, s_q)
+    assert np.max(np.abs(M.oracle_mha(weights, config, tokens, s_q) - ref)) <= 1e-12 * (
+        1 + np.max(np.abs(ref)))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(attention_cases(), st.lists(st.integers(1, 3), min_size=1, max_size=12),
        st.integers(0, 11))
@@ -114,6 +123,30 @@ def test_cache_switch_round_trip(case):
         assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
             1 + np.max(np.abs(expect)))
     assert np.max(residuals) <= 1e-9
+
+
+def assert_passes_verify(weights, config):
+    """Every check `gqla verify` makes, at its default bound 1e-9·(1 + max|out|),
+    on 6 tokens with s_q = 2; the round trip also within 1e-9 of each field's
+    own scale. Returns the tokens and the expanded path's output."""
+    tokens = random_tokens(6, config.model_dim, 7)
+    expanded, cache = M.forward_gqa_path(weights, config, tokens, 2)
+    absorbed, latent = M.forward_absorb_path(weights, config, tokens, 2)
+    oracle = M.oracle_mha(weights, config, tokens, 2)
+    bound = dual_path_bound(expanded, 1e-9)
+    assert np.max(np.abs(expanded - absorbed)) <= bound
+    assert np.max(np.abs(expanded - oracle)) <= bound
+    assert np.max(np.abs(absorbed - oracle)) <= bound
+    compressed, residuals = M.cache_compress(cache, weights)
+    up = np.vstack([weights.k_up, weights.v_up])
+    assert np.max(np.abs((compressed.kv - latent.kv) @ up.T)) <= bound
+    rebuilt = M.cache_expand(compressed, weights)
+    for name in ("k_nope", "v"):
+        expect = getattr(cache, name)
+        dev = np.max(np.abs(getattr(rebuilt, name) - expect))
+        assert dev <= bound and dev <= 1e-9 * (1 + np.max(np.abs(expect)))
+    assert np.max(residuals) <= 1e-9
+    return tokens, expanded
 
 
 @st.composite
@@ -164,17 +197,7 @@ def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
     assert np.count_nonzero(dead) == target.kv_rank - live and not np.any(dead[:live])
     assert np.all(weights.kv_down[live:] == 0.0)
 
-    tokens = random_tokens(6, target.model_dim, 7)
-    expanded, cache = M.forward_gqa_path(weights, target, tokens, 2)
-    absorbed, _ = M.forward_absorb_path(weights, target, tokens, 2)
-    assert np.max(np.abs(expanded - absorbed)) <= dual_path_bound(expanded, 1e-9)
-    compressed, residuals = M.cache_compress(cache, weights)
-    rebuilt = M.cache_expand(compressed, weights)
-    for name in ("k_nope", "v"):
-        expect = getattr(cache, name)
-        assert np.max(np.abs(getattr(rebuilt, name) - expect)) <= 1e-9 * (
-            1 + np.max(np.abs(expect)))
-    assert np.max(residuals) <= 1e-9
+    assert_passes_verify(weights, target)
 
 
 def reconstruction_energies(b, u, d_n):
@@ -237,11 +260,7 @@ def test_mla_conversion_raises_only_package_errors_and_keeps_both_paths(case):
         converted, _ = CM.convert(weights, config, calib, groups)
     except GqlaError:
         return
-    target = CM.target_config(config, groups)
-    tokens = random_tokens(6, config.model_dim, 7)
-    expanded, _ = M.forward_gqa_path(converted, target, tokens, 2)
-    absorbed, _ = M.forward_absorb_path(converted, target, tokens, 2)
-    assert np.max(np.abs(expanded - absorbed)) <= dual_path_bound(expanded, 1e-9)
+    tokens, expanded = assert_passes_verify(converted, CM.target_config(config, groups))
     # one head per group is a reparameterization at any calibration rank: past
     # it, each square per-group basis is completed to an orthonormal one
     if groups == config.num_heads:
