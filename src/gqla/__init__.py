@@ -3,8 +3,8 @@
 Subpackages: model (architecture core and brute-force oracle), rope (rotary
 primitives), numerics (deterministic eigen/PCA machinery), convert_gqa and
 convert_mla (calibration-only checkpoint conversion), sparse (top-k attention
-and the tile rule), roofline (analytical planner), io (GQCK checkpoints and
-tables), cli (command-line surface).
+and the tile rule), roofline (analytical planner), io (GQCK checkpoints), cli
+(command-line surface and its tables).
 """
 
 from .model import (GqlaConfig, GqlaWeights, LatentCache, ExpandedCache,

@@ -8,12 +8,13 @@ Four stages, the first two exact and the last two calibration-driven:
    still standard grouped-query attention and runs, as the source does, on
    the model's grouped attention core with every key dim rotated and no
    shared rotary part.
-2. rorope_align: per K/V head, a rotation block-diagonal over rotary pairs is
-   applied to the key path and folded into the matching query slices. Scores
-   are preserved exactly; per-pair energy concentrates on the leading
-   coordinate so a shared rotary basis becomes available. Each pair's
-   leading eigenvector has the closed form (cos θ, sin θ) with
-   θ = ½·atan2(2b, a − c) for the pair covariance [[a, b], [b, c]].
+2. rorope_align: per K/V head, one 2 x 2 rotation per rotary pair (the
+   rotations are (num_groups, head_dim/2, 2, 2) blocks) is applied to the
+   key path and folded into the matching query slices. Scores are preserved
+   exactly; per-pair energy concentrates on the leading coordinate so a
+   shared rotary basis becomes available. Each pair's leading eigenvector
+   has the closed form (cos θ, sin θ) with θ = ½·atan2(2b, a − c) for the
+   pair covariance [[a, b], [b, c]].
 3. freqfold_compress: the key coordinates are partitioned into one band per
    rotary frequency (2g dims each) and PCA runs inside each band on the
    pair-structured (complex) covariance, so basis vectors keep their rotary
@@ -154,20 +155,19 @@ def merged_scores(merged: GqaWeights, tokens) -> np.ndarray:
 
 
 def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
-    """Rotate each group's key rows by its (head_dim x head_dim) block of
-    rotations (num_groups, head_dim, head_dim), pair by pair, and fold the same
-    rotation into the group's query slices. Scores are unchanged because each
-    rotary pair's 2 x 2 block commutes with the rotary map; rotations that mix
-    two pairs raise ShapeError."""
+    """Rotate each group's key rows pair by pair by rotations (num_groups,
+    head_dim/2, 2, 2), one 2 x 2 block per rotary pair, and fold the same
+    blocks into the group's query slices. Scores are unchanged because each
+    block commutes with the rotary map. A wrongly shaped or non-finite array
+    raises ShapeError."""
     g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
     rotations = np.asarray(rotations, dtype=np.float64)
-    if rotations.shape != (g, d, d):
-        raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d, d)}")
-    blocks = np.einsum("gpipj->gpij", rotations.reshape(g, d // 2, 2, d // 2, 2))
-    if np.count_nonzero(blocks) != np.count_nonzero(rotations):
-        raise ShapeError("rotations must act within rotary pairs, one 2 x 2 block each")
-    keys = blocks @ merged.k_proj.reshape(g, d // 2, 2, dm)
-    q_proj = blocks[:, None] @ merged.q_proj.reshape(g, -1, d // 2, 2, dm)
+    if rotations.shape != (g, d // 2, 2, 2):
+        raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d // 2, 2, 2)}")
+    if not np.all(np.isfinite(rotations)):
+        raise ShapeError("rotations hold non-finite values")
+    keys = rotations @ merged.k_proj.reshape(g, d // 2, 2, dm)
+    q_proj = rotations[:, None] @ merged.q_proj.reshape(g, -1, d // 2, 2, dm)
     return replace(merged, q_proj=q_proj.reshape(merged.q_proj.shape),
                    k_proj=keys.reshape(merged.k_proj.shape))
 
@@ -198,19 +198,23 @@ def rorope_align(merged: GqaWeights, calib) -> tuple:
     rotation taking it to the first coordinate is applied (keys) and folded
     back (queries). All heads end up sharing the per-pair leading axis as
     their common rotary reference. Returns (aligned weights, rotations of
-    shape (num_groups, head_dim, head_dim)).
+    shape (num_groups, head_dim/2, 2, 2)), each pair's block holding the rows
+    (cos θ, sin θ) and (−sin θ, cos θ).
     """
-    g, d = merged.num_groups, merged.head_dim
     pairs = merged.k_proj.reshape(-1, 2, merged.model_dim)
     m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     lead = _canonical_signs(np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None])
-    pair = lead.reshape(g, -1, 2)  # (cos, sin) of each pair
-    rotations = np.zeros((g, d // 2, 2, d // 2, 2))
-    blocks = np.einsum("gpipj->gpij", rotations)  # each pair's own 2 x 2 block, as a view
-    blocks[..., 0, :], blocks[..., 1, :] = pair, pair[..., ::-1] * [-1.0, 1.0]  # -sin, cos
-    rotations = rotations.reshape(g, d, d)
+    pair = lead.reshape(merged.num_groups, -1, 2)  # (cos, sin) of each pair
+    rotations = np.stack([pair, pair[..., ::-1] * [-1.0, 1.0]], axis=-2)
     return apply_head_rotations(merged, rotations), rotations
+
+
+def _band_layout(num_groups: int, head_dim: int) -> np.ndarray:
+    """Key coordinates (head_dim/2, 2g) of each rotary frequency band: band p
+    holds coordinates j*head_dim + 2p + e for every group j and e in (0, 1)."""
+    return np.arange(num_groups * head_dim).reshape(num_groups, head_dim // 2, 2).transpose(
+        1, 0, 2).reshape(head_dim // 2, 2 * num_groups)
 
 
 @dataclass(frozen=True)
@@ -218,53 +222,48 @@ class FreqFoldResult:
     """Band-wise split of the key coordinates into rotary and position-free parts.
 
     band_bases (bands, 2g, 2g) holds each frequency band's orthonormal
-    direction basis over the band's 2g key coordinates band_partition[p]:
-    column 2r + k is column k of the band's direction r, directions in
-    descending energy. The columns are numbered band by band (band p's
-    column c is p*2g + c); rope_columns picks the retained rotary directions'
-    pairs and nope_columns the rest, both in band-ascending order. Products
-    with either basis run as one batched product over the bands (project,
-    lift). rope_basis (g*head_dim x rope_dim) and nope_basis (g*head_dim x
-    g*head_dim - rope_dim) are the dense forms: every column lives on a
-    single band, rotary pairs side by side; nope_basis spans the complement
-    and feeds the joint latent compression. retained names each kept (band,
-    direction) pair and band_energies holds the per-band direction energies.
+    direction basis over the band's 2g key coordinates (band_layout): column
+    2r + k is column k of the band's direction r, directions in descending
+    energy, and energies (bands, g) holds the directions' energies. The
+    columns are numbered band by band (band p's column c is p*2g + c);
+    rope_columns picks the retained rotary directions' pairs in ascending
+    order, and nope_columns, its complement, feeds the joint latent
+    compression. Products with either set of columns run as one batched
+    product over the bands (project, lift); lift(np.eye(n), columns) is the
+    dense (g*head_dim x n) basis, every column on a single band.
     """
 
     band_bases: np.ndarray
+    energies: np.ndarray
     rope_columns: np.ndarray
-    nope_columns: np.ndarray
-    band_partition: tuple
-    retained: tuple
-    band_energies: tuple
+
+    @property
+    def band_layout(self) -> np.ndarray:
+        bands, width, _ = self.band_bases.shape
+        return _band_layout(width // 2, 2 * bands)
+
+    @property
+    def nope_columns(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.band_bases[..., 0].size), self.rope_columns)
 
     def project(self, key_rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """basis^T·key_rows over the basis columns named in columns, for key_rows
         (g*head_dim, n): each band's basis^T times its coordinates' rows, then
         the named rows of the result."""
-        per_band = (np.swapaxes(self.band_bases, -1, -2)
-                    @ key_rows[np.asarray(self.band_partition)])
+        per_band = np.swapaxes(self.band_bases, -1, -2) @ key_rows[self.band_layout]
         return per_band.reshape(-1, key_rows.shape[-1])[columns]
 
     def lift(self, coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """basis·coefficients (g*head_dim, n) over the basis columns named in
         columns, for coefficients (len(columns), n): the coefficients scattered
         to their bands, then each band's basis times its own."""
-        bands = np.asarray(self.band_partition)
+        bands = self.band_layout
         per_band = np.zeros((bands.size, coefficients.shape[-1]))
         per_band[columns] = coefficients
         rows = np.empty_like(per_band)
         rows[bands.ravel()] = (self.band_bases @ per_band.reshape(bands.shape + (-1,))
                                ).reshape(per_band.shape)
         return rows
-
-    @property
-    def rope_basis(self) -> np.ndarray:
-        return self.lift(np.eye(len(self.rope_columns)), self.rope_columns)
-
-    @property
-    def nope_basis(self) -> np.ndarray:
-        return self.lift(np.eye(len(self.nope_columns)), self.nope_columns)
 
 
 def _band_complex_pca(blocks: np.ndarray):
@@ -276,17 +275,18 @@ def _band_complex_pca(blocks: np.ndarray):
     in one batch and each complex eigenvector is returned as the two real
     paired columns it spans. Only complex-linear mixtures are considered,
     which is exactly the set of maps commuting with the common in-band
-    rotation. Returns energies (bands, g), descending per band, and pairs
-    (bands, g, 2g, 2): pairs[p, r, :, k] is column k of direction r of band p.
+    rotation. Returns energies (bands, g), descending per band, and bases
+    (bands, 2g, 2g): column 2r + k of band p is column k of its direction r.
     """
     xx, xy = blocks[:, 0::2, 0::2], blocks[:, 0::2, 1::2]
     yx, yy = blocks[:, 1::2, 0::2], blocks[:, 1::2, 1::2]
     w, u = _eigh((xx + yy) + 1j * (yx - xy))  # exactly Hermitian: the blocks are symmetric
     # each column's largest-magnitude entry turns real and positive
-    u = _canonical_signs(u).transpose(0, 2, 1)  # (bands, direction, coordinate)
-    v1 = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:2] + (-1,))
-    v2 = np.stack([-u.imag, u.real], axis=-1).reshape(v1.shape)
-    return w, np.stack([v1, v2], axis=-1)
+    u = _canonical_signs(u)  # (bands, coordinate, direction)
+    # coordinate a and direction r span the real 2 x 2 block [[re, -im], [im, re]]
+    real = np.stack([np.stack([u.real, -u.imag], axis=-1),
+                     np.stack([u.imag, u.real], axis=-1)], axis=2)
+    return w, real.reshape(blocks.shape)
 
 
 def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
@@ -308,11 +308,9 @@ def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
         raise ParameterError(
             f"rank budget kv_rank={kv_rank}, rope_dim={rope_dim} is infeasible "
             f"for a {2 * width}-element source cache")
-    # Band p holds coordinates j*d + 2p + e for every group j and e in (0, 1).
-    bands = np.arange(width).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
     gram = _calibration_gram(aligned, calib)
-    energies, pairs = _band_complex_pca(
-        block_moments(gram, aligned.k_proj[bands]) / gram.sample_count)
+    energies, bases = _band_complex_pca(
+        block_moments(gram, aligned.k_proj[_band_layout(g, d)]) / gram.sample_count)
     # Greedy retention by energy; on ties prefer the lower angular frequency
     # (larger band index), then the leading direction.
     # Directions are numbered p*g + r (band p, direction r), so sorting the
@@ -320,15 +318,9 @@ def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
     # columns 2n and 2n + 1.
     band, direction = np.divmod(np.arange(energies.size), g)
     order = np.lexsort((direction, -band, -energies.ravel()))
-    retained, dropped = np.sort(order[: rope_dim // 2]), np.sort(order[rope_dim // 2:])
-    return FreqFoldResult(
-        band_bases=pairs.transpose(0, 2, 1, 3).reshape(len(bands), 2 * g, 2 * g),
-        rope_columns=(2 * retained[:, None] + [0, 1]).ravel(),
-        nope_columns=(2 * dropped[:, None] + [0, 1]).ravel(),
-        band_partition=tuple(map(tuple, bands.tolist())),
-        retained=tuple(map(tuple, np.column_stack(np.divmod(retained, g)).tolist())),
-        band_energies=tuple(energies),
-    )
+    retained = np.sort(order[: rope_dim // 2])
+    return FreqFoldResult(band_bases=bases, energies=energies,
+                          rope_columns=(2 * retained[:, None] + [0, 1]).ravel())
 
 
 @dataclass(frozen=True)
@@ -369,8 +361,13 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int, freqfold: Fr
     products with the nope basis run band by band (FreqFoldResult.project,
     lift), and products with the PCA basis skip its dead (zero) columns.
     """
-    width = aligned.num_groups * aligned.head_dim
-    key_map = freqfold.project(aligned.k_proj, freqfold.nope_columns)  # (d_n, model_dim)
+    g, d = aligned.num_groups, aligned.head_dim
+    width = g * d
+    if freqfold.band_bases.shape != (d // 2, 2 * g, 2 * g):
+        raise ShapeError(f"FreqFold band bases have shape {freqfold.band_bases.shape}, "
+                         f"expected {(d // 2, 2 * g, 2 * g)} for these weights")
+    nope_columns = freqfold.nope_columns
+    key_map = freqfold.project(aligned.k_proj, nope_columns)  # (d_n, model_dim)
     d_n = key_map.shape[0]
     if kv_rank < 1 or kv_rank > d_n + width:
         raise ParameterError(
@@ -401,7 +398,7 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int, freqfold: Fr
     kv_down = np.zeros((kv_rank, aligned.model_dim))
     kv_down[:live] = (scale_k * u_k).T @ key_map + (scale_v * u_v).T @ aligned.v_proj
     k_up, v_up = np.zeros((width, kv_rank)), np.zeros((width, kv_rank))
-    k_up[:, :live] = freqfold.lift(u_k, freqfold.nope_columns) / scale_k
+    k_up[:, :live] = freqfold.lift(u_k, nope_columns) / scale_k
     v_up[:, :live] = u_v / scale_v
 
     # Per-side energies are exact from b: calib = Q·R with orthonormal Q and
@@ -527,8 +524,8 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
         lambda p: forward_gqa_source(src, p, 2),
         lambda p: gqla_model.forward_gqa_path(weights, target, p, 2)[0], dm, _PROBE_SEED)
 
-    total_energy = sum(float(np.sum(w)) for w in folded.band_energies)
-    kept_energy = sum(float(folded.band_energies[p][r]) for p, r in folded.retained)
+    total_energy = sum(float(np.sum(w)) for w in folded.energies)
+    kept_energy = sum(float(e) for e in folded.energies.ravel()[folded.rope_columns[0::2] // 2])
     report = ConversionReport(
         source_elements_per_token=2 * g * d,
         latent_elements_per_token=target.latent_elements_per_token,

@@ -64,7 +64,6 @@ class GroupStats:
     of group j's key activations. value_root likewise.
     """
 
-    groups: int
     key_root: np.ndarray    # (groups, model_dim, (h/g)*head_dim)
     value_root: np.ndarray  # (groups, model_dim, (h/g)*value_head_dim)
 
@@ -82,7 +81,7 @@ def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> G
     def side(up):  # (groups, model_dim, rows per group)
         return (latent_root @ up.T).reshape(config.model_dim, groups, -1).transpose(1, 0, 2)
 
-    return GroupStats(groups=groups, key_root=side(weights.k_up), value_root=side(weights.v_up))
+    return GroupStats(key_root=side(weights.k_up), value_root=side(weights.v_up))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class GroupFactorization:
     per-group retained activation energy fraction.
     """
 
-    groups: int
     key_u: np.ndarray    # (groups, (h/g)*head_dim, head_dim)
     key_v: np.ndarray    # (groups, head_dim, kv_rank)
     value_u: np.ndarray  # (groups, (h/g)*value_head_dim, value_head_dim)
@@ -120,7 +118,6 @@ def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> Group
     conversion stays an exact reparameterization.
     """
     _check_source(config)
-    groups = stats.groups
 
     def side(proj, roots, rank):
         eig = root_eig(roots, rank)
@@ -132,12 +129,12 @@ def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> Group
         totals = [float(np.linalg.norm(root)) ** 2 for root in roots]  # each moment's trace
         energies = tuple(float(kept) / total if total > 0 else 1.0
                          for kept, total in zip(eig.eigenvalues.sum(axis=-1), totals))
-        return u, np.swapaxes(u, -1, -2) @ proj.reshape(groups, -1, proj.shape[1]), energies
+        return u, np.swapaxes(u, -1, -2) @ proj.reshape(len(roots), -1, proj.shape[1]), energies
 
     key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
     value_u, value_v, value_energy = side(weights.v_up, stats.value_root,
                                           config.value_head_dim)
-    return GroupFactorization(groups=groups, key_u=key_u, key_v=key_v, value_u=value_u,
+    return GroupFactorization(key_u=key_u, key_v=key_v, value_u=value_u,
                               value_v=value_v, key_energy=key_energy, value_energy=value_energy)
 
 
@@ -151,7 +148,7 @@ def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
     pass through unchanged.
     """
     _check_source(config)
-    groups = fact.groups
+    groups = len(fact.key_u)
     hpg = config.num_heads // groups
     d, dv = config.head_dim, config.value_head_dim
 
@@ -190,15 +187,15 @@ def unfused_forward(weights: GqlaWeights, config: GqlaConfig, fact: GroupFactori
     """
     tokens = _check_tokens(tokens, config.model_dim, s_q)
     length = tokens.shape[0]
-    hpg = config.num_heads // fact.groups
+    hpg = config.num_heads // len(fact.key_u)
     d, dv, dr = config.head_dim, config.value_head_dim, config.rope_head_dim
     spec = config.rope_spec()
     scale = 1.0 / math.sqrt(d + dr)
 
     latents = tokens @ weights.kv_down.T
     k_rope = np.stack([apply_rope(spec, weights.k_rope @ tokens[t], t) for t in range(length)])
-    group_k = [latents @ fact.key_v[j].T for j in range(fact.groups)]    # (L, head_dim)
-    group_v = [latents @ fact.value_v[j].T for j in range(fact.groups)]  # (L, value_head_dim)
+    group_k = [latents @ v.T for v in fact.key_v]    # (L, head_dim)
+    group_v = [latents @ v.T for v in fact.value_v]  # (L, value_head_dim)
 
     outputs = np.empty((s_q, config.model_dim))
     for idx, t in enumerate(range(length - s_q, length)):

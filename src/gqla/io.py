@@ -144,7 +144,7 @@ def read_checkpoint(path, strict: bool = True):
         raise CheckpointFormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointFormatError("manifest must be a JSON object")
-    payload = blob[16 + header_len:]
+    payload = 16 + header_len  # where the payload starts: tensors are read in place
 
     kind = _normalize_kind(header.get("kind", ""))
     dtype = header.get("dtype", "float64")
@@ -174,11 +174,11 @@ def read_checkpoint(path, strict: bool = True):
         offset = _manifest_int(entry.get("offset"), f"tensor {name!r} offset", 0)
         count = math.prod(shape)
         nbytes = count * _DTYPE.itemsize
-        if offset + nbytes > len(payload):
+        if payload + offset + nbytes > len(blob):
             raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(payload, dtype=_DTYPE, count=count, offset=offset).reshape(shape)
-        arrays[name] = arr.astype(np.float64, copy=True)
+        arr = np.frombuffer(blob, dtype=_DTYPE, count=count, offset=payload + offset)
+        arrays[name] = arr.reshape(shape).astype(np.float64, copy=True)
     spans.sort()
     for (_, end, name), (start, _, nxt) in zip(spans, spans[1:]):
         if start < end:

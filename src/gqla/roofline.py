@@ -46,12 +46,14 @@ def _check_path(path: str) -> str:
 
 
 def elements_per_token(config: GqlaConfig, path: str, g: int | None = None) -> int:
-    """Cached elements per token for a path (latent vs per-group expanded)."""
+    """Cached elements per token for a path (latent vs per-group expanded). On
+    the expanded path g (num_groups when None) must divide num_heads."""
     _check_path(path)
     if path == MQA_ABSORB:
         return config.latent_elements_per_token
-    if g is None:
-        return config.expanded_elements_per_token
+    g = config.num_groups if g is None else g
+    if g < 1 or config.num_heads % g != 0:
+        raise ParameterError(f"g must divide num_heads ({config.num_heads}), got {g}")
     return g * (config.head_dim + config.value_head_dim) + config.rope_head_dim
 
 
@@ -96,16 +98,13 @@ class OperatingPoint:
 def step_time(hw: HardwareSpec, config: GqlaConfig, path: str, g: int | None = None,
               s_q: int = 1, length: int = 8192,
               element_bytes: int = BF16_BYTES) -> OperatingPoint:
-    """Per-step roofline timing for one operating point. On the expanded path
-    g (num_groups when None) must divide num_heads."""
+    """Per-step roofline timing for one operating point; g as in
+    elements_per_token."""
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if s_q < 1:
         raise ParameterError(f"s_q must be >= 1, got {s_q}")
-    _check_path(path)
     g_eff = (1 if path == MQA_ABSORB else (config.num_groups if g is None else g))
-    if g_eff < 1 or config.num_heads % g_eff != 0:
-        raise ParameterError(f"g must divide num_heads ({config.num_heads}), got {g_eff}")
     b_tok = bytes_per_token(config, path, g_eff, element_bytes)
     total_bytes = float(length) * b_tok
     total_flops = flops_per_step(config, path, s_q, length)

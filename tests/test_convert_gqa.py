@@ -30,7 +30,12 @@ def pair_moments(merged, calib):
 
 
 def identity_rotations(merged):
-    return np.tile(np.eye(merged.head_dim), (merged.num_groups, 1, 1))
+    return np.tile(np.eye(2), (merged.num_groups, merged.head_dim // 2, 1, 1))
+
+
+def dense_basis(folded, columns):
+    """The dense (g*head_dim x len(columns)) basis over the named columns."""
+    return folded.lift(np.eye(len(columns)), columns)
 
 
 def desk_target(kv_rank, rope_dim) -> GqlaConfig:
@@ -169,12 +174,12 @@ class TestRoRope:
     def test_rotation_structure(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
         _, rotations = CG.rorope_align(merged, CALIB)
-        d = merged.head_dim
-        for rot in rotations:
-            assert np.max(np.abs(rot.T @ rot - np.eye(d))) <= 1e-12
-            for p in range(d // 2):
-                block = rot[2 * p:2 * p + 2, 2 * p:2 * p + 2]
-                assert abs(np.linalg.det(block) - 1.0) <= 1e-12
+        assert rotations.shape == (merged.num_groups, merged.head_dim // 2, 2, 2)
+        for block in rotations.reshape(-1, 2, 2):
+            assert np.max(np.abs(block.T @ block - np.eye(2))) <= 1e-12
+            assert abs(np.linalg.det(block) - 1.0) <= 1e-12
+            # rows (cos, sin) and (-sin, cos)
+            assert np.array_equal(block[1], [-block[0, 1], block[0, 0]])
 
     def test_empty_calibration_rejected(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
@@ -212,53 +217,39 @@ class TestRoRope:
         pre = pair_moments(merged, calib) / len(calib)
         post = pair_moments(aligned, calib) / len(calib)
         for j, rot in enumerate(rotations):
-            for p in range(d // 2):
-                x = slice(2 * p, 2 * p + 2)
-                block = rot[x, x]
+            for p, block in enumerate(rot):
                 assert np.max(np.abs(block.T @ block - np.eye(2))) <= 1e-12
                 assert abs(np.linalg.det(block) - 1.0) <= 1e-12
-                off = np.ones(d, dtype=bool)
-                off[x] = False
-                assert np.all(rot[x][:, off] == 0.0)
                 i = j * d // 2 + p
                 assert post[i, 1, 1] <= pre[i, 1, 1] + 1e-12
                 assert post[i, 0, 0] >= post[i, 1, 1] - 1e-12
 
-    def test_rotations_that_leave_their_pair_rejected(self, desk_gqa):
-        merged = CG.merge_heads(desk_gqa)
-        _, aligned = CG.rorope_align(merged, CALIB)
-        for fine in (identity_rotations(merged), aligned):
-            CG.apply_head_rotations(merged, fine)
-        d = merged.head_dim
-        for g, a, b in ((0, 0, 2), (1, 1, d - 1), (1, d - 2, 5)):  # rows a, b in two pairs
-            mixing = identity_rotations(merged)
-            c, s = math.cos(0.3), math.sin(0.3)
-            mixing[g][np.ix_([a, b], [a, b])] = [[c, s], [-s, c]]
-            with pytest.raises(ShapeError):
-                CG.apply_head_rotations(merged, mixing)
-
     def test_rotations_of_wrong_shape_rejected(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
         rotations = identity_rotations(merged)
-        for bad in (rotations[:1], rotations[:, :-1, :-1], rotations[0]):
-            with pytest.raises(ShapeError):
+        dense = np.tile(np.eye(merged.head_dim), (merged.num_groups, 1, 1))
+        for bad in (rotations[:1], rotations[:, :-1], rotations[..., :1], rotations[0], dense):
+            with pytest.raises(ShapeError, match="shape"):
                 CG.apply_head_rotations(merged, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rotations_rejected(self, desk_gqa, value):
+        merged = CG.merge_heads(desk_gqa)
+        rotations = identity_rotations(merged)
+        rotations[1, 3, 0, 1] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            CG.apply_head_rotations(merged, rotations)
 
 
 def sym_eig_rotations(merged, moments):
     """Referee for rorope_align's closed form: each rotary pair's 2x2
     moment (pair_moments) is eigendecomposed by sym_eig and its leading
     eigenvector (l0, l1) gives the block [[l0, l1], [-l1, l0]]."""
-    d = merged.head_dim
-    per_head = []
-    for j in range(merged.num_groups):
-        rot = np.eye(d)
-        for p in range(d // 2):
-            lead = sym_eig(moments[j * d // 2 + p]).eigenvectors[:, 0]
-            rot[2 * p:2 * p + 2, 2 * p:2 * p + 2] = np.array(
-                [[lead[0], lead[1]], [-lead[1], lead[0]]])
-        per_head.append(rot)
-    return np.array(per_head)
+    blocks = []
+    for moment in moments:
+        lead = sym_eig(moment).eigenvectors[:, 0]
+        blocks.append([[lead[0], lead[1]], [-lead[1], lead[0]]])
+    return np.array(blocks).reshape(merged.num_groups, merged.head_dim // 2, 2, 2)
 
 
 class TestKeyCovariance:
@@ -378,17 +369,31 @@ class TestFreqFold:
     def test_full_retention_reconstructs_exactly(self):
         width = self.width
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=width, rope_dim=width)
-        basis = np.hstack([ff.rope_basis, ff.nope_basis])
+        rope = dense_basis(ff, ff.rope_columns)
+        basis = np.hstack([rope, dense_basis(ff, ff.nope_columns)])
         assert np.max(np.abs(basis @ basis.T - np.eye(width))) <= 1e-10
         acts = CALIB @ self.aligned.k_proj.T
-        recon = (acts @ ff.rope_basis) @ ff.rope_basis.T
+        recon = (acts @ rope) @ rope.T
         assert np.max(np.abs(recon - acts)) <= 1e-10 * (1 + np.max(np.abs(acts)))
 
     def test_band_partition_covers_all_key_dims(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        flat = sorted(i for band in ff.band_partition for i in band)
-        assert flat == list(range(self.width))
-        assert all(len(band) == 2 * self.aligned.num_groups for band in ff.band_partition)
+        g, d = self.aligned.num_groups, self.aligned.head_dim
+        assert ff.band_layout.shape == (d // 2, 2 * g)
+        assert sorted(ff.band_layout.ravel()) == list(range(self.width))
+        for p, band in enumerate(ff.band_layout):  # each group's coordinates 2p, 2p + 1
+            assert list(band) == [j * d + 2 * p + e for j in range(g) for e in (0, 1)]
+
+    @pytest.mark.parametrize("rope_dim", [0, 2, 8, 32])
+    def test_rope_and_nope_columns_split_every_band_column_into_whole_pairs(self, rope_dim):
+        ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=16, rope_dim=rope_dim)
+        rope, nope = ff.rope_columns, ff.nope_columns
+        assert len(rope) == rope_dim and len(rope) + len(nope) == self.width
+        assert np.array_equal(np.sort(np.concatenate([rope, nope])), np.arange(self.width))
+        for columns in (rope, nope):
+            assert np.all(np.diff(columns) > 0)
+            assert np.all(columns[0::2] % 2 == 0) and np.array_equal(columns[1::2],
+                                                                      columns[0::2] + 1)
 
     def test_energy_in_lowest_frequency_band_is_retained(self, desk_gqa):
         g, d, dm = 2, 16, 64
@@ -400,31 +405,37 @@ class TestFreqFold:
             k[j * d + 2 * lowest + 1] = rng.standard_normal(dm)
         merged = CG.merge_heads(dataclasses.replace(desk_gqa, k_proj=k))
         ff = CG.freqfold_compress(merged, CALIB, kv_rank=32, rope_dim=2 * g)
-        assert sorted({band for band, _ in ff.retained}) == [lowest]
+        assert sorted(set(ff.rope_columns // (2 * g))) == [lowest]
 
     def test_pairs_stay_paired(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        for m, (band, _) in enumerate(ff.retained):
-            v1 = ff.rope_basis[:, 2 * m]
-            v2 = ff.rope_basis[:, 2 * m + 1]
+        rope = dense_basis(ff, ff.rope_columns)
+        bands = ff.rope_columns[0::2] // (2 * self.aligned.num_groups)
+        for m, band in enumerate(bands):
+            v1 = rope[:, 2 * m]
+            v2 = rope[:, 2 * m + 1]
             support = np.flatnonzero(np.abs(v1) + np.abs(v2) > 1e-14)
-            assert set(support) <= set(ff.band_partition[band])
+            assert set(support) <= set(ff.band_layout[band])
             # the partner is the quarter-turn image within the band
-            idx = list(ff.band_partition[band])
+            idx = list(ff.band_layout[band])
             x, y = v1[idx[0::2]], v1[idx[1::2]]
             assert np.max(np.abs(v2[idx[0::2]] + y)) <= 1e-12
             assert np.max(np.abs(v2[idx[1::2]] - x)) <= 1e-12
 
     def test_bands_match_per_band_loop(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        rows = self.aligned.k_proj[np.array(ff.band_partition)]
+        rows = self.aligned.k_proj[ff.band_layout]
         blocks = block_moments(gram(CALIB), rows) / len(CALIB)
-        energies, pairs = CG._band_complex_pca(blocks)
+        energies, bases = CG._band_complex_pca(blocks)
+        assert np.array_equal(ff.band_bases, bases)
+        g = self.aligned.num_groups
         for p, block in enumerate(blocks):
-            w, expect = per_band_complex_pca(block, self.aligned.num_groups)
+            w, expect = per_band_complex_pca(block, g)
             assert np.array_equal(energies[p], w)
-            assert np.array_equal(ff.band_energies[p], w)
-            assert np.max(np.abs(pairs[p] - expect)) <= 1e-15
+            assert np.array_equal(ff.energies[p], w)
+            # column 2r + k of the band basis is column k of direction r
+            assert np.max(np.abs(bases[p] - expect.transpose(1, 0, 2).reshape(2 * g, 2 * g))
+                          ) <= 1e-15
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ParameterError):
@@ -462,19 +473,19 @@ def per_band_complex_pca(block, g):
 
 
 def placed_bases(aligned, calib, folded):
-    """Referee for rope_basis and nope_basis: each retained, then each other,
-    direction's pair of columns written into its band's rows of a dense
-    matrix, band-ascending, as freqfold_compress first built them."""
+    """Referee for the dense rotary and position-free bases: each retained,
+    then each other, direction's pair of columns written into its band's rows
+    of a dense matrix, band-ascending, as freqfold_compress first built them."""
     g = aligned.num_groups
-    bands = np.array(folded.band_partition)
-    _, pairs = CG._band_complex_pca(block_moments(gram(calib), aligned.k_proj[bands]) / len(calib))
-    kept = {p * g + r for p, r in folded.retained}
+    bands = folded.band_layout
+    _, bases = CG._band_complex_pca(block_moments(gram(calib), aligned.k_proj[bands]) / len(calib))
+    kept = set(folded.rope_columns[0::2] // 2)
 
     def place(selection):
         cols = np.zeros((bands.size, 2 * len(selection)))
         for m, n in enumerate(selection):
             p, r = divmod(n, g)
-            cols[bands[p], 2 * m:2 * m + 2] = pairs[p, r]
+            cols[bands[p], 2 * m:2 * m + 2] = bases[p][:, 2 * r:2 * r + 2]
         return cols
     return place(sorted(kept)), place(sorted(set(range(bands.size // 2)) - kept))
 
@@ -510,8 +521,8 @@ class TestBandProducts:
         aligned, _ = CG.rorope_align(CG.merge_heads(src), calib)
         folded = CG.freqfold_compress(aligned, calib, kv_rank, rope_dim)
         rope, nope = placed_bases(aligned, calib, folded)
-        assert np.array_equal(folded.rope_basis, rope)
-        assert np.array_equal(folded.nope_basis, nope)
+        assert np.array_equal(dense_basis(folded, folded.rope_columns), rope)
+        assert np.array_equal(dense_basis(folded, folded.nope_columns), nope)
 
         key_map = folded.project(aligned.k_proj, folded.nope_columns)
         assert_close(key_map, nope.T @ aligned.k_proj, 1e-13)
@@ -588,6 +599,18 @@ class TestBalanceAndJointPca:
         assert joint.energy_key == pytest.approx(1.0, abs=1e-12)
         assert joint.energy_value == pytest.approx(1.0, abs=1e-12)
 
+    def test_freqfold_of_other_weights_rejected(self):
+        # a two-group FreqFold result against a one-group source of the same head_dim
+        one = CG.init_random_gqa(8, 1, 16, 64, seed=5)
+        aligned, _ = CG.rorope_align(CG.merge_heads(one), CALIB)
+        for folded in (self.folded, CG.freqfold_compress(self.aligned, CALIB, 16, 8)):
+            with pytest.raises(ShapeError, match="band bases"):
+                CG.balance_and_joint_pca(aligned, CALIB, 16, folded)
+        short = CG.init_random_gqa(8, 2, 8, 64, seed=5)  # half the bands
+        aligned, _ = CG.rorope_align(CG.merge_heads(short), CALIB)
+        with pytest.raises(ShapeError, match="band bases"):
+            CG.balance_and_joint_pca(aligned, CALIB, 16, self.folded)
+
     def test_zero_side_raises(self, desk_gqa):
         dead = dataclasses.replace(desk_gqa, v_proj=np.zeros_like(desk_gqa.v_proj))
         aligned, _ = CG.rorope_align(CG.merge_heads(dead), CALIB)
@@ -602,7 +625,7 @@ def dense_joint_pca(aligned, calib, kv_rank, freqfold, balance=True):
     second moment. Returns (kv_down, k_up, v_up, energy_key, energy_value)."""
     g, d = aligned.num_groups, aligned.head_dim
     width = g * d
-    nope = freqfold.nope_basis
+    nope = dense_basis(freqfold, freqfold.nope_columns)
     d_n = nope.shape[1]
     act_k = (calib @ aligned.k_proj.T) @ nope
     act_v = calib @ aligned.v_proj.T
@@ -650,7 +673,7 @@ class TestIntrinsicJointPca:
         assert joint.energy_key < 1.0 and joint.energy_value < 1.0
 
     def test_full_rank_composed_map(self):
-        full = self.folded.nope_basis.shape[1] + self.width
+        full = len(self.folded.nope_columns) + self.width
         joint = CG.balance_and_joint_pca(self.aligned, CALIB, full, freqfold=self.folded)
         kv_down, k_up, v_up, _, _ = dense_joint_pca(self.aligned, CALIB, full, self.folded)
         assert np.max(np.abs(composed(joint.k_up, joint.v_up, joint.kv_down) -
@@ -666,7 +689,7 @@ class TestIntrinsicJointPca:
         again = CG.balance_and_joint_pca(aligned, calib, target.kv_rank, freqfold=folded)
         for name in ("kv_down", "k_up", "v_up"):
             assert np.array_equal(getattr(joint, name), getattr(again, name))
-        u = np.vstack([folded.nope_basis.T @ joint.k_up * joint.scale_key,
+        u = np.vstack([dense_basis(folded, folded.nope_columns).T @ joint.k_up * joint.scale_key,
                        joint.v_up * joint.scale_value])
         live = 16  # the dims past the calibration rank are exactly empty
         assert np.max(np.abs(u[:, :live].T @ u[:, :live] - np.eye(live))) <= 1e-12

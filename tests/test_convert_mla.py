@@ -112,7 +112,7 @@ def looped_factor(weights, config, stats):
     group's v from its own u and block, stacked only at the end."""
     def side(proj, roots, rank):
         us, vs, energies = [], [], []
-        for root, block in zip(roots, proj.reshape(stats.groups, -1, proj.shape[1])):
+        for root, block in zip(roots, proj.reshape(len(roots), -1, proj.shape[1])):
             eig = root_eig(root, rank)
             total = float(np.linalg.norm(root)) ** 2
             energies.append(float(eig.eigenvalues.sum()) / total if total > 0 else 1.0)
@@ -122,8 +122,7 @@ def looped_factor(weights, config, stats):
 
     key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
     value_u, value_v, value_energy = side(weights.v_up, stats.value_root, config.value_head_dim)
-    return CM.GroupFactorization(stats.groups, key_u, key_v, value_u, value_v, key_energy,
-                                 value_energy)
+    return CM.GroupFactorization(key_u, key_v, value_u, value_v, key_energy, value_energy)
 
 
 class TestStackedFactor:

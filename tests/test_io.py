@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ class TestCheckpointRoundTrip:
         _, cfg_b, w_b = gqck.read_checkpoint(b)
         assert cfg_a == cfg_b
         assert np.array_equal(w_a.kv_down, w_b.kv_down)
+
+    def test_read_peak_memory_is_the_file_and_one_copy_of_its_tensors(self, tmp_path):
+        # about 10 MB of weights; the payload is read in place, not sliced out
+        config = M.GqlaConfig(model_dim=512, num_heads=8, num_groups=8, head_dim=64,
+                              value_head_dim=64, rope_head_dim=32, kv_rank=256, q_rank=512)
+        path = tmp_path / "model.gqck"
+        gqck.write_checkpoint(path, "gqla", config, M.init_random(config, 4))
+        tracemalloc.start()
+        try:
+            gqck.read_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 2.2 * size, f"read peak {peak / size:.2f}x the file size"
 
 
 class TestCheckpointValidation:

@@ -45,6 +45,14 @@ class TestBytesPerToken:
         cfg = dataclasses.replace(CFG, value_head_dim=256)
         assert R.bytes_per_token(cfg, R.GQA, 8) == 2 * (8 * (128 + 256) + 64)
 
+    @pytest.mark.parametrize("g", [0, -1, 3])
+    def test_expanded_groups_that_do_not_divide_the_heads_rejected(self, g):
+        for count in (lambda: R.elements_per_token(CFG, R.GQA, g),
+                      lambda: R.bytes_per_token(CFG, R.GQA, g),
+                      lambda: R.step_time(R.H20, CFG, R.GQA, g=g)):
+            with pytest.raises(ParameterError, match="g must divide"):
+                count()
+
     def test_unknown_path(self):
         with pytest.raises(ParameterError):
             R.bytes_per_token(CFG, "MHA")
