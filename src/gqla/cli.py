@@ -1,7 +1,8 @@
 """Command-line surface: verify, convert, roofline, sparse-check.
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
-numerical check failed, 2 usage or input errors. Every command is
+numerical check failed, 2 a usage or input error: commands raise it, and
+main alone reports it as one "error:" line on stderr. Every command is
 deterministic given its flags; the GQLA_SEED environment variable overrides
 the default seed 0.
 """
@@ -32,16 +33,16 @@ def _default_seed() -> int:
         raise ParameterError(f"GQLA_SEED must be an integer, got {text!r}") from None
 
 
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
-
-
-def _load_checkpoint(path: str, strict: bool = True):
+def _load_checkpoint(path: str, kinds, wrong_kind: str, strict: bool = True):
+    """(kind, config, weights) read from path. A failed read raises
+    ParameterError, and so does a kind not in kinds, as wrong_kind.format(kind)."""
     try:
-        return gqck.read_checkpoint(path, strict=strict)
+        kind, config, weights = gqck.read_checkpoint(path, strict=strict)
     except (OSError, GqlaError) as exc:
-        _err(f"cannot read checkpoint {path!r}: {exc}")
-        return None
+        raise ParameterError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    if kind not in kinds:
+        raise ParameterError(wrong_kind.format(kind))
+    return kind, config, weights
 
 
 def _report_checks(checks) -> int:
@@ -60,13 +61,9 @@ def cmd_verify(args) -> int:
         raise ParameterError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     # lenient load: corrupted payload values should fail verification (exit 1),
     # not parsing (exit 2)
-    loaded = _load_checkpoint(args.checkpoint, strict=False)
-    if loaded is None:
-        return 2
-    kind, config, weights = loaded
-    if kind != gqck.KIND_GQLA:
-        _err(f"verify needs a GQLA checkpoint, got kind {kind}")
-        return 2
+    _, config, weights = _load_checkpoint(args.checkpoint, (gqck.KIND_GQLA,),
+                                          "verify needs a GQLA checkpoint, got kind {}",
+                                          strict=False)
     tokens = random_tokens(args.seq_len, config.model_dim, args.seed)
     out_gqa, expanded = gqla_model.forward_gqa_path(weights, config, tokens, args.sq)
     out_abs, latent = gqla_model.forward_absorb_path(weights, config, tokens, args.sq)
@@ -106,27 +103,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    loaded = _load_checkpoint(args.input)
-    if loaded is None:
-        return 2
-    kind, config, weights = loaded
     wanted = args.source_kind.upper()
-    if kind != wanted:
-        _err(f"--from {args.source_kind} but checkpoint kind is {kind}")
-        return 2
+    _, config, weights = _load_checkpoint(
+        args.input, (wanted,), f"--from {args.source_kind} but checkpoint kind is {{}}")
     seed = args.seed
 
     if wanted == gqck.KIND_GQA:
         if args.rkv is None or args.dhr is None:
-            _err("--rkv and --dhr are required for --from gqa")
-            return 2
+            raise ParameterError("--rkv and --dhr are required for --from gqa")
         target = convert_gqa.target_config(weights, args.rkv, args.dhr)
         calib = random_tokens(args.calib_tokens, target.model_dim, seed)
         converted, report = convert_gqa.convert(weights, calib, target)
     else:
         if args.g is None:
-            _err("--g is required for --from mla")
-            return 2
+            raise ParameterError("--g is required for --from mla")
         calib = random_tokens(args.calib_tokens, config.model_dim, seed)
         converted, report = convert_mla.convert(weights, config, calib, args.g)
         target = convert_mla.target_config(config, args.g)
@@ -136,8 +126,7 @@ def cmd_convert(args) -> int:
     try:
         gqck.write_checkpoint(args.output, gqck.KIND_GQLA, target, converted)
     except OSError as exc:
-        _err(f"cannot write checkpoint {args.output!r}: {exc}")
-        return 2
+        raise ParameterError(f"cannot write checkpoint {args.output!r}: {exc}") from exc
     print(f"wrote GQLA checkpoint: {args.output}")
 
     probe = random_tokens(8, target.model_dim, seed + 1)
@@ -162,16 +151,16 @@ def _parse_hardware(spec: str):
             # bandwidth is the next token
             bandwidth = next(tokens, None)
             if bandwidth is None:
-                raise ValueError(f"custom hardware needs custom:FLOPS,BW, got {token!r}")
+                raise ParameterError(f"custom hardware needs custom:FLOPS,BW, got {token!r}")
             try:
                 out.append(roofline.HardwareSpec("custom", float(token.split(":", 1)[1]),
                                                  float(bandwidth)))
             except ValueError as exc:
-                raise ValueError(f"malformed custom hardware {token!r}: {exc}") from exc
+                raise ParameterError(f"malformed custom hardware {token!r}: {exc}") from exc
         else:
-            raise ValueError(f"unknown hardware {token!r}")
+            raise ParameterError(f"unknown hardware {token!r}")
     if not out:
-        raise ValueError("no hardware specified")
+        raise ParameterError("no hardware specified")
     return out
 
 
@@ -182,15 +171,18 @@ def _parse_rows(spec: str):
     for token in spec.split(","):
         parts = token.strip().split(":")
         if len(parts) != 3:
-            raise ValueError(f"row must be path:g:s_q, got {token!r}")
+            raise ParameterError(f"row must be path:g:s_q, got {token!r}")
         name = parts[0].lower()
         if name in ("mqa", "mqa-absorb", "absorb", "latent"):
             path = roofline.MQA_ABSORB
         elif name in ("gqa", "expanded"):
             path = roofline.GQA
         else:
-            raise ValueError(f"unknown path {parts[0]!r}")
-        rows.append((path, int(parts[1]), int(parts[2])))
+            raise ParameterError(f"unknown path {parts[0]!r}")
+        try:
+            rows.append((path, int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ParameterError(f"row g and s_q must be integers, got {token!r}") from None
     return rows
 
 
@@ -223,22 +215,13 @@ def emit_table(columns, rows, format: str) -> str:
 
 
 def cmd_roofline(args) -> int:
-    try:
-        hardware = _parse_hardware(args.hw)
-        rows = _parse_rows(args.rows)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    hardware = _parse_hardware(args.hw)
+    rows = _parse_rows(args.rows)
     if args.config == "canonical":
         config = canonical_config()
     else:
-        loaded = _load_checkpoint(args.config)
-        if loaded is None:
-            return 2
-        kind, config, _ = loaded
-        if kind == gqck.KIND_GQA:
-            _err("roofline needs a GQLA or MLA checkpoint (or 'canonical')")
-            return 2
+        _, config, _ = _load_checkpoint(args.config, (gqck.KIND_GQLA, gqck.KIND_MLA),
+                                        "roofline needs a GQLA or MLA checkpoint (or 'canonical')")
     points = roofline.operating_table(hardware, config, rows=rows, length=args.seq_len)
     columns, table = operating_points_table(points)
     if args.format == "text":
@@ -252,13 +235,8 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_sparse_check(args) -> int:
-    loaded = _load_checkpoint(args.checkpoint)
-    if loaded is None:
-        return 2
-    kind, config, weights = loaded
-    if kind != gqck.KIND_GQLA:
-        _err(f"sparse-check needs a GQLA checkpoint, got kind {kind}")
-        return 2
+    _, config, weights = _load_checkpoint(args.checkpoint, (gqck.KIND_GQLA,),
+                                          "sparse-check needs a GQLA checkpoint, got kind {}")
     tokens = random_tokens(args.seq_len, config.model_dim, args.seed)
     dense, expanded = gqla_model.forward_gqa_path(weights, config, tokens, 1)
     _, latent = gqla_model.forward_absorb_path(weights, config, tokens, 1)
@@ -342,9 +320,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (GqlaError, MemoryError) as exc:
-        # bad parameters that only the package can judge (seeds, lengths, k,
-        # s_q), or token counts too large to allocate
-        _err(str(exc))
+        # usage and input errors: bad flags and files, parameters only the
+        # package can judge (seeds, lengths, k, s_q), token counts too large
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -158,14 +158,19 @@ def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
     """Rotate each group's key rows pair by pair by rotations (num_groups,
     head_dim/2, 2, 2), one 2 x 2 block per rotary pair, and fold the same
     blocks into the group's query slices. Scores are unchanged because each
-    block commutes with the rotary map. A wrongly shaped or non-finite array
-    raises ShapeError."""
+    block commutes with the rotary map. A wrongly shaped or non-finite array,
+    or a block that is not a rotation [[c, s], [-s, c]] with c^2 + s^2 = 1
+    within 1e-12, raises ShapeError."""
     g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
     rotations = np.asarray(rotations, dtype=np.float64)
     if rotations.shape != (g, d // 2, 2, 2):
         raise ShapeError(f"rotations have shape {rotations.shape}, expected {(g, d // 2, 2, 2)}")
     if not np.all(np.isfinite(rotations)):
         raise ShapeError("rotations hold non-finite values")
+    c, s = rotations[..., 0, 0], rotations[..., 0, 1]
+    if not (np.array_equal(rotations[..., 1, :], np.stack([-s, c], axis=-1))
+            and np.all(np.abs(c * c + s * s - 1.0) <= 1e-12)):
+        raise ShapeError("rotations must be 2 x 2 blocks [[c, s], [-s, c]] with c^2 + s^2 = 1")
     keys = rotations @ merged.k_proj.reshape(g, d // 2, 2, dm)
     q_proj = rotations[:, None] @ merged.q_proj.reshape(g, -1, d // 2, 2, dm)
     return replace(merged, q_proj=q_proj.reshape(merged.q_proj.shape),

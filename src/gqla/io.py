@@ -77,14 +77,11 @@ def write_checkpoint(path, kind: str, config, weights, provenance: str | None = 
     _validate_pair(kind, config, weights)
     names = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
     directory = []
-    chunks = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(getattr(weights, name), dtype=_DTYPE)
-        raw = arr.tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+        shape = np.shape(getattr(weights, name))
+        directory.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * _DTYPE.itemsize
     header = {"kind": kind, "dtype": "float64", "config": _config_dict(kind, config, weights),
               "tensors": directory}
     if provenance is not None:
@@ -94,8 +91,9 @@ def write_checkpoint(path, kind: str, config, weights, provenance: str | None = 
         fh.write(MAGIC)
         fh.write(struct.pack("<IQ", VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for raw in chunks:
-            fh.write(raw)
+        for name in names:
+            # each tensor's own buffer: a copy only where it is not contiguous <f8
+            fh.write(np.ascontiguousarray(getattr(weights, name), dtype=_DTYPE))
 
 
 def _manifest_int(value, what: str, least: int) -> int:

@@ -262,6 +262,8 @@ def random_tokens(count: int, dim: int, seed: int) -> np.ndarray:
         raise ParameterError("count and dim must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if count * dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError("count x dim float64 tokens exceed the largest array numpy can make")
     return np.random.default_rng(seed).standard_normal((count, dim))
 
 

@@ -9,6 +9,7 @@ measured. Throughput is per attention layer per sequence, not end-to-end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -57,6 +58,13 @@ def elements_per_token(config: GqlaConfig, path: str, g: int | None = None) -> i
     return g * (config.head_dim + config.value_head_dim) + config.rope_head_dim
 
 
+def _float_count(count: int) -> float:
+    """An exact count as a float; past the float range it raises ParameterError."""
+    if count > sys.float_info.max:
+        raise ParameterError("length or s_q too large: the step's counts exceed the float range")
+    return float(count)
+
+
 def bytes_per_token(config: GqlaConfig, path: str, g: int | None = None,
                     element_bytes: int = BF16_BYTES) -> int:
     return element_bytes * elements_per_token(config, path, g)
@@ -76,7 +84,7 @@ def flops_per_step(config: GqlaConfig, path: str, s_q: int, length: int) -> floa
         per_triplet = 2 * (2 * c.kv_rank + c.rope_head_dim)
     else:
         per_triplet = 2 * (c.head_dim + c.rope_head_dim + c.value_head_dim)
-    return float(length) * c.num_heads * s_q * per_triplet
+    return _float_count(length * c.num_heads * s_q * per_triplet)
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ def step_time(hw: HardwareSpec, config: GqlaConfig, path: str, g: int | None = N
         raise ParameterError(f"s_q must be >= 1, got {s_q}")
     g_eff = (1 if path == MQA_ABSORB else (config.num_groups if g is None else g))
     b_tok = bytes_per_token(config, path, g_eff, element_bytes)
-    total_bytes = float(length) * b_tok
+    total_bytes = _float_count(length * b_tok)
     total_flops = flops_per_step(config, path, s_q, length)
     mem = total_bytes / hw.bandwidth
     cmp = total_flops / hw.flops_peak

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gqla import convert_gqa as CG
 from gqla import io as gqck
@@ -326,6 +330,10 @@ class TestSparseCheck:
     ["roofline", "--hw", "custom:1e15,inf"],
     ["roofline", "--rows", "gqa:3:1"],
     ["roofline", "--rows", "gqa:256:1"],
+    ["roofline", "--rows", "gqa:x:1"],
+    ["roofline", "--rows", "gqa:8:y"],
+    ["roofline", "--seq-len", str(10 ** 400)],
+    ["roofline", "--rows", f"mqa:1:{10 ** 400}"],
 ])
 def test_out_of_range_parameters_are_usage_errors(argv, gqla_ckpt, capsys):
     if argv[0] != "roofline":
@@ -344,6 +352,10 @@ def test_oversized_inputs_are_usage_errors(command, gqla_ckpt, gqa_ckpt, tmp_pat
     else:
         argv = [command, "--checkpoint", str(gqla_ckpt), "--seq-len"]
     assert main(argv + [str(10 ** 13)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # 10**400 is past the largest array numpy can make at all
+    assert main(argv + [str(10 ** 400)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -393,3 +405,79 @@ def test_unwritable_checkpoint_is_usage_error(out, gqa_ckpt, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write checkpoint")
+
+
+# The argv fuzz gives each flag a pool of valid values (None: the flag is left
+# out) and a pool of faults, and puts faults into at most two flags of an argv.
+# The faults are edge values, text that is no number, and counts (10**13,
+# 10**400) that numpy refuses at once: nothing between 10**4 and 10**12, which
+# would allocate.
+_NUMBERS = ["0", "-1", "x", "1.5", "nan", "inf", "", str(10 ** 13), str(10 ** 400)]
+_FILES = ["@gqa", "@mla", "@missing", "@dir"]
+
+
+def _pools(good, bad=_NUMBERS, required=False):
+    return (good if required else [None, *good]), (bad + [None] if required else bad)
+
+
+_FLAGS = {
+    "verify": {"--checkpoint": _pools(["@gqla"], _FILES, required=True),
+               "--seq-len": _pools(["1", "2", "12"]), "--sq": _pools(["1", "2"], ["4", *_NUMBERS]),
+               "--tolerance": _pools(["1e-9", "0.5", "0"], ["-1", "nan", "inf", "x", "1e400"]),
+               "--seed": _pools(["0", "7"])},
+    "convert": {"--from": _pools(["gqa", "mla"], ["gqla", "x"], required=True),
+                "--in": _pools(["@gqa", "@mla"], ["@gqla", "@missing", "@dir"], required=True),
+                "--out": _pools(["@out"], ["@nodir", "@dir"], required=True),
+                # each route's own flags, left out only as a fault
+                "--g": _pools(["2", "8"], ["3", *_NUMBERS], required=True),
+                "--rkv": _pools(["14", "8"], required=True),
+                "--dhr": _pools(["4", "2"], ["3", *_NUMBERS], required=True),
+                "--calib-tokens": _pools(["3", "64"]), "--seed": _pools(["0", "9"])},
+    "roofline": {"--hw": _pools(["h100", "h20,h100", "custom:1e12,2e12"],
+                                ["custom:nan,1", "custom:1", "custom:x,1", "b200", ""]),
+                 "--config": _pools(["canonical", "@gqla", "@mla"], ["@gqa", "@missing"]),
+                 "--rows": _pools(["default", "gqa:8:2", "mqa:1:1,gqa:4:1", "latent:1:2"],
+                                  ["gqa:8", "mha:1:1", ""] + [f"gqa:{n}:1" for n in _NUMBERS]
+                                  + [f"mqa:1:{n}" for n in _NUMBERS]),
+                 "--seq-len": _pools(["1", "8192"]),
+                 "--format": _pools(["text", "csv"], ["json", ""])},
+    "sparse-check": {"--checkpoint": _pools(["@gqla"], _FILES, required=True),
+                     "--k": _pools(["1", "3", "99"]), "--seq-len": _pools(["2", "16"]),
+                     "--seed": _pools(["0", "7"])},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    faults = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        value = draw(st.sampled_from(bad if flag in faults else good))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_argv_fuzz_exits_0_1_or_2_without_traceback(argv, gqla_ckpt, gqa_ckpt, mla_ckpt,
+                                                     tmp_path):
+    # the fixtures serve every example: their files are only read, and convert
+    # writes its own
+    places = {"@gqla": gqla_ckpt, "@gqa": gqa_ckpt, "@mla": mla_ckpt,
+              "@out": tmp_path / "fuzz.gqck", "@missing": tmp_path / "missing",
+              "@nodir": tmp_path / "missing" / "x.gqck", "@dir": tmp_path}
+    argv = [str(places.get(arg, arg)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue()

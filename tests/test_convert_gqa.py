@@ -240,6 +240,17 @@ class TestRoRope:
         with pytest.raises(ShapeError, match="non-finite"):
             CG.apply_head_rotations(merged, rotations)
 
+    @pytest.mark.parametrize("block", [2 * np.eye(2), np.diag([1.0, -1.0])],
+                             ids=["scaled", "reflection"])
+    def test_blocks_that_are_not_rotations_rejected(self, desk_gqa, block):
+        # 2·I scales every score by 4 and a reflection moves them: neither
+        # commutes with the rotary map as a rotation does
+        merged = CG.merge_heads(desk_gqa)
+        rotations = identity_rotations(merged)
+        rotations[1, 3] = block
+        with pytest.raises(ShapeError, match="rotation"):
+            CG.apply_head_rotations(merged, rotations)
+
 
 def sym_eig_rotations(merged, moments):
     """Referee for rorope_align's closed form: each rotary pair's 2x2

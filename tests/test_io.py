@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -86,6 +87,31 @@ class TestCheckpointRoundTrip:
             tracemalloc.stop()
         size = path.stat().st_size
         assert peak <= 2.2 * size, f"read peak {peak / size:.2f}x the file size"
+
+    def test_write_peak_memory_is_a_small_share_of_the_file(self, tmp_path):
+        # each tensor's own buffer is written: no bytes copy of the payload
+        config = M.GqlaConfig(model_dim=512, num_heads=8, num_groups=8, head_dim=64,
+                              value_head_dim=64, rope_head_dim=32, kv_rank=256, q_rank=512)
+        weights = M.init_random(config, 4)
+        path = tmp_path / "model.gqck"
+        tracemalloc.start()
+        try:
+            gqck.write_checkpoint(path, "gqla", config, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 0.1 * size, f"write peak {peak / size:.3f}x the file size"
+
+    def test_written_bytes_are_pinned_through_a_round_trip(self, tmp_path, desk_config,
+                                                           desk_weights):
+        path, again = tmp_path / "model.gqck", tmp_path / "again.gqck"
+        gqck.write_checkpoint(path, "gqla", desk_config, desk_weights)
+        blob = read_blob(path)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "0cd63b47d4990ad51a5d50ed19d49d91efd722d2da4e5b68618cd4d7c31c31e4")
+        gqck.write_checkpoint(again, *gqck.read_checkpoint(path))
+        assert read_blob(again) == blob
 
 
 class TestCheckpointValidation:

@@ -34,6 +34,14 @@ class TestInitRandom:
             assert np.max(np.abs(getattr(w, name))) <= bound
 
 
+@pytest.mark.parametrize("count, dim", [(10 ** 400, 64), (2 ** 62, 64), (64, 10 ** 400)],
+                         ids=["count", "size", "dim"])
+def test_random_tokens_past_the_largest_array_rejected(count, dim):
+    # numpy would raise its own ValueError for these shapes
+    with pytest.raises(ParameterError, match="largest array"):
+        M.random_tokens(count, dim, 0)
+
+
 class TestProjectToken:
     """One token through the query and key projections."""
 

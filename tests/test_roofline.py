@@ -125,6 +125,13 @@ class TestStepTime:
         assert R.step_time(R.H20, CFG, R.GQA, g=128).g == 128
         assert R.step_time(R.H20, CFG, R.MQA_ABSORB, g=3).g == 1  # one latent group
 
+    @pytest.mark.parametrize("counts", [dict(length=10 ** 400), dict(s_q=10 ** 400),
+                                        dict(length=10 ** 200, s_q=10 ** 200)],
+                             ids=["length", "s_q", "product"])
+    def test_counts_past_the_float_range_rejected(self, counts):
+        with pytest.raises(ParameterError, match="too large"):
+            R.step_time(R.H20, CFG, R.GQA, g=8, **counts)
+
     def test_memory_bound_iff_under_ridge(self):
         for hw in (R.H100, R.H20):
             top = R.ridge(hw)
