@@ -121,13 +121,11 @@ def cmd_convert(args) -> int:
         converted, report = convert_mla.convert(weights, config, calib, args.g)
         target = convert_mla.target_config(config, args.g)
 
-    for line in report.lines():
-        print(line)
     try:
         gqck.write_checkpoint(args.output, gqck.KIND_GQLA, target, converted)
     except OSError as exc:
         raise ParameterError(f"cannot write checkpoint {args.output!r}: {exc}") from exc
-    print(f"wrote GQLA checkpoint: {args.output}")
+    print(*report.lines(), f"wrote GQLA checkpoint: {args.output}", sep="\n")
 
     probe = random_tokens(8, target.model_dim, seed + 1)
     a, _ = gqla_model.forward_gqa_path(converted, target, probe, 2)

@@ -26,10 +26,10 @@ Four stages, the first two exact and the last two calibration-driven:
    latent rank.
 
 No gradient updates anywhere; calibration is a seeded synthetic token stream
-at desk scale. Every calibrated stage reads its second moments from the
-calibration Gram matrix (numerics.block_moments; CovarianceAccumulator.root,
-its Cholesky or eigen root) and takes as calib either the tokens or their
-CovarianceAccumulator, so convert accumulates it once for all three.
+at desk scale. Every calibrated stage reads it through the root r of its Gram
+matrix (CovarianceAccumulator.root), the activations of a map w having the
+normalized moment (r·w^T)^T·(r·w^T), and takes as calib either the tokens or
+their accumulator, so convert accumulates and factors the Gram matrix once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
 from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_rotary,
                     _check_tokens, _fan_in_uniform, _grouped_core, _probe_deviation)
-from .numerics import (CovarianceAccumulator, _canonical_signs, _eigh, accumulate,
-                       block_moments, root_eig)
+from .numerics import CovarianceAccumulator, _canonical_signs, _eigh, accumulate, root_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -178,9 +177,8 @@ def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
 
 
 def _calibration_gram(merged: GqaWeights, calib) -> CovarianceAccumulator:
-    """Second-moment accumulator of the calibration tokens (model_dim wide);
-    an accumulator passes through once its dim is checked and it holds a
-    sample."""
+    """The second-moment accumulator (model_dim wide) of the calibration tokens,
+    or calib itself once its dim is checked and it holds a sample."""
     if isinstance(calib, CovarianceAccumulator):
         if calib.dim != merged.model_dim:
             raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
@@ -192,12 +190,17 @@ def _calibration_gram(merged: GqaWeights, calib) -> CovarianceAccumulator:
                       _check_tokens(calib, merged.model_dim, 1))
 
 
+def _key_moments(weights: GqaWeights, calib, layout: np.ndarray) -> np.ndarray:
+    """Normalized second moments (n, k, k) of the key coordinates in each row of layout."""
+    columns = (_calibration_gram(weights, calib).root() @ weights.k_proj.T)[:, layout]
+    return np.einsum("npi,npj->pij", columns, columns)
+
+
 def rorope_align(merged: GqaWeights, calib) -> tuple:
     """Concentrate each head's per-pair key energy on the leading pair coordinate.
 
     For every head and rotary pair, the leading eigenvector of the 2-dim
-    second moment [[a, b], [b, c]] of the pre-rotation key activations (the
-    pair's block moment of the calibration Gram matrix) is
+    second moment [[a, b], [b, c]] of the pre-rotation key activations is
     (cos θ, sin θ) with θ = ½·atan2(2b, a − c), signed as numerics.sym_eig
     signs it (largest-magnitude entry positive, the first on ties); the pure
     rotation taking it to the first coordinate is applied (keys) and folded
@@ -206,8 +209,7 @@ def rorope_align(merged: GqaWeights, calib) -> tuple:
     shape (num_groups, head_dim/2, 2, 2)), each pair's block holding the rows
     (cos θ, sin θ) and (−sin θ, cos θ).
     """
-    pairs = merged.k_proj.reshape(-1, 2, merged.model_dim)
-    m = block_moments(_calibration_gram(merged, calib), pairs)  # (g*d/2, 2, 2)
+    m = _key_moments(merged, calib, np.arange(len(merged.k_proj)).reshape(-1, 2))
     theta = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
     lead = _canonical_signs(np.stack([np.cos(theta), np.sin(theta)], axis=-1)[..., None])
     pair = lead.reshape(merged.num_groups, -1, 2)  # (cos, sin) of each pair
@@ -313,14 +315,11 @@ def freqfold_compress(aligned: GqaWeights, calib, kv_rank: int,
         raise ParameterError(
             f"rank budget kv_rank={kv_rank}, rope_dim={rope_dim} is infeasible "
             f"for a {2 * width}-element source cache")
-    gram = _calibration_gram(aligned, calib)
-    energies, bases = _band_complex_pca(
-        block_moments(gram, aligned.k_proj[_band_layout(g, d)]) / gram.sample_count)
+    energies, bases = _band_complex_pca(_key_moments(aligned, calib, _band_layout(g, d)))
     # Greedy retention by energy; on ties prefer the lower angular frequency
-    # (larger band index), then the leading direction.
-    # Directions are numbered p*g + r (band p, direction r), so sorting the
-    # numbers sorts by band, then direction; direction n's pair is basis
-    # columns 2n and 2n + 1.
+    # (larger band index), then the leading direction. Directions are numbered
+    # p*g + r (band p, direction r), so sorting the numbers sorts by band, then
+    # direction; direction n's pair is basis columns 2n and 2n + 1.
     band, direction = np.divmod(np.arange(energies.size), g)
     order = np.lexsort((direction, -band, -energies.ravel()))
     retained = np.sort(order[: rope_dim // 2])
@@ -359,10 +358,9 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int, freqfold: Fr
     The stacked activations calib·w_map^T, w_map being the position-free
     key map nope_basis^T·k_proj over v_proj, have rank at most model_dim, so
     neither they nor their (d_n + g*head_dim)-square second moment are
-    formed: with a root r of the calibration Gram matrix's normalized moment
-    r^T·r, b = r·w_map^T (model_dim rows) has that second moment as b^T·b, so
-    norms and the PCA basis (numerics.root_eig) come from b, and the
-    per-side energies from root_eig's eigenvalues. w_map is never stacked,
+    formed: read through the calibration root r, b = r·w_map^T (model_dim
+    rows) has that moment as b^T·b, so norms, the PCA basis and the per-side
+    energies come from b (numerics.root_eig). w_map is never stacked,
     products with the nope basis run band by band (FreqFoldResult.project,
     lift), and products with the PCA basis skip its dead (zero) columns.
     """
@@ -496,6 +494,7 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     aligned, _ = rorope_align(merged, gram)
     folded = freqfold_compress(aligned, gram, target.kv_rank, d_r)
     joint = balance_and_joint_pca(aligned, gram, target.kv_rank, folded, balance=True)
+    del gram  # with its root: neither is needed past the joint PCA
 
     # The merged form scores with 1/sqrt(head_dim); the emitted weights run
     # under the model's 1/sqrt(head_dim + rope_head_dim), so queries carry the

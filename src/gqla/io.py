@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import sys
 
@@ -126,61 +127,65 @@ def read_checkpoint(path, strict: bool = True):
     holds, the only error raised for its contents is CheckpointFormatError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointFormatError("not a GQCK checkpoint (bad magic)")
-    if len(blob) < 16:
-        raise CheckpointFormatError("file too short for a GQCK header")
-    version, header_len = struct.unpack("<IQ", blob[4:16])
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported container version {version}")
-    if len(blob) < 16 + header_len:
-        raise CheckpointFormatError("file truncated inside the manifest")
-    try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, nesting too deep
-        raise CheckpointFormatError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointFormatError("manifest must be a JSON object")
-    payload = 16 + header_len  # where the payload starts: tensors are read in place
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if prefix[:4] != MAGIC:
+            raise CheckpointFormatError("not a GQCK checkpoint (bad magic)")
+        if len(prefix) < 16:
+            raise CheckpointFormatError("file too short for a GQCK header")
+        version, header_len = struct.unpack("<IQ", prefix[4:])
+        if version != VERSION:
+            raise CheckpointFormatError(f"unsupported container version {version}")
+        payload = 16 + header_len  # where the payload starts
+        if payload > size:
+            raise CheckpointFormatError("file truncated inside the manifest")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, nesting too deep
+            raise CheckpointFormatError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointFormatError("manifest must be a JSON object")
 
-    kind = _normalize_kind(header.get("kind", ""))
-    dtype = header.get("dtype", "float64")
-    if dtype != "float64":
-        raise CheckpointFormatError(f"unsupported dtype {dtype!r:.40}")
-    expected = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
-    directory = header.get("tensors", [])
-    if not (isinstance(directory, list) and all(
-            isinstance(t, dict) and isinstance(t.get("name"), str) for t in directory)):
-        raise CheckpointFormatError("manifest tensors must be a list of objects with string names")
-    names = [t["name"] for t in directory]
-    if sorted(names) != sorted(expected):
-        missing = set(expected) - set(names)
-        extra = set(names) - set(expected)
-        raise CheckpointFormatError(
-            f"manifest tensor set mismatch for kind {kind}: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}")
+        kind = _normalize_kind(header.get("kind", ""))
+        dtype = header.get("dtype", "float64")
+        if dtype != "float64":
+            raise CheckpointFormatError(f"unsupported dtype {dtype!r:.40}")
+        expected = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
+        directory = header.get("tensors", [])
+        if not (isinstance(directory, list) and all(
+                isinstance(t, dict) and isinstance(t.get("name"), str) for t in directory)):
+            raise CheckpointFormatError(
+                "manifest tensors must be a list of objects with string names")
+        names = [t["name"] for t in directory]
+        if sorted(names) != sorted(expected):
+            missing = set(expected) - set(names)
+            extra = set(names) - set(expected)
+            raise CheckpointFormatError(
+                f"manifest tensor set mismatch for kind {kind}: missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}")
 
-    arrays = {}
-    spans = []
-    for entry in directory:
-        name = entry["name"]
-        shape = entry.get("shape")
-        if not isinstance(shape, list):
-            raise CheckpointFormatError(f"tensor {name!r} shape must be a list of integers")
-        shape = tuple(_manifest_int(s, f"tensor {name!r} shape entry", 1) for s in shape)
-        offset = _manifest_int(entry.get("offset"), f"tensor {name!r} offset", 0)
-        count = math.prod(shape)
-        nbytes = count * _DTYPE.itemsize
-        if payload + offset + nbytes > len(blob):
-            raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
-        spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(blob, dtype=_DTYPE, count=count, offset=payload + offset)
-        arrays[name] = arr.reshape(shape).astype(np.float64, copy=True)
-    spans.sort()
-    for (_, end, name), (start, _, nxt) in zip(spans, spans[1:]):
-        if start < end:
-            raise CheckpointFormatError(f"tensors {name!r} and {nxt!r} overlap in the payload")
+        spans = []  # checked against the file size before any tensor is allocated
+        for entry in directory:
+            name = entry["name"]
+            shape = entry.get("shape")
+            if not isinstance(shape, list):
+                raise CheckpointFormatError(f"tensor {name!r} shape must be a list of integers")
+            shape = tuple(_manifest_int(s, f"tensor {name!r} shape entry", 1) for s in shape)
+            offset = _manifest_int(entry.get("offset"), f"tensor {name!r} offset", 0)
+            end = offset + math.prod(shape) * _DTYPE.itemsize
+            if payload + end > size:
+                raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
+            spans.append((offset, end, name, shape))
+        spans.sort()
+        for (_, end, name, _), (start, _, nxt, _) in zip(spans, spans[1:]):
+            if start < end:
+                raise CheckpointFormatError(f"tensors {name!r} and {nxt!r} overlap in the payload")
+        arrays = {}
+        for offset, _, name, shape in spans:  # one forward pass over the payload
+            arrays[name] = np.empty(shape, dtype=_DTYPE)
+            fh.seek(payload + offset)
+            if fh.readinto(arrays[name]) != arrays[name].nbytes:
+                raise CheckpointFormatError(f"payload truncated reading tensor {name!r}")
 
     cfg = header.get("config", {})
     if not isinstance(cfg, dict):

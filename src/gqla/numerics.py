@@ -4,21 +4,22 @@ All matrices are plain float64 numpy arrays in row-major layout. The entry
 points are a canonicalized symmetric eigendecomposition, an uncentered
 second-moment accumulator, whose moment is exactly symmetric as formed, with
 a square root of its moment (Cholesky, or an eigendecomposition where the
-moment is near singular) and the block moments of linear maps read from it,
-the covariance-weighted low-rank factorization (the tests' referee for the
-converters' bases) and its square-root form, root_eig, which takes the
-leading eigenbasis of a wide second moment b^T·b from a short factor b
-(m x D, m < D): from one eigendecomposition of the m x m co-moment b·b^T,
-or, where squaring b would cost accuracy, from a thin SVD of b. Columns past
-b's numerical rank are zero. Both converters take their wide bases from it.
-sym_eig and root_eig also take a stack (..., n, n) or (..., m, D) and treat
-each item exactly as a call on it alone, in one batched eigendecomposition.
-Everything here is a pure function: inputs are never mutated and identical
-inputs give byte-identical outputs.
+moment is near singular), made once and the converters' one way to read the
+calibration, the covariance-weighted low-rank factorization (the tests'
+referee for the converters' bases) and its square-root form, root_eig, which
+takes the leading eigenbasis of a wide second moment b^T·b from a short
+factor b (m x D, m < D): from one eigendecomposition of the m x m co-moment
+b·b^T, or, where squaring b would cost accuracy, from a thin SVD of b.
+Columns past b's numerical rank are zero. Both converters take their wide
+bases from it. sym_eig and root_eig also take a stack (..., n, n) or
+(..., m, D) and treat each item exactly as a call on it alone, in one batched
+eigendecomposition. Everything here is a pure function: inputs are never
+mutated and identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,7 +131,16 @@ class CovarianceAccumulator:
         r = √Λ·E^T from the eigendecomposition E·Λ·E^T with eigenvalues at
         rounding level (at most dim·eps times the largest) set to 0: its nonzero
         rows are the moment's numerical rank, where Cholesky's are √eps-sized.
+
+        r is made on the first call and returned read-only ever after, so stages
+        sharing an accumulator factor once. Do not write second_moment in place
+        after that: a stale r reads the old moment (accumulate returns a new accumulator).
         """
+        self._root.flags.writeable = False
+        return self._root
+
+    @functools.cached_property
+    def _root(self) -> np.ndarray:
         moment = self.normalized()
         try:
             low = np.linalg.cholesky(moment) if self.sample_count >= self.dim else None
@@ -166,18 +176,6 @@ def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:
         second_moment=moment,
         sample_count=acc.sample_count + batch.shape[0],
     )
-
-
-def block_moments(acc: CovarianceAccumulator, rows) -> np.ndarray:
-    """Second moments r·S·r^T (..., k, k), symmetrized, of the activations x·r^T
-    for each row block r of rows (..., k, dim), S being the accumulator's
-    un-normalized second_moment of the samples x; no activation is formed."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim < 2 or rows.shape[-1] != acc.dim:
-        raise ShapeError(f"row blocks must be (..., k, {acc.dim}), got shape {rows.shape}")
-    moments = (rows.reshape(-1, acc.dim) @ acc.second_moment).reshape(rows.shape)
-    moments = moments @ np.swapaxes(rows, -1, -2)
-    return (moments + np.swapaxes(moments, -1, -2)) / 2.0
 
 
 def pca_factor(w, sigma: CovarianceAccumulator, rank: int):

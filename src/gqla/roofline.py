@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 from .model import GqlaConfig
@@ -55,7 +55,7 @@ def elements_per_token(config: GqlaConfig, path: str, g: int | None = None) -> i
     g = config.num_groups if g is None else g
     if g < 1 or config.num_heads % g != 0:
         raise ParameterError(f"g must divide num_heads ({config.num_heads}), got {g}")
-    return g * (config.head_dim + config.value_head_dim) + config.rope_head_dim
+    return replace(config, num_groups=g).expanded_elements_per_token
 
 
 def _float_count(count: int) -> float:

@@ -402,9 +402,9 @@ class TestSeedHandling:
 def test_unwritable_checkpoint_is_usage_error(out, gqa_ckpt, tmp_path, capsys):
     rc = main(["convert", "--from", "gqa", "--in", str(gqa_ckpt), "--out", str(tmp_path / out),
                "--rkv", "14", "--dhr", "4", "--calib-tokens", "64"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write checkpoint")
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write checkpoint")
 
 
 # The argv fuzz gives each flag a pool of valid values (None: the flag is left
@@ -480,4 +480,4 @@ def test_argv_fuzz_exits_0_1_or_2_without_traceback(argv, gqla_ckpt, gqa_ckpt, m
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
-        assert "error: " in err.getvalue()
+        assert "error: " in err.getvalue() and out.getvalue() == "", argv

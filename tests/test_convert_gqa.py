@@ -11,8 +11,7 @@ from gqla import convert_mla as CM
 from gqla import model as M
 from gqla.errors import DegenerateCalibrationError, ParameterError, ShapeError
 from gqla.model import GqlaConfig, random_tokens
-from gqla.numerics import (CovarianceAccumulator, accumulate, block_moments, pca_factor,
-                           root_eig, sym_eig)
+from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
 from gqla.rope import apply_rope
 
 from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
@@ -24,9 +23,14 @@ def gram(calib):
     return accumulate(CovarianceAccumulator.empty(calib.shape[1]), calib)
 
 
+def pair_layout(merged):
+    """Each rotary pair's two key coordinates (g*d/2, 2)."""
+    return np.arange(merged.num_groups * merged.head_dim).reshape(-1, 2)
+
+
 def pair_moments(merged, calib):
-    """The (g*d/2, 2, 2) rotary-pair key moments rorope_align reads, unnormalized."""
-    return block_moments(gram(calib), merged.k_proj.reshape(-1, 2, merged.model_dim))
+    """The normalized (g*d/2, 2, 2) rotary-pair key moments rorope_align reads."""
+    return CG._key_moments(merged, calib, pair_layout(merged))
 
 
 def identity_rotations(merged):
@@ -167,8 +171,8 @@ class TestRoRope:
     def test_off_leading_energy_never_grows(self, desk_gqa):
         merged = CG.merge_heads(desk_gqa)
         aligned, _ = CG.rorope_align(merged, CALIB)
-        pre = pair_moments(merged, CALIB) / len(CALIB)
-        post = pair_moments(aligned, CALIB) / len(CALIB)
+        pre = pair_moments(merged, CALIB)
+        post = pair_moments(aligned, CALIB)
         assert np.all(post[:, 1, 1] <= pre[:, 1, 1] + 1e-12)
 
     def test_rotation_structure(self, desk_gqa):
@@ -214,8 +218,8 @@ class TestRoRope:
         merged = CG.merge_heads(src)
         calib = np.eye(dm)
         aligned, rotations = CG.rorope_align(merged, calib)
-        pre = pair_moments(merged, calib) / len(calib)
-        post = pair_moments(aligned, calib) / len(calib)
+        pre = pair_moments(merged, calib)
+        post = pair_moments(aligned, calib)
         for j, rot in enumerate(rotations):
             for p, block in enumerate(rot):
                 assert np.max(np.abs(block.T @ block - np.eye(2))) <= 1e-12
@@ -263,30 +267,28 @@ def sym_eig_rotations(merged, moments):
     return np.array(blocks).reshape(merged.num_groups, merged.head_dim // 2, 2, 2)
 
 
-class TestKeyCovariance:
-    """numerics.block_moments on the key row blocks the converters read, against
-    the directly accumulated key activations."""
+class TestKeyMoments:
+    """The key moments the calibrated stages read through the calibration root,
+    against the Gram matrix route K·S·K^T/N."""
 
-    def test_gram_route_matches_direct_activations(self, desk_gqa):
-        merged = CG.merge_heads(desk_gqa)
-        keys = merged.k_proj
-        g, d, dm = merged.num_groups, merged.head_dim, merged.model_dim
-        bands = np.arange(g * d).reshape(g, d // 2, 2).transpose(1, 0, 2).reshape(d // 2, 2 * g)
-        layouts = [keys, keys.reshape(g, d, dm), keys.reshape(-1, 2, dm), keys[bands]]
-        for rows in layouts:
-            got = block_moments(gram(CALIB), rows)
-            k = rows.shape[-2]
-            assert got.shape == rows.shape[:-1] + (k,)
-            for moment, r in zip(got.reshape(-1, k, k), rows.reshape(-1, k, dm)):
-                ref = accumulate(CovarianceAccumulator.empty(len(r)), CALIB @ r.T).second_moment
-                assert np.array_equal(moment, moment.T)
-                assert np.max(np.abs(moment - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("tokens", [512, 16])  # Cholesky root; eigh root, rank 16
+    def test_stage_moments_match_the_gram_matrix(self, desk_gqa, monkeypatch, tokens):
+        read, key_moments = [], CG._key_moments
 
-    def test_wrong_row_width_raises(self, desk_gqa):
-        keys = CG.merge_heads(desk_gqa).k_proj
-        for bad in (keys[:, :-1], keys.reshape(2, -1, 64)[..., 1:], keys[0]):
-            with pytest.raises(ShapeError):
-                block_moments(gram(CALIB), bad)
+        def recording(weights, calib, layout):
+            read.append((weights.k_proj[layout], key_moments(weights, calib, layout)))
+            return read[-1][1]
+        monkeypatch.setattr(CG, "_key_moments", recording)
+        calib = CALIB[:tokens]
+        aligned, _ = CG.rorope_align(CG.merge_heads(desk_gqa), calib)
+        CG.freqfold_compress(aligned, calib, 16, 4)
+        g, d, dm = desk_gqa.num_groups, desk_gqa.head_dim, desk_gqa.model_dim
+        assert [rows.shape for rows, _ in read] == [(g * d // 2, 2, dm), (d // 2, 2 * g, dm)]
+        s = gram(calib).second_moment
+        for rows, moments in read:
+            ref = rows @ s @ np.swapaxes(rows, -1, -2) / tokens
+            assert np.array_equal(moments, np.swapaxes(moments, -1, -2))
+            assert np.max(np.abs(moments - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 _CHECK_MERGED = CG.merge_heads(CG.init_random_gqa(8, 2, 16, 64, seed=5))
@@ -367,8 +369,12 @@ class TestSingleStagePath:
 
         for name in ("merge_heads", "accumulate") + GQA_STAGES:
             counted(name)
+        cholesky = np.linalg.cholesky
+        factors = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: factors.append(m) or cholesky(m))
         CG.convert(desk_gqa, CALIB, desk_target(kv_rank=18, rope_dim=4))
         assert calls == {name: 1 for name in ("merge_heads", "accumulate") + GQA_STAGES}
+        assert len(factors) == 1  # the three stages share one root
 
 
 class TestFreqFold:
@@ -435,8 +441,7 @@ class TestFreqFold:
 
     def test_bands_match_per_band_loop(self):
         ff = CG.freqfold_compress(self.aligned, CALIB, kv_rank=32, rope_dim=8)
-        rows = self.aligned.k_proj[ff.band_layout]
-        blocks = block_moments(gram(CALIB), rows) / len(CALIB)
+        blocks = CG._key_moments(self.aligned, CALIB, ff.band_layout)
         energies, bases = CG._band_complex_pca(blocks)
         assert np.array_equal(ff.band_bases, bases)
         g = self.aligned.num_groups
@@ -489,7 +494,7 @@ def placed_bases(aligned, calib, folded):
     of a dense matrix, band-ascending, as freqfold_compress first built them."""
     g = aligned.num_groups
     bands = folded.band_layout
-    _, bases = CG._band_complex_pca(block_moments(gram(calib), aligned.k_proj[bands]) / len(calib))
+    _, bases = CG._band_complex_pca(CG._key_moments(aligned, calib, bands))
     kept = set(folded.rope_columns[0::2] // 2)
 
     def place(selection):
@@ -553,6 +558,34 @@ class TestBandProducts:
         assert_close(joint.kv_down[:live], u.T @ w_map, 1e-13)
         for name in ("kv_down", "k_up", "v_up"):
             assert np.array_equal(getattr(joint, name), getattr(weights, name))
+
+
+@pytest.mark.parametrize("shape, kv_rank, rope_dim, tokens", [
+    ((8, 2, 16, 64), 18, 4, 512),        # desk
+    ((8, 2, 16, 64), 6, 2, 512),         # lossy
+    ((8, 2, 16, 64), 18, 4, 16),         # calibration rank below the key width
+    ((8, 2, 16, 64), 18, 4, 3),
+    ((16, 4, 32, 128), 128, 32, 2048),   # the CLI session's source
+    ((32, 8, 128, 256), 512, 64, 1024),  # the reference conversion shape
+], ids=["desk", "lossy", "16-tokens", "3-tokens", "cli", "reference"])
+def test_rorope_fixes_coordinates_not_the_converted_function(monkeypatch, shape, kv_rank,
+                                                             rope_dim, tokens):
+    # Each pair rotation is a unit complex phase on one group's coordinates of
+    # one FreqFold band, and the band PCA is equivariant under it: converting
+    # without the alignment gives the same function and energies to rounding.
+    src = CG.init_random_gqa(*shape, seed=5)
+    calib = random_tokens(tokens, src.model_dim, 3)
+    target = CG.target_config(src, kv_rank, rope_dim)
+    weights, report = CG.convert(src, calib, target)
+    monkeypatch.setattr(CG, "rorope_align", lambda merged, _: (merged, identity_rotations(merged)))
+    plain, plain_report = CG.convert(src, calib, target)
+    probe = random_tokens(20, src.model_dim, 4)
+    got, _ = M.forward_gqa_path(plain, target, probe, 20)
+    ref, _ = M.forward_gqa_path(weights, target, probe, 20)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for name in ("rotary_energy_retained", "key_energy_retained", "value_energy_retained"):
+        assert abs(getattr(plain_report, name) - getattr(report, name)) <= 1e-12, name
+    assert plain_report.latent_rank == report.latent_rank
 
 
 @pytest.mark.skipif(os.environ.get("GQLA_PAPER_WIDTH") != "1",

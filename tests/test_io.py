@@ -74,7 +74,7 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(w_a.kv_down, w_b.kv_down)
 
     def test_read_peak_memory_is_the_file_and_one_copy_of_its_tensors(self, tmp_path):
-        # about 10 MB of weights; the payload is read in place, not sliced out
+        # about 10 MB of weights, each tensor read into its own array: no copy of the file
         config = M.GqlaConfig(model_dim=512, num_heads=8, num_groups=8, head_dim=64,
                               value_head_dim=64, rope_head_dim=32, kv_rank=256, q_rank=512)
         path = tmp_path / "model.gqck"
@@ -86,7 +86,7 @@ class TestCheckpointRoundTrip:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert peak <= 2.2 * size, f"read peak {peak / size:.2f}x the file size"
+        assert peak <= 1.1 * size, f"read peak {peak / size:.2f}x the file size"
 
     def test_write_peak_memory_is_a_small_share_of_the_file(self, tmp_path):
         # each tensor's own buffer is written: no bytes copy of the payload

@@ -163,6 +163,20 @@ class TestAccumulate:
         assert np.max(np.abs(r.T @ r - acc.normalized())) <= 1e-12
         assert np.array_equal(CovarianceAccumulator.empty(3).root(), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("tokens", [30, 8])  # Cholesky root; eigh root
+    def test_root_is_made_once_and_read_only(self, monkeypatch, tokens):
+        rng = np.random.default_rng(6)
+        acc = accumulate(CovarianceAccumulator.empty(12), rng.standard_normal((tokens, 12)))
+        cholesky, eigh, calls = np.linalg.cholesky, np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        r = acc.root()
+        assert acc.root() is r and len(calls) == 1
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+        grown = accumulate(acc, rng.standard_normal((1, 12)))
+        assert grown.root() is not r and len(calls) == 2
+
     @pytest.mark.parametrize("dim", [9, 600])
     def test_moment_is_bitwise_the_out_of_place_formula(self, dim):
         rng = np.random.default_rng(8)
