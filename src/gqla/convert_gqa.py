@@ -41,9 +41,10 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError, ShapeError
-from .model import (GqlaConfig, GqlaWeights, _check_arrays, _check_counts, _check_rotary,
-                    _check_tokens, _fan_in_uniform, _grouped_core, _probe_deviation)
-from .numerics import CovarianceAccumulator, _canonical_signs, _eigh, accumulate, root_eig
+from .model import (GqlaConfig, GqlaWeights, _calibration_gram, _check_arrays, _check_counts,
+                    _check_rotary, _check_tokens, _fan_in_uniform, _grouped_core,
+                    _probe_deviation)
+from .numerics import _canonical_signs, _eigh, root_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
@@ -176,23 +177,9 @@ def apply_head_rotations(merged: GqaWeights, rotations) -> GqaWeights:
                    k_proj=keys.reshape(merged.k_proj.shape))
 
 
-def _calibration_gram(merged: GqaWeights, calib) -> CovarianceAccumulator:
-    """The second-moment accumulator (model_dim wide) of the calibration tokens,
-    or calib itself once its dim is checked and it holds a sample."""
-    if isinstance(calib, CovarianceAccumulator):
-        if calib.dim != merged.model_dim:
-            raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
-                             f"expected model_dim {merged.model_dim}")
-        if calib.sample_count == 0:
-            raise DegenerateCalibrationError("calibration accumulator holds no samples")
-        return calib
-    return accumulate(CovarianceAccumulator.empty(merged.model_dim),
-                      _check_tokens(calib, merged.model_dim, 1))
-
-
 def _key_moments(weights: GqaWeights, calib, layout: np.ndarray) -> np.ndarray:
     """Normalized second moments (n, k, k) of the key coordinates in each row of layout."""
-    columns = (_calibration_gram(weights, calib).root() @ weights.k_proj.T)[:, layout]
+    columns = (_calibration_gram(calib, weights.model_dim).root() @ weights.k_proj.T)[:, layout]
     return np.einsum("npi,npj->pij", columns, columns)
 
 
@@ -376,7 +363,7 @@ def balance_and_joint_pca(aligned: GqaWeights, calib, kv_rank: int, freqfold: Fr
         raise ParameterError(
             f"kv_rank {kv_rank} is outside [1, {d_n + width}] for this rank budget")
 
-    root = _calibration_gram(aligned, calib).root()
+    root = _calibration_gram(calib, aligned.model_dim).root()
     root_k = root @ key_map.T                         # (model_dim, d_n)
     root_v = root @ aligned.v_proj.T                  # (model_dim, g*head_dim)
     norm_k = float(np.linalg.norm(root_k))
@@ -490,7 +477,7 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     d_r = target.rope_head_dim
 
     merged = merge_heads(src)
-    gram = _calibration_gram(merged, calib)
+    gram = _calibration_gram(calib, dm)
     aligned, _ = rorope_align(merged, gram)
     folded = freqfold_compress(aligned, gram, target.kv_rank, d_r)
     joint = balance_and_joint_pca(aligned, gram, target.kv_rank, folded, balance=True)

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import model as gqla_model
 from .errors import ParameterError
-from .model import GqlaConfig, GqlaWeights, _check_tokens, _probe_deviation
-from .numerics import CovarianceAccumulator, accumulate, root_eig, sym_eig
+from .model import GqlaConfig, GqlaWeights, _calibration_gram, _check_tokens, _probe_deviation
+from .numerics import root_eig, sym_eig
 from .rope import apply_rope
 
 
@@ -71,12 +71,11 @@ class GroupStats:
 def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> GroupStats:
     """Per-group, per-side roots of the up-projection activation moments: the
     calibration Gram root r (model_dim square) times kv_down^T, the root of the
-    latent moment, times each side's up-projection, one product per side."""
+    latent moment, times each side's up-projection, one product per side. calib
+    is the calibration tokens (N, model_dim) or their CovarianceAccumulator."""
     _check_source(config)
     _check_groups(config, groups)
-    gram = accumulate(CovarianceAccumulator.empty(config.model_dim),
-                      _check_tokens(calib, config.model_dim, 1))
-    latent_root = gram.root() @ weights.kv_down.T  # (model_dim, kv_rank)
+    latent_root = _calibration_gram(calib, config.model_dim).root() @ weights.kv_down.T
 
     def side(up):  # (groups, model_dim, rows per group)
         return (latent_root @ up.T).reshape(config.model_dim, groups, -1).transpose(1, 0, 2)

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
+from .errors import (DegenerateCalibrationError, NumericError, OutOfSubspaceError, ParameterError,
+                     ShapeError)
+from .numerics import CovarianceAccumulator, accumulate
 from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 
@@ -289,6 +291,23 @@ def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
     if not 1 <= s_q <= tokens.shape[0]:
         raise ParameterError(f"s_q must be in [1, {tokens.shape[0]}], got {s_q}")
     return tokens
+
+
+def _calibration_gram(calib, model_dim: int) -> CovarianceAccumulator:
+    """The second-moment accumulator of the calibration tokens (N, model_dim),
+    or calib itself once its dim is checked. DegenerateCalibrationError if it
+    holds no samples or its moment is all zero (no energy, or squares that
+    underflow): no conversion can read a basis from it."""
+    if not isinstance(calib, CovarianceAccumulator):
+        calib = accumulate(CovarianceAccumulator.empty(model_dim),
+                           _check_tokens(calib, model_dim, 1))
+    elif calib.dim != model_dim:
+        raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
+                         f"expected model_dim {model_dim}")
+    if calib.sample_count == 0 or not calib.second_moment.any():
+        raise DegenerateCalibrationError("calibration moment is all zero: the calibration "
+                                         "holds no samples or its tokens carry no energy")
+    return calib
 
 
 def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, position):

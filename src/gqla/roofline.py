@@ -141,66 +141,50 @@ def default_rows(hw: HardwareSpec) -> list:
 
 def operating_table(hardware, config: GqlaConfig, rows=None, length: int = 8192) -> list:
     """OperatingPoints for each hardware spec; rows=None uses default_rows per GPU."""
-    points = []
-    for hw in hardware:
-        for path, g, s_q in (default_rows(hw) if rows is None else rows):
-            points.append(step_time(hw, config, path, g=g, s_q=s_q, length=length))
-    return points
+    return [step_time(hw, config, path, g=g, s_q=s_q, length=length)
+            for hw in hardware for path, g, s_q in (default_rows(hw) if rows is None else rows)]
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    path: str
-    g: int
-    s_q: int
-    step_seconds: float
-    throughput: float
+    point: OperatingPoint  # the picked row, as operating_table gives it
     note: str
 
 
 def recommend(hw: HardwareSpec, config: GqlaConfig, allow_mtp: bool = False,
               max_g: int | None = None, length: int = 8192) -> Recommendation:
-    """Pick the (path, g, s_q) with the best per-token step time.
+    """Pick the operating_table row with the best per-token step time.
 
-    Expanded-path candidates are limited to group counts that divide the head
-    count, respect the max_g tensor-parallel cap, and keep g*head_dim >=
-    kv_rank so the per-group expansion does not lose latent rank. Ties on
-    per-token time prefer intensity at or just under the hardware ridge when
-    any tied candidate qualifies, then the larger group count (larger TP cap),
-    then single-query decoding.
+    The rows are the latent path and the expanded path at each group count
+    that divides the head count, respects the max_g tensor-parallel cap
+    (num_groups when None), and keeps g*head_dim >= kv_rank so the per-group
+    expansion does not lose latent rank; s_q is 1, or 1 and 2 with allow_mtp.
+    Ties on per-token time prefer intensity at or just under the hardware
+    ridge when any tied row qualifies, then the larger group count (larger TP
+    cap), then single-query decoding.
     """
     max_g = config.num_groups if max_g is None else max_g
     s_q_options = (1, 2) if allow_mtp else (1,)
-    candidates = []
-    for s_q in s_q_options:
-        candidates.append(step_time(hw, config, MQA_ABSORB, s_q=s_q, length=length))
-    for g in range(1, max_g + 1):
-        if config.num_heads % g != 0:
-            continue
-        if g * config.head_dim < config.kv_rank:
-            continue  # expansion would be rank-deficient against the latent
-        for s_q in s_q_options:
-            candidates.append(step_time(hw, config, GQA, g=g, s_q=s_q, length=length))
+    groups = [g for g in range(1, max_g + 1)
+              if config.num_heads % g == 0 and g * config.head_dim >= config.kv_rank]
+    rows = [(MQA_ABSORB, 1, s_q) for s_q in s_q_options]
+    rows += [(GQA, g, s_q) for g in groups for s_q in s_q_options]
+    points = operating_table([hw], config, rows, length)
 
-    best = min(p.step_time / p.s_q for p in candidates)
-    tied = [p for p in candidates if p.step_time / p.s_q <= best * (1 + 1e-9)]
+    best = min(p.step_time / p.s_q for p in points)
+    tied = [p for p in points if p.step_time / p.s_q <= best * (1 + 1e-9)]
     top = ridge(hw)
     under = [p for p in tied if p.intensity <= top * (1 + 1e-9)]
     if under:
         closest = max(p.intensity for p in under)
         tied = [p for p in under if p.intensity >= closest * (1 - 1e-9)]
-    tied.sort(key=lambda p: (-p.g, p.s_q, p.path))
-    pick = tied[0]
+    pick = min(tied, key=lambda p: (-p.g, p.s_q, p.path))
 
-    notes = []
     if pick.path == GQA:
-        notes.append(f"{pick.g}-way tensor-parallel cap on the expanded path")
+        note = f"{pick.g}-way tensor-parallel cap on the expanded path"
         if pick.s_q == 1:
-            notes.append(
-                f"adding s_q=2 at g={pick.g} would need kv_rank <= "
-                f"{pick.g * config.head_dim // 2} (not enforced)")
+            note += (f"; adding s_q=2 at g={pick.g} would need kv_rank <= "
+                     f"{pick.g * config.head_dim // 2} (not enforced)")
     else:
-        notes.append("latent path; intensity and cache are group-independent")
-    return Recommendation(path=pick.path, g=pick.g, s_q=pick.s_q,
-                          step_seconds=pick.step_time, throughput=pick.throughput,
-                          note="; ".join(notes))
+        note = "latent path; intensity and cache are group-independent"
+    return Recommendation(point=pick, note=note)

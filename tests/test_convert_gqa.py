@@ -359,16 +359,17 @@ class TestSingleStagePath:
     def test_convert_runs_each_stage_once_on_one_accumulation(self, desk_gqa, monkeypatch):
         calls = {}
 
-        def counted(name):
-            original = getattr(CG, name)
+        def counted(name, module=CG):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(CG, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("merge_heads", "accumulate") + GQA_STAGES:
+        for name in ("merge_heads",) + GQA_STAGES:
             counted(name)
+        counted("accumulate", M)  # the calibration Gram is built in model._calibration_gram
         cholesky = np.linalg.cholesky
         factors = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: factors.append(m) or cholesky(m))

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gqla import convert_gqa as CG
 from gqla import convert_mla as CM
 from gqla import model as M
-from gqla.errors import ParameterError
+from gqla.errors import DegenerateCalibrationError, ParameterError
 from gqla.model import random_tokens
 from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
 
@@ -247,3 +248,19 @@ class TestConvert:
         assert len(report.key_energy) == 2 and len(report.value_energy) == 2
         assert all(0.0 < e <= 1.0 for e in report.key_energy + report.value_energy)
         assert report.latent_elements_per_token == 40
+
+
+# Calibrations whose second moment is all zero: no energy at all, or squares
+# that underflow.
+NO_ENERGY = {"zeros": np.zeros((256, 64)), "underflow": random_tokens(256, 64, 17) * 1e-200}
+
+
+@pytest.mark.parametrize("calib", NO_ENERGY.values(), ids=NO_ENERGY.keys())
+@pytest.mark.parametrize("route", ["gqa", "mla"])
+def test_calibration_without_energy_raises_on_both_routes(route, calib, desk_gqa,
+                                                          mla_config, mla_weights):
+    with pytest.raises(DegenerateCalibrationError, match="calibration moment is all zero"):
+        if route == "gqa":
+            CG.convert(desk_gqa, calib, CG.target_config(desk_gqa, 24, 8))
+        else:
+            CM.convert(mla_weights, mla_config, calib, 2)

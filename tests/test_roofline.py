@@ -159,23 +159,69 @@ class TestOperatingTable:
         assert [(p.gpu, p.g) for p in points] == [("H100", 8), ("H20", 8)]
 
 
+CUSTOM = R.HardwareSpec("custom", 1e12, 5e10)
+FLAT = R.HardwareSpec("flat", 1e14, 1e14)
+# its ridge, 40960/1088, is the intensity of the canonical GQA g=4, s_q=1 row
+ON_RIDGE = R.HardwareSpec("ridge", 40960e9, 1088e9)
+LATENT_NOTE = "latent path; intensity and cache are group-independent"
+
+
+def cap_note(g, kv_rank_bound=None):
+    note = f"{g}-way tensor-parallel cap on the expanded path"
+    if kv_rank_bound is not None:
+        note += f"; adding s_q=2 at g={g} would need kv_rank <= {kv_rank_bound} (not enforced)"
+    return note
+
+
+# hardware, (num_heads, kv_rank, head_dim = value_head_dim), allow_mtp, max_g,
+# length, and the pick: path, g, s_q, note
+PICKS = [
+    (R.H100, (128, 512, 128), False, None, 8192, R.MQA_ABSORB, 1, 1, LATENT_NOTE),
+    (R.H100, (128, 512, 128), True, None, 8192, R.MQA_ABSORB, 1, 2, LATENT_NOTE),
+    (R.H20, (128, 512, 128), True, 0, 8192, R.MQA_ABSORB, 1, 1, LATENT_NOTE),
+    (R.H20, (128, 256, 128), False, 2, 8192, R.GQA, 2, 1, cap_note(2, 128)),
+    (CUSTOM, (16, 256, 128), True, None, 8192, R.GQA, 2, 2, cap_note(2)),
+    (R.H20, (128, 512, 128), False, None, 8192, R.GQA, 4, 1, cap_note(4, 256)),
+    (R.H20, (64, 512, 128), True, None, 8192, R.GQA, 4, 2, cap_note(4)),
+    (FLAT, (128, 512, 128), False, None, 8192, R.GQA, 8, 1, cap_note(8, 512)),
+    (R.H20, (128, 512, 128), True, None, 8192, R.GQA, 8, 2, cap_note(8)),
+    (FLAT, (128, 512, 128), False, 16, 8192, R.GQA, 16, 1, cap_note(16, 1024)),
+    (CUSTOM, (128, 512, 64), True, 16, 8192, R.GQA, 16, 2, cap_note(16)),
+    (R.H20, (128, 1024, 64), False, 16, 1, R.GQA, 16, 1, cap_note(16, 512)),
+    # g=4 at s_q 1 and 2 and g=8 at s_q=2 tie on per-token time; only g=4,
+    # s_q=1 sits at the ridge, so it wins over the larger group count
+    (ON_RIDGE, (128, 512, 128), True, None, 8192, R.GQA, 4, 1, cap_note(4, 256)),
+]
+
+
 class TestRecommend:
     def test_h100_prefers_the_latent_path(self):
         rec = R.recommend(R.H100, CFG, allow_mtp=False)
-        assert (rec.path, rec.s_q) == (R.MQA_ABSORB, 1)
-        assert rec.step_seconds == pytest.approx(2.82e-6, abs=0.02e-6)
+        assert (rec.point.path, rec.point.s_q) == (R.MQA_ABSORB, 1)
+        assert rec.point.step_time == pytest.approx(2.82e-6, abs=0.02e-6)
 
     def test_h20_with_mtp_pins_the_ridge(self):
         rec = R.recommend(R.H20, CFG, allow_mtp=True)
-        assert rec.path == R.GQA
-        assert (rec.g, rec.s_q) == (8, 2)
-        assert abs(rec.throughput / 1e3 - 221) <= 1.0
+        assert rec.point.path == R.GQA
+        assert (rec.point.g, rec.point.s_q) == (8, 2)
+        assert abs(rec.point.throughput / 1e3 - 221) <= 1.0
 
     def test_h20_without_mtp_picks_the_light_point(self):
         rec = R.recommend(R.H20, CFG, allow_mtp=False)
-        assert (rec.path, rec.g, rec.s_q) == (R.GQA, 4, 1)
+        assert (rec.point.path, rec.point.g, rec.point.s_q) == (R.GQA, 4, 1)
         assert "kv_rank <= 256" in rec.note
 
     def test_max_g_caps_the_group_axis(self):
         rec = R.recommend(R.H20, CFG, allow_mtp=True, max_g=4)
-        assert rec.g <= 4
+        assert rec.point.g <= 4
+
+    @pytest.mark.parametrize("case", PICKS, ids=lambda c: "{}-h{}-r{}-d{}-mtp{:d}-g{}-L{}".format(
+        c[0].name, *c[1], *c[2:5]))
+    def test_pick_is_pinned_and_is_a_table_row(self, case):
+        hw, (heads, kv_rank, dim), allow_mtp, max_g, length, path, g, s_q, note = case
+        cfg = dataclasses.replace(CFG, num_heads=heads, kv_rank=kv_rank, head_dim=dim,
+                                  value_head_dim=dim)
+        rec = R.recommend(hw, cfg, allow_mtp=allow_mtp, max_g=max_g, length=length)
+        assert (rec.point.path, rec.point.g, rec.point.s_q, rec.note) == (path, g, s_q, note)
+        assert rec.point == R.step_time(hw, cfg, rec.point.path, g=rec.point.g,
+                                        s_q=rec.point.s_q, length=length)
