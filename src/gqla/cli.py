@@ -56,6 +56,7 @@ def _report_checks(checks) -> int:
     return 0 if ok else 1
 
 
+@np.errstate(all="ignore")  # non-finite weights: the FAIL lines report them, not warnings
 def cmd_verify(args) -> int:
     if not 0 <= args.tolerance < math.inf:
         raise ParameterError(f"--tolerance must be finite and >= 0, got {args.tolerance}")

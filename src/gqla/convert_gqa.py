@@ -35,7 +35,7 @@ their accumulator, so convert accumulates and factors the Gram matrix once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,13 +44,13 @@ from .errors import DegenerateCalibrationError, ParameterError, ShapeError
 from .model import (GqlaConfig, GqlaWeights, _calibration_gram, _check_arrays, _check_counts,
                     _check_rotary, _check_tokens, _fan_in_uniform, _grouped_core,
                     _probe_deviation)
-from .numerics import _canonical_signs, _eigh, root_eig
+from .numerics import _canonical_signs, _eigh, _read_only, root_eig
 from .rope import RopeSpec, apply_folded_rope
 
 
 @dataclass(frozen=True)
 class GqaWeights:
-    """A source grouped-query attention block.
+    """A source grouped-query attention block, read-only as GqlaWeights is.
 
     q_proj: (num_heads*head_dim, model_dim); k_proj/v_proj:
     (num_groups*head_dim, model_dim); out_proj: (model_dim,
@@ -74,6 +74,8 @@ class GqaWeights:
         if self.num_heads % self.num_groups != 0:
             raise ParameterError("num_heads must be divisible by num_groups")
         _check_rotary("head_dim", self.head_dim, self.rope_base)
+        for field in fields(self):
+            _read_only(getattr(self, field.name))
 
     @property
     def heads_per_group(self) -> int:
@@ -495,16 +497,9 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     blocks = folded.band_bases[band[:, None], :, column[:, None] + [0, 1]]  # (d_r/2, 2, 2g)
     blocks = q_scale * blocks.reshape(-1, 2, g, 2).transpose(2, 0, 1, 3)   # (g, d_r/2, 2, 2)
     q_rope = blocks[:, None] @ np.take(aligned.q_proj.reshape(g, -1, d // 2, 2, dm), band, axis=2)
-    weights = GqlaWeights(
-        q_down=np.eye(dm),
-        q_up=q_scale * aligned.q_proj,
-        q_rope=q_rope.reshape(h * d_r, dm),
-        kv_down=joint.kv_down,
-        k_up=joint.k_up,
-        v_up=joint.v_up,
-        k_rope=k_rope,
-        out_proj=src.out_proj.copy(),
-    )
+    weights = GqlaWeights(q_down=np.eye(dm), q_up=q_scale * aligned.q_proj,
+                          q_rope=q_rope.reshape(h * d_r, dm), kv_down=joint.kv_down,
+                          k_up=joint.k_up, v_up=joint.v_up, k_rope=k_rope, out_proj=src.out_proj)
     weights.validate(target)
 
     # Probe diagnostics on held-out sequences: score invariance of the rotary

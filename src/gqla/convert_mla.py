@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as gqla_model
-from .errors import ParameterError
+from .errors import DegenerateCalibrationError, ParameterError
 from .model import GqlaConfig, GqlaWeights, _calibration_gram, _check_tokens, _probe_deviation
 from .numerics import root_eig, sym_eig
 from .rope import apply_rope
@@ -72,10 +72,16 @@ def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> G
     """Per-group, per-side roots of the up-projection activation moments: the
     calibration Gram root r (model_dim square) times kv_down^T, the root of the
     latent moment, times each side's up-projection, one product per side. calib
-    is the calibration tokens (N, model_dim) or their CovarianceAccumulator."""
+    is the calibration tokens (N, model_dim) or their CovarianceAccumulator.
+    DegenerateCalibrationError if ||r·kv_down^T|| <= model_dim·eps·||r||·||kv_down||
+    (Frobenius), that product's rounding bound: the latent carries only rounding."""
     _check_source(config)
     _check_groups(config, groups)
-    latent_root = _calibration_gram(calib, config.model_dim).root() @ weights.kv_down.T
+    root = _calibration_gram(calib, config.model_dim).root()
+    latent_root = root @ weights.kv_down.T
+    rounding = config.model_dim * np.finfo(np.float64).eps * np.linalg.norm(root)
+    if np.linalg.norm(latent_root) <= rounding * np.linalg.norm(weights.kv_down):
+        raise DegenerateCalibrationError("the calibration carries no energy into the latent")
 
     def side(up):  # (groups, model_dim, rows per group)
         return (latent_root @ up.T).reshape(config.model_dim, groups, -1).transpose(1, 0, 2)
@@ -144,7 +150,7 @@ def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
     The group-indexed up-projections become the stacked v_j factors (first
     dimension shrinks by heads-per-group), read as views of fact; query and
     output projections keep their shapes; the latent and rotary projections
-    pass through unchanged.
+    pass through unchanged: they are the source's own read-only arrays.
     """
     _check_source(config)
     groups = len(fact.key_u)
@@ -161,16 +167,8 @@ def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
     out_proj = np.empty_like(weights.out_proj)
     np.matmul(head_blocks(weights.out_proj), fact.value_u.reshape(groups, hpg, dv, dv),
               out=head_blocks(out_proj))
-    converted = GqlaWeights(
-        q_down=weights.q_down.copy(),
-        q_up=q_up,
-        q_rope=weights.q_rope.copy(),
-        kv_down=weights.kv_down.copy(),
-        k_up=fact.key_v.reshape(-1, config.kv_rank),
-        v_up=fact.value_v.reshape(-1, config.kv_rank),
-        k_rope=weights.k_rope.copy(),
-        out_proj=out_proj,
-    )
+    converted = replace(weights, q_up=q_up, k_up=fact.key_v.reshape(-1, config.kv_rank),
+                        v_up=fact.value_v.reshape(-1, config.kv_rank), out_proj=out_proj)
     converted.validate(target_config(config, groups))
     return converted
 

@@ -192,13 +192,9 @@ def read_checkpoint(path, strict: bool = True):
         raise CheckpointFormatError("manifest config must be a JSON object")
     values = {f: _config_value(cfg, f)
               for f in (_GQA_CONFIG_FIELDS if kind == KIND_GQA else _CONFIG_FIELDS)}
-    try:
-        if kind == KIND_GQA:
-            weights = GqaWeights(**values, **{f: arrays[f] for f in _GQA_FIELDS})
-            weights.validate()
-            return kind, dict(cfg), weights
-        config = GqlaConfig(**values)
-        weights = GqlaWeights(**{f: arrays[f] for f in _GQLA_FIELDS})
+    try:  # arrays holds exactly the kind's tensors (checked above)
+        config = dict(cfg) if kind == KIND_GQA else GqlaConfig(**values)
+        weights = GqaWeights(**values, **arrays) if kind == KIND_GQA else GqlaWeights(**arrays)
         _validate_pair(kind, config, weights, require_finite=strict)
         return kind, config, weights
     except (ValueError, TypeError) as exc:

@@ -15,10 +15,11 @@ A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
 Prefill appends a sequence to an empty cache and decode a token or a block to
 a given one, through one append-and-attend routine; decode outputs are shaped
 like its input. All arithmetic is float64. No function writes an array that
-a caller made, and no row that any cache can see ever changes; but a decoded
-cache may share storage with the cache it extends, since decode appends into
-spare rows past it (see _append). Appending to one cache from several threads
-at once is not supported.
+a caller made, but building weights makes their arrays read-only, a caller's
+too (see GqlaWeights). No row that any cache can see ever changes; but a
+decoded cache may share storage with the cache it extends, since decode
+appends into spare rows past it (see _append). Appending to one cache from
+several threads at once is not supported.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import (DegenerateCalibrationError, NumericError, OutOfSubspaceError, ParameterError,
                      ShapeError)
-from .numerics import CovarianceAccumulator, accumulate
+from .numerics import CovarianceAccumulator, _read_only, accumulate
 from .rope import RopeSpec, apply_folded_rope, apply_rope
 
 
@@ -122,15 +123,11 @@ class GqlaWeights:
     k_rope: (rope_head_dim, model_dim)      shared rotary key projection
     out_proj:(model_dim, num_heads*value_head_dim) output combination
 
-    A weights object keeps two matrices derived from its arrays, each made on
-    first use: the cache_compress solve (_compress_map) and the stub
-    indexer's query map (_index_query_map). So do not write the arrays in
-    place once either has been used: make new weights with
-    dataclasses.replace, which start without them. A stale solve can only
-    make cache_compress raise OutOfSubspaceError, never return latents that
-    miss the cache, since the residual is taken against the current arrays.
-    A stale query map is not caught at all: the stub's scores, and so the
-    top-k positions, silently follow the old q_down and q_rope.
+    Building weights makes every array read-only in place, with every ndarray
+    in its .base chain: a caller's arrays, and their bases, too. So the two
+    matrices made from them on first use, the cache_compress solve
+    (_compress_map) and the stub indexer's query map (_index_query_map),
+    cannot go stale; dataclasses.replace builds weights without them.
     """
 
     q_down: np.ndarray
@@ -141,6 +138,10 @@ class GqlaWeights:
     v_up: np.ndarray
     k_rope: np.ndarray
     out_proj: np.ndarray
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            _read_only(getattr(self, field.name))
 
     def validate(self, config: GqlaConfig, require_finite: bool = True) -> None:
         _check_arrays(self, expected_shapes(config), require_finite)

@@ -13,8 +13,8 @@ b·b^T, or, where squaring b would cost accuracy, from a thin SVD of b.
 Columns past b's numerical rank are zero. Both converters take their wide
 bases from it. sym_eig and root_eig also take a stack (..., n, n) or
 (..., m, D) and treat each item exactly as a call on it alone, in one batched
-eigendecomposition. Everything here is a pure function: inputs are never
-mutated and identical inputs give byte-identical outputs.
+eigendecomposition. All here is pure: no input is written (an accumulator
+makes its moment read-only) and identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ def _as_matrix(a, name: str, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ShapeError(f"{name} contains non-finite entries")
     return m
+
+
+def _read_only(a):
+    """a, made read-only in place together with every ndarray in its .base chain."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        _read_only(a.base)
+    return a
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,16 @@ class CovarianceAccumulator:
     """Uncentered second-moment accumulator over fixed-dimension samples.
 
     ``second_moment`` is the running sum of x·x^T (no mean subtraction);
-    divide by ``sample_count`` for the covariance estimate. Instances are
-    immutable; ``accumulate`` returns a new value.
+    divide by ``sample_count`` for the covariance estimate. Instances and
+    their arrays are immutable; ``accumulate`` returns a new value.
     """
 
     dim: int
     second_moment: np.ndarray
     sample_count: int
+
+    def __post_init__(self):
+        _read_only(self.second_moment)
 
     @staticmethod
     def empty(dim: int) -> "CovarianceAccumulator":
@@ -132,11 +143,9 @@ class CovarianceAccumulator:
         rounding level (at most dim·eps times the largest) set to 0: its nonzero
         rows are the moment's numerical rank, where Cholesky's are √eps-sized.
 
-        r is made on the first call and returned read-only ever after, so stages
-        sharing an accumulator factor once. Do not write second_moment in place
-        after that: a stale r reads the old moment (accumulate returns a new accumulator).
+        r is made on the first call and returned, read-only, ever after, so
+        stages sharing an accumulator factor once.
         """
-        self._root.flags.writeable = False
         return self._root
 
     @functools.cached_property
@@ -148,11 +157,11 @@ class CovarianceAccumulator:
             low = None
         if low is not None and (low.diagonal().min() ** 2
                                 > _GRAM_MIN_RATIO * moment.diagonal().max()):
-            return low.T
+            return _read_only(low.T)
         eig = sym_eig(moment)
         lam = eig.eigenvalues
         lam = np.where(lam > self.dim * np.finfo(np.float64).eps * lam[0], lam, 0.0)
-        return np.sqrt(lam)[:, None] * eig.eigenvectors.T
+        return _read_only(np.sqrt(lam)[:, None] * eig.eigenvectors.T)
 
 
 def accumulate(acc: CovarianceAccumulator, batch) -> CovarianceAccumulator:

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gqla
 from gqla import convert_gqa as CG
 from gqla import io as gqck
 from gqla import model as M
@@ -40,14 +44,14 @@ def mla_ckpt(tmp_path, mla_config, mla_weights):
     return path
 
 
-def corrupt_tensor(path, name):
-    """Overwrite the first values of one tensor's payload with NaNs."""
+def corrupt_tensor(path, name, value=float("nan")):
+    """Overwrite the first values of one tensor's payload with value (NaN)."""
     blob = bytearray(path.read_bytes())
     _, header_len = struct.unpack("<IQ", blob[4:16])
     header = json.loads(bytes(blob[16:16 + header_len]))
     entry = next(t for t in header["tensors"] if t["name"] == name)
     start = 16 + header_len + entry["offset"]
-    blob[start:start + 32] = struct.pack("<4d", *([float("nan")] * 4))
+    blob[start:start + 32] = struct.pack("<4d", *([value] * 4))
     path.write_bytes(bytes(blob))
 
 
@@ -77,6 +81,15 @@ class TestVerify:
         rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "12"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["kv_down", "q_up", "out_proj", "k_rope"])
+    def test_infinite_payload_fails_without_warnings(self, gqla_ckpt, capsys, name):
+        # the FAIL lines carry the verdict: no numpy warning escapes
+        corrupt_tensor(gqla_ckpt, name, float("inf"))
+        rc = main(["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "12"])
+        captured = capsys.readouterr()
+        assert rc == 1 and "FAIL" in captured.out
+        assert captured.err == ""
 
     def test_failed_compression_solve_fails_the_cache_checks(self, gqla_ckpt, monkeypatch,
                                                              capsys):
@@ -358,6 +371,38 @@ def test_oversized_inputs_are_usage_errors(command, gqla_ckpt, gqa_ckpt, tmp_pat
     assert main(argv + [str(10 ** 400)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Runs the CLI and prints the process's own peak RSS (MiB) as the last stdout line.
+_REPORT_PEAK_RSS = ("import resource, sys\n"
+                    "from gqla.cli import main\n"
+                    "code = main(sys.argv[1:])\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)\n"
+                    "sys.exit(code)")
+
+
+@pytest.mark.skipif(os.environ.get("GQLA_PAPER_WIDTH") != "1",
+                    reason="one LLaMA-3-8B layer through the CLI (~1.4 GB, ~10 s): "
+                           "set GQLA_PAPER_WIDTH=1")
+def test_paper_width_cli_session_stays_within_its_peak_rss(tmp_path):
+    source, converted = tmp_path / "src.gqck", tmp_path / "out.gqck"
+    gqck.write_checkpoint(source, "gqa", None, init_random_gqa(32, 8, 128, 4096, seed=1))
+    src_dir = os.path.dirname(os.path.dirname(gqla.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    # bounds in MiB: verify at 600 (564 measured, so a copy of the 497 MB of
+    # weights on the read -> verify path would fail it); convert (1367) and
+    # sparse-check (528) with about 20% headroom
+    session = [(["convert", "--from", "gqa", "--in", str(source), "--out", str(converted),
+                 "--rkv", "512", "--dhr", "64", "--calib-tokens", "8192"], 1650),
+               (["verify", "--checkpoint", str(converted)], 600),
+               (["sparse-check", "--checkpoint", str(converted)], 640)]
+    for argv, bound in session:
+        run = subprocess.run([sys.executable, "-c", _REPORT_PEAK_RSS, *argv], env=env,
+                             capture_output=True, text=True, check=False)
+        assert run.returncode == 0 and run.stderr == "", (argv[0], run.stderr)
+        peak = int(run.stdout.split()[-1])
+        assert peak <= bound, f"{argv[0]} peaked at {peak} MiB (bound {bound})"
 
 
 class TestSeedHandling:

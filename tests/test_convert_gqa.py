@@ -784,6 +784,11 @@ class TestConvert:
         assert np.max(np.abs(a - b)) <= dual_path_bound(a)
         assert np.max(np.abs(a - o)) <= dual_path_bound(a)
 
+    def test_output_projection_is_the_sources_own(self, desk_gqa):
+        # read-only weights need no defensive copy
+        weights, _ = CG.convert(desk_gqa, CALIB, desk_target(kv_rank=14, rope_dim=4))
+        assert weights.out_proj is desk_gqa.out_proj
+
     def test_desk_cache_ratio_formats_exactly(self, desk_gqa):
         weights, report = CG.convert(desk_gqa, CALIB, desk_target(kv_rank=14, rope_dim=4))
         assert report.cache_ratio == 0.28125

@@ -216,6 +216,14 @@ class TestAbsorb:
         assert np.array_equal(cache_src.kv, cache_new.kv)
         assert np.array_equal(cache_src.k_rope, cache_new.k_rope)
 
+    def test_passed_through_arrays_are_the_sources_own(self, mla_config, mla_weights):
+        # read-only weights need no defensive copy
+        converted, _ = CM.convert(mla_weights, mla_config, CALIB[:512], 2)
+        for name in ("q_down", "q_rope", "kv_down", "k_rope"):
+            assert np.shares_memory(getattr(converted, name), getattr(mla_weights, name)), name
+        for name in ("q_up", "k_up", "v_up", "out_proj"):
+            assert not np.shares_memory(getattr(converted, name), getattr(mla_weights, name))
+
 
 class TestConvert:
     def test_group_per_head_is_exact_reparameterization(self, mla_config, mla_weights):
@@ -264,3 +272,15 @@ def test_calibration_without_energy_raises_on_both_routes(route, calib, desk_gqa
             CG.convert(desk_gqa, calib, CG.target_config(desk_gqa, 24, 8))
         else:
             CM.convert(mla_weights, mla_config, calib, 2)
+
+
+def test_calibration_whose_energy_never_reaches_the_latent_raises(mla_config, mla_weights):
+    # tokens in the null space of kv_down: latent entries ~1e-15 against tokens ~3
+    null_space = np.linalg.svd(mla_weights.kv_down)[2][32:]
+    calib = random_tokens(256, 32, 17) @ null_space
+    with pytest.raises(DegenerateCalibrationError, match="no energy into the latent"):
+        CM.convert(mla_weights, mla_config, calib, 2)
+    # eight tokens that reach the latent are enough
+    mixed = np.vstack([calib, random_tokens(8, 64, 18)])
+    converted, report = CM.convert(mla_weights, mla_config, mixed, 2)
+    assert converted.k_up.shape == (32, 32) and np.isfinite(report.output_deviation)

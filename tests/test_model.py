@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gqla import convert_gqa, convert_mla
+from gqla import io as gqck
 from gqla import model as M
 from gqla import sparse
 from gqla.errors import NumericError, OutOfSubspaceError, ParameterError, ShapeError
@@ -32,6 +33,72 @@ class TestInitRandom:
         bound = 1.0 / math.sqrt(min_fan)
         for name in M.expected_shapes(desk_config):
             assert np.max(np.abs(getattr(w, name))) <= bound
+
+
+def _read_back(path, kind, config, weights):
+    gqck.write_checkpoint(path, kind, config, weights)
+    return gqck.read_checkpoint(path)[2]
+
+
+_CALIB = M.random_tokens(256, 64, 17)
+
+# Every way the package makes weights, each a function of a fixture getter.
+WEIGHT_PRODUCERS = {
+    "init_random": lambda f: M.init_random(f("desk_config"), 1),
+    "init_random_gqa": lambda f: convert_gqa.init_random_gqa(8, 2, 16, 64, seed=5),
+    "read_checkpoint_gqla": lambda f: _read_back(f("tmp_path") / "a.gqck", "gqla",
+                                                 f("desk_config"), f("desk_weights")),
+    "read_checkpoint_mla": lambda f: _read_back(f("tmp_path") / "b.gqck", "mla",
+                                                f("mla_config"), f("mla_weights")),
+    "read_checkpoint_gqa": lambda f: _read_back(f("tmp_path") / "c.gqck", "gqa", None,
+                                                f("desk_gqa")),
+    "convert_gqa": lambda f: convert_gqa.convert(
+        f("desk_gqa"), _CALIB, convert_gqa.target_config(f("desk_gqa"), 14, 4))[0],
+    "convert_mla": lambda f: convert_mla.convert(f("mla_weights"), f("mla_config"),
+                                                 _CALIB, 2)[0],
+    "apply_head_rotations": lambda f: convert_gqa.apply_head_rotations(
+        f("desk_gqa"), np.tile([[0.6, 0.8], [-0.8, 0.6]], (2, 8, 1, 1))),
+    "replace_gqla": lambda f: dataclasses.replace(  # a fresh array and a strided view
+        f("desk_weights"), q_rope=np.ones((64, 48)), k_up=np.zeros((32, 64))[:, ::2]),
+    "replace_gqa": lambda f: dataclasses.replace(f("desk_gqa"), v_proj=np.ones((32, 64))),
+}
+
+
+class TestWeightsAreReadOnly:
+    @pytest.mark.parametrize("producer", WEIGHT_PRODUCERS)
+    def test_every_array_refuses_in_place_writes(self, request, producer):
+        weights = WEIGHT_PRODUCERS[producer](request.getfixturevalue)
+        arrays = [getattr(weights, f.name) for f in dataclasses.fields(weights)
+                  if isinstance(getattr(weights, f.name), np.ndarray)]
+        assert len(arrays) in (4, 8)
+        for arr in arrays:
+            before = arr.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= -1
+            assert np.array_equal(arr, before)
+
+    def test_building_weights_makes_the_callers_arrays_and_bases_read_only(self,
+                                                                           desk_weights):
+        stacked = np.vstack([desk_weights.k_up, desk_weights.v_up])  # the caller's array
+        weights = dataclasses.replace(desk_weights, k_up=stacked[:32], v_up=stacked[32:])
+        assert np.shares_memory(weights.k_up, stacked)  # frozen in place, not copied
+        with pytest.raises(ValueError, match="read-only"):
+            stacked[0, 0] = 1.0
+        with pytest.raises(ValueError):  # numpy keeps a view of a read-only base read-only
+            weights.k_up.flags.writeable = True
+
+    def test_replace_shares_the_arrays_and_starts_without_derived_matrices(
+            self, desk_config, desk_weights):
+        _, expanded = M.forward_gqa_path(desk_weights, desk_config, M.random_tokens(6, 64, 2))
+        M.cache_compress(expanded, desk_weights)
+        sparse.stub_index_scores(desk_weights, desk_config, expanded, np.ones(64))
+        assert {"_compress_map", "_index_query_map"} <= set(vars(desk_weights))
+        fresh = dataclasses.replace(desk_weights)
+        assert not {"_compress_map", "_index_query_map"} & set(vars(fresh))
+        assert all(getattr(fresh, name) is getattr(desk_weights, name)
+                   for name in M.expected_shapes(desk_config))
 
 
 @pytest.mark.parametrize("count, dim", [(10 ** 400, 64), (2 ** 62, 64), (64, 10 ** 400)],
@@ -614,12 +681,14 @@ class TestCompressRoutes:
         assert np.max(residuals) <= 1e-9
 
     def test_stale_solve_after_an_in_place_write_is_rejected(self, desk_weights):
+        # the write that would leave the kept solve stale is itself refused
         weights = dataclasses.replace(desk_weights, k_up=desk_weights.k_up.copy())
         latent = M.LatentCache(kv=M.random_tokens(5, 32, 6), k_rope=np.zeros((5, 8)))
-        M.cache_compress(M.cache_expand(latent, weights), weights)
-        weights.k_up[:] *= 2  # the kept solve is now stale
-        with pytest.raises(OutOfSubspaceError):
-            M.cache_compress(M.cache_expand(latent, weights), weights)
+        first, _ = M.cache_compress(M.cache_expand(latent, weights), weights)
+        with pytest.raises(ValueError, match="read-only"):
+            weights.k_up[:] *= 2
+        again, _ = M.cache_compress(M.cache_expand(latent, weights), weights)
+        assert np.array_equal(again.kv, first.kv)
 
     @pytest.mark.parametrize("route", ["gram", "lstsq"])
     def test_zero_cache_compresses_to_zero(self, desk_weights, route):

@@ -177,6 +177,20 @@ class TestAccumulate:
         grown = accumulate(acc, rng.standard_normal((1, 12)))
         assert grown.root() is not r and len(calls) == 2
 
+    @pytest.mark.parametrize("tokens", [30, 8])  # Cholesky root; eigh root
+    def test_moment_and_root_refuse_in_place_writes(self, tokens):
+        rng = np.random.default_rng(6)
+        moment = np.eye(12)  # the caller's array: frozen in place, not copied
+        made = [CovarianceAccumulator.empty(12), CovarianceAccumulator(12, moment, 1),
+                accumulate(CovarianceAccumulator.empty(12), rng.standard_normal((tokens, 12)))]
+        assert made[1].second_moment is moment
+        for acc in made:
+            for arr in (acc.second_moment, acc.root()):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    arr *= 2
+
     @pytest.mark.parametrize("dim", [9, 600])
     def test_moment_is_bitwise_the_out_of_place_formula(self, dim):
         rng = np.random.default_rng(8)

@@ -200,6 +200,38 @@ def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
     assert_passes_verify(weights, target)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gqa_conversions())
+def test_rorope_align_preserves_the_scores_of_held_out_probes(case):
+    src, _, calib = case
+    merged = CG.merge_heads(src)
+    aligned, _ = CG.rorope_align(merged, calib)
+    probe = random_tokens(6, src.model_dim, 99)
+    ref = CG.merged_scores(merged, probe)
+    assert np.max(np.abs(CG.merged_scores(aligned, probe) - ref)) <= 1e-10 * (
+        1 + np.max(np.abs(ref)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gqa_conversions())
+def test_balancing_leaves_the_full_rank_forward_unchanged(case):
+    # at kv_rank = 2·g·d - rope dims the joint PCA keeps every direction, so
+    # the balancing scales cancel, given a calibration that spans model_dim
+    src, target, calib = case
+    full = dataclasses.replace(
+        target, kv_rank=2 * src.num_groups * src.head_dim - target.rope_head_dim)
+    calib = np.vstack([calib, random_tokens(src.model_dim, src.model_dim, 5)])
+    balanced, _ = CG.convert(src, calib, full)
+    joint_pca = CG.balance_and_joint_pca
+    with mock.patch.object(CG, "balance_and_joint_pca",
+                           lambda *args, balance: joint_pca(*args, balance=False)):
+        plain, _ = CG.convert(src, calib, full)
+    probe = random_tokens(6, src.model_dim, 98)
+    ref, _ = M.forward_gqa_path(plain, full, probe, 6)
+    got, _ = M.forward_gqa_path(balanced, full, probe, 6)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+
+
 def reconstruction_energies(b, u, d_n):
     """Referee for the joint PCA's per-side energies: the share of each side's
     columns of b (key columns first, d_n of them) kept by the projection onto

@@ -147,6 +147,20 @@ class TestStubIndexer:
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
         assert np.max(np.abs(got - before)) > 1e-3 * np.max(np.abs(before))
 
+    def test_the_query_map_cannot_go_stale(self, desk_config, desk_weights, prefix):
+        # negating q_rope in place after a call would leave the kept map stale
+        tokens, _, expanded, _ = prefix
+        before = sparse.stub_index_scores(desk_weights, desk_config, expanded, tokens[-1])
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(desk_weights.q_rope, out=desk_weights.q_rope)
+        again = sparse.stub_index_scores(desk_weights, desk_config, expanded, tokens[-1])
+        assert np.array_equal(again, before)
+        expect = head_mean_referee(desk_weights, desk_config, expanded, tokens[-1])
+        assert np.max(np.abs(again - expect)) <= 1e-12 * np.max(np.abs(expect))
+        negated = dataclasses.replace(desk_weights, q_rope=-desk_weights.q_rope)
+        flipped = sparse.stub_index_scores(negated, desk_config, expanded, tokens[-1])
+        assert not np.array_equal(sparse.topk_select(flipped, 8), sparse.topk_select(before, 8))
+
 
 def head_mean_referee(weights, config, cache, x):
     """The stub's definition: each head's rotary query against every cached
