@@ -457,8 +457,7 @@ def target_config(src: GqaWeights, kv_rank: int, rope_head_dim: int) -> GqlaConf
     """Config of the converted checkpoint: the source's head count, group
     count, head dim (keys and values), model dim and rotary base, the given
     latent rank and rotary dim, and q_rank == model_dim, since this route
-    does not compress queries (the emitted query down-projection is the
-    identity)."""
+    does not compress queries (the emitted weights have no q_down)."""
     return GqlaConfig(model_dim=src.model_dim, num_heads=src.num_heads,
                       num_groups=src.num_groups, head_dim=src.head_dim,
                       value_head_dim=src.head_dim, rope_head_dim=rope_head_dim,
@@ -497,7 +496,7 @@ def convert(src: GqaWeights, calib, target: GqlaConfig):
     blocks = folded.band_bases[band[:, None], :, column[:, None] + [0, 1]]  # (d_r/2, 2, 2g)
     blocks = q_scale * blocks.reshape(-1, 2, g, 2).transpose(2, 0, 1, 3)   # (g, d_r/2, 2, 2)
     q_rope = blocks[:, None] @ np.take(aligned.q_proj.reshape(g, -1, d // 2, 2, dm), band, axis=2)
-    weights = GqlaWeights(q_down=np.eye(dm), q_up=q_scale * aligned.q_proj,
+    weights = GqlaWeights(q_down=None, q_up=q_scale * aligned.q_proj,
                           q_rope=q_rope.reshape(h * d_r, dm), kv_down=joint.kv_down,
                           k_up=joint.k_up, v_up=joint.v_up, k_rope=k_rope, out_proj=src.out_proj)
     weights.validate(target)

@@ -96,7 +96,8 @@ class GroupFactorization:
     key_u[j] is column-orthonormal ((h/g)*dim x dim) and key_v[j] =
     key_u[j]^T W_j (dim x kv_rank), dim being head_dim for keys and
     value_head_dim for values (value_u, value_v). energy_* hold the
-    per-group retained activation energy fraction.
+    per-group retained activation energy fraction and *_rank the per-group
+    count of live basis columns (nonzero eigenvalues), at most dim.
     """
 
     key_u: np.ndarray    # (groups, (h/g)*head_dim, head_dim)
@@ -105,6 +106,8 @@ class GroupFactorization:
     value_v: np.ndarray  # (groups, value_head_dim, kv_rank)
     key_energy: tuple
     value_energy: tuple
+    key_rank: tuple
+    value_rank: tuple
 
 
 def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> GroupFactorization:
@@ -115,7 +118,7 @@ def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> Group
     call per side (one batched eigendecomposition of order
     min(model_dim, (h/g)*dim)), which is pca_factor's basis to rounding; the
     energy is the retained eigenvalues over the moment's trace, the root's
-    squared norm.
+    squared norm, and key_rank / value_rank count the nonzero ones.
     The ranks are head_dim and value_head_dim, which make every per-head
     sub-block square and therefore absorbable. Past the calibration rank
     root_eig's columns are zero; where the factor itself is square (one head
@@ -134,13 +137,16 @@ def factor(weights: GqlaWeights, config: GqlaConfig, stats: GroupStats) -> Group
         totals = [float(np.linalg.norm(root)) ** 2 for root in roots]  # each moment's trace
         energies = tuple(float(kept) / total if total > 0 else 1.0
                          for kept, total in zip(eig.eigenvalues.sum(axis=-1), totals))
-        return u, np.swapaxes(u, -1, -2) @ proj.reshape(len(roots), -1, proj.shape[1]), energies
+        ranks = tuple(np.count_nonzero(eig.eigenvalues, axis=-1).tolist())
+        v = np.swapaxes(u, -1, -2) @ proj.reshape(len(roots), -1, proj.shape[1])
+        return u, v, energies, ranks
 
-    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
-    value_u, value_v, value_energy = side(weights.v_up, stats.value_root,
-                                          config.value_head_dim)
-    return GroupFactorization(key_u=key_u, key_v=key_v, value_u=value_u,
-                              value_v=value_v, key_energy=key_energy, value_energy=value_energy)
+    key_u, key_v, key_energy, key_rank = side(weights.k_up, stats.key_root, config.head_dim)
+    value_u, value_v, value_energy, value_rank = side(weights.v_up, stats.value_root,
+                                                      config.value_head_dim)
+    return GroupFactorization(key_u=key_u, key_v=key_v, value_u=value_u, value_v=value_v,
+                              key_energy=key_energy, value_energy=value_energy,
+                              key_rank=key_rank, value_rank=value_rank)
 
 
 def absorb_factors(weights: GqlaWeights, config: GqlaConfig,
@@ -196,7 +202,7 @@ def unfused_forward(weights: GqlaWeights, config: GqlaConfig, fact: GroupFactori
 
     outputs = np.empty((s_q, config.model_dim))
     for idx, t in enumerate(range(length - s_q, length)):
-        c_q = weights.q_down @ tokens[t]
+        c_q = tokens[t] if weights.q_down is None else weights.q_down @ tokens[t]
         per_head = []
         for i in range(config.num_heads):
             j, pos = divmod(i, hpg)
@@ -214,11 +220,17 @@ def unfused_forward(weights: GqlaWeights, config: GqlaConfig, fact: GroupFactori
 
 @dataclass(frozen=True)
 class MlaConversionReport:
-    """Diagnostics for one head-indexed-to-grouped conversion."""
+    """Diagnostics for one head-indexed-to-grouped conversion: per group and
+    side, the retained activation energy and the rank of its basis (the live
+    columns of GroupFactorization) out of head_dim or value_head_dim."""
 
     groups: int
     key_energy: tuple
     value_energy: tuple
+    key_rank: tuple
+    value_rank: tuple
+    head_dim: int
+    value_head_dim: int
     output_deviation: float
     output_scale: float
     latent_elements_per_token: int
@@ -226,10 +238,14 @@ class MlaConversionReport:
     def lines(self) -> list:
         key = ", ".join(f"{e:.6f}" for e in self.key_energy)
         value = ", ".join(f"{e:.6f}" for e in self.value_energy)
+        key_rank = ", ".join(f"{r}/{self.head_dim}" for r in self.key_rank)
+        value_rank = ", ".join(f"{r}/{self.value_head_dim}" for r in self.value_rank)
         return [
             f"groups:                  {self.groups}",
             f"key energy retained:     [{key}]",
+            f"key basis rank:          [{key_rank}]",
             f"value energy retained:   [{value}]",
+            f"value basis rank:        [{value_rank}]",
             f"latent cache:            {self.latent_elements_per_token} elements/token "
             "(unchanged by conversion)",
             f"output deviation:        {self.output_deviation:.3e} "
@@ -251,7 +267,8 @@ def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
     # roots once factored, the u factors once absorbed (the v factors live on
     # as the converted up-projections).
     fact = factor(weights, config, calibrate(weights, config, calib, groups))
-    key_energy, value_energy = fact.key_energy, fact.value_energy
+    diagnostics = dict(key_energy=fact.key_energy, value_energy=fact.value_energy,
+                       key_rank=fact.key_rank, value_rank=fact.value_rank)
     converted = absorb_factors(weights, config, fact)
     del fact
     tgt = target_config(config, groups)
@@ -261,11 +278,8 @@ def convert(weights: GqlaWeights, config: GqlaConfig, calib, groups: int):
         lambda p: gqla_model.forward_gqa_path(converted, tgt, p, 2)[0],
         config.model_dim, _PROBE_SEED)
     report = MlaConversionReport(
-        groups=groups,
-        key_energy=key_energy,
-        value_energy=value_energy,
-        output_deviation=dev,
-        output_scale=scale,
+        groups=groups, **diagnostics, head_dim=config.head_dim,
+        value_head_dim=config.value_head_dim, output_deviation=dev, output_scale=scale,
         latent_elements_per_token=config.latent_elements_per_token,
     )
     return converted, report

@@ -76,7 +76,8 @@ def write_checkpoint(path, kind: str, config, weights, provenance: str | None = 
     """
     kind = _normalize_kind(kind)
     _validate_pair(kind, config, weights)
-    names = _GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS
+    names = [n for n in (_GQA_FIELDS if kind == KIND_GQA else _GQLA_FIELDS)
+             if getattr(weights, n) is not None]  # a missing q_down is left out
     directory = []
     offset = 0
     for name in names:
@@ -157,7 +158,8 @@ def read_checkpoint(path, strict: bool = True):
             raise CheckpointFormatError(
                 "manifest tensors must be a list of objects with string names")
         names = [t["name"] for t in directory]
-        if sorted(names) != sorted(expected):
+        # a GQLA or MLA file may leave q_down out; GqlaWeights.validate judges that
+        if sorted(names) != sorted(expected) and sorted(names + ["q_down"]) != sorted(expected):
             missing = set(expected) - set(names)
             extra = set(names) - set(expected)
             raise CheckpointFormatError(
@@ -192,9 +194,10 @@ def read_checkpoint(path, strict: bool = True):
         raise CheckpointFormatError("manifest config must be a JSON object")
     values = {f: _config_value(cfg, f)
               for f in (_GQA_CONFIG_FIELDS if kind == KIND_GQA else _CONFIG_FIELDS)}
-    try:  # arrays holds exactly the kind's tensors (checked above)
+    try:  # arrays holds exactly the kind's tensors, perhaps without q_down (checked above)
         config = dict(cfg) if kind == KIND_GQA else GqlaConfig(**values)
-        weights = GqaWeights(**values, **arrays) if kind == KIND_GQA else GqlaWeights(**arrays)
+        weights = (GqaWeights(**values, **arrays) if kind == KIND_GQA
+                   else GqlaWeights(**{"q_down": None, **arrays}))
         _validate_pair(kind, config, weights, require_finite=strict)
         return kind, config, weights
     except (ValueError, TypeError) as exc:

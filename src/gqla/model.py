@@ -112,9 +112,10 @@ def canonical_config() -> GqlaConfig:
 
 @dataclass(frozen=True)
 class GqlaWeights:
-    """The eight projection matrices (row-major, float64).
+    """The projection matrices (row-major, float64).
 
-    q_down: (q_rank, model_dim)             query down-projection
+    q_down: (q_rank, model_dim)             query down-projection, or None:
+            queries project straight from the token (needs q_rank == model_dim)
     q_up:   (num_heads*head_dim, q_rank)    per-head query up-projection
     q_rope: (num_heads*rope_head_dim, q_rank) per-head rotary query projection
     kv_down:(kv_rank, model_dim)            joint K/V down-projection
@@ -130,7 +131,7 @@ class GqlaWeights:
     cannot go stale; dataclasses.replace builds weights without them.
     """
 
-    q_down: np.ndarray
+    q_down: np.ndarray | None
     q_up: np.ndarray
     q_rope: np.ndarray
     kv_down: np.ndarray
@@ -144,7 +145,10 @@ class GqlaWeights:
             _read_only(getattr(self, field.name))
 
     def validate(self, config: GqlaConfig, require_finite: bool = True) -> None:
-        _check_arrays(self, expected_shapes(config), require_finite)
+        shapes = expected_shapes(config)
+        if self.q_down is None and config.q_rank == config.model_dim:
+            del shapes["q_down"]
+        _check_arrays(self, shapes, require_finite)
 
     @functools.cached_property
     def _compress_map(self) -> np.ndarray:
@@ -170,11 +174,12 @@ class GqlaWeights:
     @functools.cached_property
     def _index_query_map(self) -> np.ndarray:
         """The matrix Q̄ (rope_head_dim, model_dim) = (mean over heads of
-        q_rope's (rope_head_dim, q_rank) blocks)·q_down: the pre-rotary mean
-        of the heads' rotary queries of a token x is Q̄·x."""
+        q_rope's (rope_head_dim, q_rank) blocks)·q_down, or the mean alone
+        without q_down: the pre-rotary mean of the heads' rotary queries of a
+        token x is Q̄·x."""
         rope_dim = self.k_rope.shape[0]
-        blocks = self.q_rope.reshape(-1, rope_dim, self.q_rope.shape[1])
-        return blocks.mean(axis=0) @ self.q_down
+        mean = self.q_rope.reshape(-1, rope_dim, self.q_rope.shape[1]).mean(axis=0)
+        return mean if self.q_down is None else mean @ self.q_down
 
 
 def _check_arrays(weights, shapes: dict, require_finite: bool = True) -> None:
@@ -182,6 +187,8 @@ def _check_arrays(weights, shapes: dict, require_finite: bool = True) -> None:
     shapes and, with require_finite, only finite entries."""
     for name, shape in shapes.items():
         arr = getattr(weights, name)
+        if not isinstance(arr, np.ndarray):
+            raise ShapeError(f"{name} is {type(arr).__name__}, not an array of shape {shape}")
         if arr.shape != shape:
             raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
         if require_finite and not np.all(np.isfinite(arr)):
@@ -318,7 +325,7 @@ def _project_queries(weights: GqlaWeights, config: GqlaConfig, x: np.ndarray, po
     (..., num_heads, rope_head_dim). position is an int, or one per token of
     an (n, model_dim) batch.
     """
-    c_q = x @ weights.q_down.T
+    c_q = x if weights.q_down is None else x @ weights.q_down.T
     heads = x.shape[:-1] + (config.num_heads,)
     q_nope = (c_q @ weights.q_up.T).reshape(heads + (config.head_dim,))
     q_rope = apply_folded_rope(config.rope_spec(), c_q @ weights.q_rope.T, position)
@@ -656,7 +663,7 @@ def oracle_mha(weights: GqlaWeights, config: GqlaConfig, tokens, s_q: int = 1) -
     outputs = np.empty((s_q, c.model_dim))
     scale = 1.0 / math.sqrt(c.head_dim + c.rope_head_dim)
     for idx, t in enumerate(range(length - s_q, length)):
-        c_q = weights.q_down @ tokens[t]
+        c_q = tokens[t] if weights.q_down is None else weights.q_down @ tokens[t]
         per_head = []
         for i in range(c.num_heads):
             q_n = weights.q_up[i * c.head_dim:(i + 1) * c.head_dim] @ c_q

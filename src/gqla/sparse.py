@@ -60,10 +60,10 @@ def stub_index_scores(weights: GqlaWeights, config: GqlaConfig, cache, x) -> np.
     the newest cached token, at position t = len(cache) - 1. Every head's
     rotary query R_t·Q_h·c_q is rotated by the same R_t, so the head mean of
     its dot products with a cached key k_s is k_s·R_t·(Q̄·x), where Q̄ =
-    mean_h(Q_h)·q_down is kept on the weights (see GqlaWeights). One
-    (rope_head_dim, model_dim) product, one rotation and one read of the
-    cached rotary keys give the scores; they match the per-head form to
-    rounding, not bitwise.
+    mean_h(Q_h)·q_down (mean_h(Q_h) without q_down) is kept on the weights
+    (see GqlaWeights). One (rope_head_dim, model_dim) product, one rotation
+    and one read of the cached rotary keys give the scores; they match the
+    per-head form to rounding, not bitwise.
     """
     x = _check_token(x, config.model_dim)
     _check_cache(weights, cache, (ExpandedCache, LatentCache))

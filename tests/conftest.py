@@ -186,7 +186,7 @@ def longhand_mha(weights, config: GqlaConfig, tokens, s_q=1) -> np.ndarray:
     outputs = np.empty((s_q, c.model_dim))
     scale = 1.0 / math.sqrt(c.head_dim + c.rope_head_dim)
     for idx, t in enumerate(range(length - s_q, length)):
-        c_q = weights.q_down @ tokens[t]
+        c_q = tokens[t] if weights.q_down is None else weights.q_down @ tokens[t]
         per_head = []
         for i in range(c.num_heads):
             q_n = weights.q_up[i * c.head_dim:(i + 1) * c.head_dim] @ c_q

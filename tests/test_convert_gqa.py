@@ -9,6 +9,7 @@ import pytest
 from gqla import convert_gqa as CG
 from gqla import convert_mla as CM
 from gqla import model as M
+from gqla import sparse
 from gqla.errors import DegenerateCalibrationError, ParameterError, ShapeError
 from gqla.model import GqlaConfig, random_tokens
 from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
@@ -836,3 +837,51 @@ class TestConvert:
                              ("rope_base", 500.0)):
             with pytest.raises(ParameterError, match="incompatible"):
                 CG.convert(desk_gqa, CALIB, dataclasses.replace(good, **{field: value}))
+
+
+def _every_output(weights, config, tokens) -> dict:
+    """What each reader of the weights computes on tokens: prefill and decode on
+    both paths, the oracle, the stub indexer, sparse steps on both layouts and
+    both cache switches."""
+    got = {}
+    got["prefill_gqa"], expanded = M.forward_gqa_path(weights, config, tokens[:-3], 2)
+    got["prefill_absorb"], latent = M.forward_absorb_path(weights, config, tokens[:-3], 2)
+    got["decode_gqa"], expanded = M.decode_gqa(weights, config, expanded, tokens[-3])
+    got["decode_absorb"], latent = M.decode_absorb(weights, config, latent, tokens[-3])
+    got["block_gqa"], expanded = M.decode_gqa(weights, config, expanded, tokens[-2:])
+    got["block_absorb"], latent = M.decode_absorb(weights, config, latent, tokens[-2:])
+    got["oracle"] = M.oracle_mha(weights, config, tokens, 3)
+    got["index_scores"] = sparse.stub_index_scores(weights, config, expanded, tokens[-1])
+    selected = sparse.topk_select(got["index_scores"], 4)
+    got["sparse"] = sparse.sparse_attention(weights, config, expanded, tokens[-1], selected)
+    got["sparse_absorbed"] = sparse.sparse_attention_absorbed(weights, config, latent,
+                                                              tokens[-1], selected)
+    got["expand"] = M.cache_expand(latent, weights).k_nope
+    got["compress"] = M.cache_compress(expanded, weights)[0].kv
+    return got
+
+
+# (source, calibration, kv_rank, rotary dim): the desk CLI convert, the CLI
+# session's shape and the reference shape
+_NO_Q_DOWN_SHAPES = {
+    "desk": (lambda: CG.init_random_gqa(8, 2, 16, 64, seed=5), (2048, 64), 14, 4),
+    "cli_session": (lambda: CG.init_random_gqa(16, 4, 32, 128, seed=3), (2048, 128), 128, 32),
+    "reference": (lambda: CG.init_random_gqa(32, 8, 128, 256, seed=11), (1024, 256), 512, 64),
+}
+
+
+@pytest.mark.parametrize("shape", _NO_Q_DOWN_SHAPES)
+def test_converted_queries_project_straight_from_the_token(shape):
+    make, (count, dim), kv_rank, rope_dim = _NO_Q_DOWN_SHAPES[shape]
+    src = make()
+    target = CG.target_config(src, kv_rank, rope_dim)
+    weights, report = CG.convert(src, random_tokens(count, dim, 0), target)
+    assert weights.q_down is None and target.q_rank == target.model_dim
+    eye = dataclasses.replace(weights, q_down=np.eye(dim))  # the identity it stands for
+    tokens = random_tokens(9, dim, 1)
+    got, ref = _every_output(weights, target, tokens), _every_output(eye, target, tokens)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
+    assert (report.output_deviation, report.output_scale) == M._probe_deviation(
+        lambda p: CG.forward_gqa_source(src, p, 2),
+        lambda p: M.forward_gqa_path(eye, target, p, 2)[0], dim, CG._PROBE_SEED)

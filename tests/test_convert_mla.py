@@ -112,18 +112,21 @@ def looped_factor(weights, config, stats):
     """Referee for factor: one unstacked root_eig per group and side, each
     group's v from its own u and block, stacked only at the end."""
     def side(proj, roots, rank):
-        us, vs, energies = [], [], []
+        us, vs, energies, ranks = [], [], [], []
         for root, block in zip(roots, proj.reshape(len(roots), -1, proj.shape[1])):
             eig = root_eig(root, rank)
             total = float(np.linalg.norm(root)) ** 2
             energies.append(float(eig.eigenvalues.sum()) / total if total > 0 else 1.0)
+            ranks.append(int(np.sum(eig.eigenvalues > 0.0)))
             us.append(eig.eigenvectors)
             vs.append(eig.eigenvectors.T @ block)
-        return np.stack(us), np.stack(vs), tuple(energies)
+        return np.stack(us), np.stack(vs), tuple(energies), tuple(ranks)
 
-    key_u, key_v, key_energy = side(weights.k_up, stats.key_root, config.head_dim)
-    value_u, value_v, value_energy = side(weights.v_up, stats.value_root, config.value_head_dim)
-    return CM.GroupFactorization(key_u, key_v, value_u, value_v, key_energy, value_energy)
+    key_u, key_v, key_energy, key_rank = side(weights.k_up, stats.key_root, config.head_dim)
+    value_u, value_v, value_energy, value_rank = side(weights.v_up, stats.value_root,
+                                                      config.value_head_dim)
+    return CM.GroupFactorization(key_u, key_v, value_u, value_v, key_energy, value_energy,
+                                 key_rank, value_rank)
 
 
 class TestStackedFactor:
@@ -139,6 +142,7 @@ class TestStackedFactor:
             assert np.array_equal(getattr(converted, field.name), getattr(referee, field.name))
         assert report.key_energy == fact.key_energy
         assert report.value_energy == fact.value_energy
+        assert report.key_rank == fact.key_rank and report.value_rank == fact.value_rank
 
     def test_square_factors_are_completed_past_the_calibration_rank(self, mla_config,
                                                                    mla_weights):
@@ -155,6 +159,7 @@ class TestStackedFactor:
             assert np.max(np.abs(u.T @ u - eye)) <= 1e-12
             assert np.max(np.abs(u @ v - block)) <= 1e-12 * np.max(np.abs(block))
         assert fact.key_energy == loop.key_energy and fact.value_energy == loop.value_energy
+        assert fact.key_rank == loop.key_rank == (4,) * 8 and fact.value_rank == (4,) * 8
         converted, report = CM.convert(mla_weights, mla_config, calib, 8)
         tokens = random_tokens(15, 64, 44)
         ref, _ = M.forward_gqa_path(mla_weights, mla_config, tokens, 2)
@@ -284,3 +289,32 @@ def test_calibration_whose_energy_never_reaches_the_latent_raises(mla_config, ml
     mixed = np.vstack([calib, random_tokens(8, 64, 18)])
     converted, report = CM.convert(mla_weights, mla_config, mixed, 2)
     assert converted.k_up.shape == (32, 32) and np.isfinite(report.output_deviation)
+
+
+def test_report_shows_each_groups_basis_rank(mla_config, mla_weights):
+    # the null-space mix spans 8 latent directions: full energy, but at rank 8 of 16
+    null_space = np.linalg.svd(mla_weights.kv_down)[2][32:]
+    mixed = np.vstack([random_tokens(256, 32, 17) @ null_space, random_tokens(8, 64, 18)])
+    _, report = CM.convert(mla_weights, mla_config, mixed, 2)
+    assert report.key_rank == report.value_rank == (8, 8)
+    assert "key basis rank:          [8/16, 8/16]" in report.lines()
+    assert "value basis rank:        [8/16, 8/16]" in report.lines()
+    _, report = CM.convert(mla_weights, mla_config, random_tokens(512, 64, 19), 2)
+    assert report.key_rank == report.value_rank == (16, 16)
+    assert "key basis rank:          [16/16, 16/16]" in report.lines()
+
+
+def test_a_missing_q_down_passes_through(mla_config):
+    # a head-indexed source whose queries project straight from the token
+    config = dataclasses.replace(mla_config, q_rank=64)
+    bare = dataclasses.replace(M.init_random(config, 21), q_down=None)
+    eye = dataclasses.replace(bare, q_down=np.eye(64))
+    converted, report = CM.convert(bare, config, CALIB[:512], 2)
+    with_eye, eye_report = CM.convert(eye, config, CALIB[:512], 2)
+    assert converted.q_down is None and report == eye_report
+    for field in dataclasses.fields(converted)[1:]:
+        assert np.array_equal(getattr(converted, field.name), getattr(with_eye, field.name))
+    fact = CM.factor(bare, config, CM.calibrate(bare, config, CALIB[:512], 2))
+    tokens = random_tokens(7, 64, 8)
+    assert np.array_equal(CM.unfused_forward(bare, config, fact, tokens, 2),
+                          CM.unfused_forward(eye, config, fact, tokens, 2))

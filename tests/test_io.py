@@ -169,6 +169,77 @@ class TestCheckpointValidation:
             gqck.write_checkpoint(tmp_path / "x.gqck", "mha", desk_config, desk_weights)
 
 
+def _tensor_names(path):
+    blob = read_blob(path)
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    return [t["name"] for t in json.loads(blob[16:16 + header_len])["tensors"]]
+
+
+@pytest.fixture
+def gqa_desk_convert(tmp_path, desk_gqa, capsys):
+    """(path, target config) of the desk GQA source converted by the CLI at
+    --rkv 14 --dhr 4, seed 0 and 2048 calibration tokens."""
+    source, path = tmp_path / "src.gqck", tmp_path / "converted.gqck"
+    gqck.write_checkpoint(source, "gqa", None, desk_gqa)
+    assert main(["convert", "--from", "gqa", "--in", str(source), "--out", str(path),
+                 "--rkv", "14", "--dhr", "4", "--calib-tokens", "2048", "--seed", "0"]) == 0
+    capsys.readouterr()
+    return path, gqck.read_checkpoint(path)[1]
+
+
+class TestMissingQueryDownProjection:
+    @pytest.mark.parametrize("kind", ["gqla", "mla"])
+    def test_a_manifest_without_q_down_reads_at_q_rank_equal_model_dim(self, tmp_path, kind,
+                                                                        desk_config, mla_config):
+        config = dataclasses.replace(desk_config if kind == "gqla" else mla_config, q_rank=64)
+        weights = dataclasses.replace(M.init_random(config, 7), q_down=None)
+        path = tmp_path / "model.gqck"
+        gqck.write_checkpoint(path, kind, config, weights)
+        assert "q_down" not in _tensor_names(path) and len(_tensor_names(path)) == 7
+        got_kind, got_config, got = gqck.read_checkpoint(path)
+        assert (got_kind, got_config, got.q_down) == (kind.upper(), config, None)
+        for field in dataclasses.fields(weights)[1:]:
+            assert np.array_equal(getattr(got, field.name), getattr(weights, field.name))
+
+    @pytest.mark.parametrize("kind", ["gqla", "mla"])
+    def test_a_manifest_without_q_down_is_refused_otherwise(self, tmp_path, kind, desk_config,
+                                                            desk_weights, mla_config,
+                                                            mla_weights):
+        path = tmp_path / "model.gqck"
+        if kind == "gqla":
+            gqck.write_checkpoint(path, kind, desk_config, desk_weights)
+        else:
+            gqck.write_checkpoint(path, kind, mla_config, mla_weights)
+        rewrite_manifest(path, lambda h: {**h, "tensors": [
+            t for t in h["tensors"] if t["name"] != "q_down"]})
+        with pytest.raises(CheckpointFormatError, match="q_down"):
+            gqck.read_checkpoint(path)
+
+    def test_a_converted_gqa_checkpoint_lists_seven_tensors(self, tmp_path, gqa_desk_convert):
+        path, _ = gqa_desk_convert
+        assert _tensor_names(path) == ["q_up", "q_rope", "kv_down", "k_up", "v_up", "k_rope",
+                                       "out_proj"]
+
+    def test_a_file_with_an_identity_q_down_reads_verifies_and_rewrites(self, tmp_path,
+                                                                        gqa_desk_convert,
+                                                                        capsys):
+        # the same conversion as written with a dense identity q_down: the
+        # file that converter gave, byte for byte
+        path, target = gqa_desk_convert
+        weights = gqck.read_checkpoint(path)[2]
+        old, again = tmp_path / "identity.gqck", tmp_path / "again.gqck"
+        gqck.write_checkpoint(old, "gqla", target, dataclasses.replace(weights,
+                                                                      q_down=np.eye(64)))
+        assert hashlib.sha256(read_blob(old)).hexdigest() == (
+            "bf3e033a353cca8e2d2818c153c993ad3101fb72882d1d19d67df0e0468718cd")
+        kind, config, read = gqck.read_checkpoint(old)
+        assert np.array_equal(read.q_down, np.eye(64))
+        assert main(["verify", "--checkpoint", str(old), "--seq-len", "12", "--sq", "2"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 5
+        gqck.write_checkpoint(again, kind, config, read)
+        assert read_blob(again) == read_blob(old)
+
+
 def _set(section, key, value, index=0):
     """Manifest edit: header[key] = value, or the same inside the config or
     the index-th tensor entry."""

@@ -70,7 +70,8 @@ class TestWeightsAreReadOnly:
         weights = WEIGHT_PRODUCERS[producer](request.getfixturevalue)
         arrays = [getattr(weights, f.name) for f in dataclasses.fields(weights)
                   if isinstance(getattr(weights, f.name), np.ndarray)]
-        assert len(arrays) in (4, 8)
+        assert len(arrays) == (4 if isinstance(weights, convert_gqa.GqaWeights)
+                               else 7 if producer == "convert_gqa" else 8)  # GQA route: no q_down
         for arr in arrays:
             before = arr.copy()
             with pytest.raises(ValueError, match="read-only"):
@@ -99,6 +100,40 @@ class TestWeightsAreReadOnly:
         assert not {"_compress_map", "_index_query_map"} & set(vars(fresh))
         assert all(getattr(fresh, name) is getattr(desk_weights, name)
                    for name in M.expected_shapes(desk_config))
+
+
+class TestMissingQueryDownProjection:
+    """q_down may be None, meaning queries project straight from the token,
+    only where q_rank == model_dim."""
+
+    def test_every_reader_treats_it_as_the_identity(self, desk_config):
+        config = dataclasses.replace(desk_config, q_rank=64)
+        bare = dataclasses.replace(M.init_random(config, 4), q_down=None)
+        eye = dataclasses.replace(bare, q_down=np.eye(64))
+        bare.validate(config)
+        tokens = M.random_tokens(10, 64, 6)
+        for run in (M.forward_gqa_path, M.forward_absorb_path):
+            assert np.array_equal(run(bare, config, tokens, 3)[0], run(eye, config, tokens, 3)[0])
+        oracle = M.oracle_mha(bare, config, tokens, 3)
+        assert np.array_equal(oracle, M.oracle_mha(eye, config, tokens, 3))
+        ref = longhand_mha(bare, config, tokens, 3)
+        assert np.max(np.abs(oracle - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        assert np.array_equal(bare._index_query_map, eye._index_query_map)
+
+    def test_it_needs_q_rank_equal_to_model_dim(self, desk_config, desk_weights):
+        with pytest.raises(ShapeError, match="q_down is NoneType"):
+            dataclasses.replace(desk_weights, q_down=None).validate(desk_config)
+
+
+@pytest.mark.parametrize("value", ["none", "list"])
+@pytest.mark.parametrize("kind", ["gqla", "gqa"])
+def test_validate_raises_shape_error_for_a_field_that_is_no_array(kind, value, desk_config,
+                                                                 desk_weights, desk_gqa):
+    weights, name = (desk_weights, "q_up") if kind == "gqla" else (desk_gqa, "k_proj")
+    field = None if value == "none" else getattr(weights, name).tolist()
+    bad = dataclasses.replace(weights, **{name: field})
+    with pytest.raises(ShapeError, match=name):
+        bad.validate(desk_config) if kind == "gqla" else bad.validate()
 
 
 @pytest.mark.parametrize("count, dim", [(10 ** 400, 64), (2 ** 62, 64), (64, 10 ** 400)],
