@@ -3,14 +3,17 @@
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 success, 1 a
 numerical check failed, 2 a usage or input error: commands raise it, and
 main alone reports it as one "error:" line on stderr. Every command is
-deterministic given its flags; the GQLA_SEED environment variable overrides
-the default seed 0.
+deterministic given its flags. The parser is built once per process; the
+GQLA_SEED environment variable, read on every main call, overrides the
+default seed 0, and --seed overrides it. A malformed GQLA_SEED is a usage
+error for every command, roofline (which takes no seed) included.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -282,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=32)
     p.add_argument("--sq", type=int, choices=(1, 2), default=1)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("convert", help="convert a GQA or MLA checkpoint to GQLA")
     p.add_argument("--from", dest="source_kind", required=True, choices=("gqa", "mla"))
@@ -293,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rkv", type=int, default=None, help="target latent rank (gqa route)")
     p.add_argument("--dhr", type=int, default=None, help="target rotary dim (gqa route)")
     p.add_argument("--calib-tokens", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.set_defaults(func=cmd_convert)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func="cmd_convert")
 
     p = sub.add_parser("roofline", help="emit the per-step operating-point table")
     p.add_argument("--hw", default="h100,h20",
@@ -303,21 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default="default", help="'default' or comma list path:g:s_q")
     p.add_argument("--seq-len", type=int, default=8192)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_roofline)
+    p.set_defaults(func="cmd_roofline")
 
     p = sub.add_parser("sparse-check", help="run the sparse-attention oracles and tile rule")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--seq-len", type=int, default=32)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.set_defaults(func=cmd_sparse_check)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func="cmd_sparse_check")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        seed = _default_seed()  # checked before argv, for every command
+        args = _parser().parse_args(argv)
+        if hasattr(args, "seed") and args.seed is None:  # a seeded command, no --seed
+            args.seed = seed
+        # looked up by name on every call: a wrapper bound to cli.cmd_* after
+        # the parser was built must still run
+        return globals()[args.func](args)
     except (GqlaError, MemoryError) as exc:
         # usage and input errors: bad flags and files, parameters only the
         # package can judge (seeds, lengths, k, s_q), token counts too large

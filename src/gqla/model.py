@@ -304,14 +304,21 @@ def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
 def _calibration_gram(calib, model_dim: int) -> CovarianceAccumulator:
     """The second-moment accumulator of the calibration tokens (N, model_dim),
     or calib itself once its dim is checked. DegenerateCalibrationError if it
-    holds no samples or its moment is all zero (no energy, or squares that
+    holds no samples, or its tokens or moment are not finite (squares that
+    overflow), or its moment is all zero (no energy, or squares that
     underflow): no conversion can read a basis from it."""
     if not isinstance(calib, CovarianceAccumulator):
-        calib = accumulate(CovarianceAccumulator.empty(model_dim),
-                           _check_tokens(calib, model_dim, 1))
+        tokens = _check_tokens(calib, model_dim, 1)
+        if not np.isfinite(tokens).all():
+            raise DegenerateCalibrationError("calibration tokens hold non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+            calib = accumulate(CovarianceAccumulator.empty(model_dim), tokens)
     elif calib.dim != model_dim:
         raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
                          f"expected model_dim {model_dim}")
+    if not np.isfinite(calib.second_moment).all():
+        raise DegenerateCalibrationError("calibration moment is not finite: the calibration "
+                                         "holds non-finite tokens or squares that overflow")
     if calib.sample_count == 0 or not calib.second_moment.any():
         raise DegenerateCalibrationError("calibration moment is all zero: the calibration "
                                          "holds no samples or its tokens carry no energy")

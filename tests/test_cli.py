@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gqla
+from gqla import cli
 from gqla import convert_gqa as CG
 from gqla import io as gqck
 from gqla import model as M
@@ -443,6 +444,88 @@ class TestSeedHandling:
         assert main(argv + ["--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process; GQLA_SEED is read per call."""
+
+    @staticmethod
+    def argv(command, checkpoint):
+        """A valid argv: roofline as CSV, or sparse-check at k=3 on checkpoint."""
+        return (["roofline", "--format", "csv"] if command == "roofline"
+                else ["sparse-check", "--checkpoint", str(checkpoint), "--k", "3"])
+
+    @staticmethod
+    def run(argv):
+        """(exit code, stdout, stderr) of main(argv), argparse's SystemExit included."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def fresh(self, argv):
+        """run(argv) on a newly built parser, as a process's first call."""
+        cli._parser.cache_clear()
+        return self.run(argv)
+
+    def test_parser_is_built_once_per_process(self, gqla_ckpt, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (self.argv("roofline", None), ["roofline", "--format", "json"],
+                     self.argv("sparse-check", gqla_ckpt),
+                     ["verify", "--checkpoint", str(gqla_ckpt), "--seq-len", "4"]):
+            self.run(argv)
+        assert len(builds) == 1
+
+    def test_a_rebound_command_runs_on_the_cached_parser(self, monkeypatch):
+        self.run(self.argv("roofline", None))  # builds the parser
+        monkeypatch.setattr(cli, "cmd_roofline", lambda args: 7)
+        assert self.run(self.argv("roofline", None)) == (7, "", "")
+
+    @pytest.mark.parametrize("command, rejected", [("roofline", ["--format", "json"]),
+                                                   ("sparse-check", ["--k", "x"])])
+    def test_a_rejected_argv_leaves_the_next_call_as_it_runs_alone(self, command, rejected,
+                                                                   gqla_ckpt):
+        argv = self.argv(command, gqla_ckpt)
+        alone = self.fresh(argv)
+        code, out, err = self.run(argv + rejected)
+        assert code == 2 and out == "" and err.startswith(f"usage: gqla {command} ")
+        assert self.run(argv) == alone and alone[0] == 0
+
+    @pytest.mark.parametrize("env", [None, "3"])
+    def test_an_explicit_seed_holds_for_its_call_only(self, env, gqla_ckpt, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("GQLA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GQLA_SEED", env)
+        argv = self.argv("sparse-check", gqla_ckpt)
+        alone = self.fresh(argv)
+        seeded = self.run(argv + ["--seed", "7"])
+        assert self.run(argv) == alone != seeded
+        assert self.run(argv + ["--seed", env or "0"]) == alone
+
+    def test_a_changed_env_seed_takes_effect_on_the_next_call(self, gqla_ckpt, monkeypatch):
+        argv = self.argv("sparse-check", gqla_ckpt)
+        for env in ("1", "2"):
+            monkeypatch.setenv("GQLA_SEED", env)
+            assert self.run(argv) == self.run(argv + ["--seed", env])
+        assert self.run(argv) != self.run(argv + ["--seed", "1"])
+
+    @pytest.mark.parametrize("command", ["roofline", "sparse-check"])
+    def test_a_malformed_env_seed_after_a_successful_call_is_usage_error(
+            self, command, gqla_ckpt, monkeypatch):
+        argv = self.argv(command, gqla_ckpt)
+        monkeypatch.delenv("GQLA_SEED", raising=False)
+        assert self.run(argv)[0] == 0
+        monkeypatch.setenv("GQLA_SEED", "abc")
+        calls = [argv] if command == "roofline" else [argv, argv + ["--seed", "7"]]
+        for call in calls:
+            assert self.run(call) == (2, "", "error: GQLA_SEED must be an integer, got 'abc'\n")
 
 
 @pytest.mark.parametrize("out", ["missing/x.gqck", "."])

@@ -279,6 +279,29 @@ def test_calibration_without_energy_raises_on_both_routes(route, calib, desk_gqa
             CM.convert(mla_weights, mla_config, calib, 2)
 
 
+# Calibrations whose moment is not finite: squares that overflow, one NaN
+# token, or an accumulator that already holds an infinite moment.
+NOT_FINITE = {
+    "overflow": (random_tokens(256, 64, 17) * 1e160, "calibration moment is not finite"),
+    "nan_token": (np.vstack([random_tokens(255, 64, 17), np.full((1, 64), np.nan)]),
+                  "calibration tokens hold non-finite entries"),
+    "accumulator": (CovarianceAccumulator(64, np.full((64, 64), np.inf), 256),
+                    "calibration moment is not finite"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning may escape either route
+@pytest.mark.parametrize("calib, message", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+@pytest.mark.parametrize("route", ["gqa", "mla"])
+def test_calibration_whose_moment_is_not_finite_raises_on_both_routes(
+        route, calib, message, desk_gqa, mla_config, mla_weights):
+    with pytest.raises(DegenerateCalibrationError, match=message):
+        if route == "gqa":
+            CG.convert(desk_gqa, calib, CG.target_config(desk_gqa, 14, 4))
+        else:
+            CM.convert(mla_weights, mla_config, calib, 2)
+
+
 def test_calibration_whose_energy_never_reaches_the_latent_raises(mla_config, mla_weights):
     # tokens in the null space of kv_down: latent entries ~1e-15 against tokens ~3
     null_space = np.linalg.svd(mla_weights.kv_down)[2][32:]
