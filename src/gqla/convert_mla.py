@@ -21,16 +21,14 @@ absorbed kernel stay valid. No gradient updates; calibration only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as gqla_model
 from .errors import DegenerateCalibrationError, ParameterError
-from .model import GqlaConfig, GqlaWeights, _calibration_gram, _check_tokens, _probe_deviation
+from .model import GqlaConfig, GqlaWeights, _calibration_gram, _probe_deviation
 from .numerics import root_eig, sym_eig
-from .rope import apply_rope
 
 
 def _check_source(config: GqlaConfig) -> None:
@@ -40,16 +38,9 @@ def _check_source(config: GqlaConfig) -> None:
             f"(got {config.num_groups} groups for {config.num_heads} heads)")
 
 
-def _check_groups(config: GqlaConfig, groups: int) -> int:
-    if groups < 1 or config.num_heads % groups != 0:
-        raise ParameterError(f"groups must divide num_heads ({config.num_heads}), got {groups}")
-    return groups
-
-
 def target_config(config: GqlaConfig, groups: int) -> GqlaConfig:
     """Config of the converted checkpoint: only the group count changes."""
     _check_source(config)
-    _check_groups(config, groups)
     return replace(config, num_groups=groups)
 
 
@@ -59,7 +50,8 @@ class GroupStats:
 
     key_root[j] (model_dim x (h/g)*head_dim) is r·(k_up_j·kv_down)^T, r being
     any root (r^T·r) of the normalized calibration Gram matrix, as
-    CovarianceAccumulator.root gives it, and k_up_j group j's (h/g)*head_dim
+    CovarianceAccumulator.root gives it (of calibration tokens as
+    model._calibration_gram scales them), and k_up_j group j's (h/g)*head_dim
     rows of k_up; key_root[j]^T·key_root[j] is the normalized second moment
     of group j's key activations. value_root likewise.
     """
@@ -75,8 +67,7 @@ def calibrate(weights: GqlaWeights, config: GqlaConfig, calib, groups: int) -> G
     is the calibration tokens (N, model_dim) or their CovarianceAccumulator.
     DegenerateCalibrationError if ||r·kv_down^T|| <= model_dim·eps·||r||·||kv_down||
     (Frobenius), that product's rounding bound: the latent carries only rounding."""
-    _check_source(config)
-    _check_groups(config, groups)
+    target_config(config, groups)  # the source and the group count are valid
     root = _calibration_gram(calib, config.model_dim).root()
     latent_root = root @ weights.kv_down.T
     rounding = config.model_dim * np.finfo(np.float64).eps * np.linalg.norm(root)
@@ -183,39 +174,17 @@ def unfused_forward(weights: GqlaWeights, config: GqlaConfig, fact: GroupFactori
                     tokens, s_q: int = 1) -> np.ndarray:
     """Forward with the PCA factors applied but NOT absorbed.
 
-    Straight-line evaluation of the factored source: head i scores against
-    u_j v_j-approximated keys and reads u_j v_j-approximated values through
-    the original output projection. Algebraically identical to running the
-    absorbed weights; the gap between the two is pure floating-point noise.
+    The brute-force oracle (model.oracle_mha) run on the factored source,
+    still head-indexed: head i = j*hpg + pos reads the key and value rows
+    u_j[pos]·v_j of its group's factors, through the source's own query and
+    output projections. Algebraically identical to running the absorbed
+    weights; the gap between the two is pure floating-point noise, and the
+    oracle shares no rotation, softmax or projection code with the cores.
     """
-    tokens = _check_tokens(tokens, config.model_dim, s_q)
-    length = tokens.shape[0]
-    hpg = config.num_heads // len(fact.key_u)
-    d, dv, dr = config.head_dim, config.value_head_dim, config.rope_head_dim
-    spec = config.rope_spec()
-    scale = 1.0 / math.sqrt(d + dr)
-
-    latents = tokens @ weights.kv_down.T
-    k_rope = np.stack([apply_rope(spec, weights.k_rope @ tokens[t], t) for t in range(length)])
-    group_k = [latents @ v.T for v in fact.key_v]    # (L, head_dim)
-    group_v = [latents @ v.T for v in fact.value_v]  # (L, value_head_dim)
-
-    outputs = np.empty((s_q, config.model_dim))
-    for idx, t in enumerate(range(length - s_q, length)):
-        c_q = tokens[t] if weights.q_down is None else weights.q_down @ tokens[t]
-        per_head = []
-        for i in range(config.num_heads):
-            j, pos = divmod(i, hpg)
-            q_n = weights.q_up[i * d:(i + 1) * d] @ c_q
-            q_r = apply_rope(spec, weights.q_rope[i * dr:(i + 1) * dr] @ c_q, t)
-            keys = group_k[j][: t + 1] @ fact.key_u[j][pos * d:(pos + 1) * d].T
-            logits = (keys @ q_n + k_rope[: t + 1] @ q_r) * scale
-            attn = np.exp(logits - logits.max())
-            attn /= attn.sum()
-            vals = group_v[j][: t + 1] @ fact.value_u[j][pos * dv:(pos + 1) * dv].T
-            per_head.append(attn @ vals)
-        outputs[idx] = weights.out_proj @ np.concatenate(per_head)
-    return outputs
+    factored = replace(weights, k_up=(fact.key_u @ fact.key_v).reshape(-1, config.kv_rank),
+                       v_up=(fact.value_u @ fact.value_v).reshape(-1, config.kv_rank))
+    factored.validate(config)
+    return gqla_model.oracle_mha(factored, config, tokens, s_q)
 
 
 @dataclass(frozen=True)

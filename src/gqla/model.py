@@ -9,7 +9,8 @@ absorbed path is its one-group (MQA) case, whose keys and values are both the
 latent. Switching between them is a one-shot cache expand/compress. Their
 oracle is a brute-force attention (oracle_mha): per head and per query, with
 one product per head over all positions, its own rotation and softmax, and
-no shared helper.
+no shared helper. It is the package's one such loop: run on a head-indexed
+source's factored weights, it also referees the MLA absorption.
 
 A token is a (model_dim,) vector, a sequence or block an (L, model_dim) array.
 Prefill appends a sequence to an empty cache and decode a token or a block to
@@ -303,22 +304,26 @@ def _check_tokens(tokens, model_dim: int, s_q: int) -> np.ndarray:
 
 def _calibration_gram(calib, model_dim: int) -> CovarianceAccumulator:
     """The second-moment accumulator of the calibration tokens (N, model_dim),
-    or calib itself once its dim is checked. DegenerateCalibrationError if it
-    holds no samples, or its tokens or moment are not finite (squares that
-    overflow), or its moment is all zero (no energy, or squares that
-    underflow): no conversion can read a basis from it."""
+    scaled by the power of two 2^-e that brings their largest magnitude into
+    [0.5, 1), or calib itself once its dim is checked. The scaling is exact,
+    so no conversion depends on the calibration's scale, and the scaled
+    moment can neither overflow nor lose the bulk of its squares to
+    underflow. DegenerateCalibrationError if it holds no samples, or its
+    tokens or moment are not finite, or its moment is all zero (no energy):
+    no conversion can read a basis from it."""
     if not isinstance(calib, CovarianceAccumulator):
         tokens = _check_tokens(calib, model_dim, 1)
         if not np.isfinite(tokens).all():
             raise DegenerateCalibrationError("calibration tokens hold non-finite entries")
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-            calib = accumulate(CovarianceAccumulator.empty(model_dim), tokens)
+        peak = np.max(np.abs(tokens))
+        if peak > 0:
+            tokens = np.ldexp(tokens, -np.frexp(peak)[1])
+        calib = accumulate(CovarianceAccumulator.empty(model_dim), tokens)
     elif calib.dim != model_dim:
         raise ShapeError(f"calibration accumulator has dim {calib.dim}, "
                          f"expected model_dim {model_dim}")
     if not np.isfinite(calib.second_moment).all():
-        raise DegenerateCalibrationError("calibration moment is not finite: the calibration "
-                                         "holds non-finite tokens or squares that overflow")
+        raise DegenerateCalibrationError("calibration moment is not finite")
     if calib.sample_count == 0 or not calib.second_moment.any():
         raise DegenerateCalibrationError("calibration moment is all zero: the calibration "
                                          "holds no samples or its tokens carry no energy")
@@ -436,10 +441,9 @@ def _attention(weights: GqlaWeights, config: GqlaConfig, q_nope, q_rope, cache,
     return o.reshape(count, -1) @ weights.out_proj.T
 
 
-def _fieldwise(fn, *caches):
-    """The cache of caches[0]'s layout whose every field is fn of the caches' same fields."""
-    return type(caches[0])(**{f.name: fn(*(getattr(c, f.name) for c in caches))
-                              for f in dataclasses.fields(caches[0])})
+def _fieldwise(fn, cache):
+    """The cache of cache's layout whose every field is fn of cache's same field."""
+    return type(cache)(**{f.name: fn(getattr(cache, f.name)) for f in dataclasses.fields(cache)})
 
 
 def _check_cache(weights: GqlaWeights, cache, layout) -> None:

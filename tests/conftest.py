@@ -18,6 +18,24 @@ from gqla.convert_gqa import GqaWeights, init_random_gqa
 from gqla.model import GqlaConfig, init_random, random_tokens
 
 
+def assert_bitwise_equal(a, b):
+    """Two stage results (dataclasses, tuples of them or arrays) are bitwise equal."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bitwise_equal(x, y)
+    else:
+        assert np.array_equal(a, b)
+
+
+def unit_scaled(tokens):
+    """tokens times the power of two 2^-e that brings their largest magnitude
+    into [0.5, 1): the calibration as the converters read it."""
+    return tokens * 2.0 ** -math.frexp(float(np.max(np.abs(tokens))))[1]
+
+
 @pytest.fixture
 def desk_config() -> GqlaConfig:
     return GqlaConfig(model_dim=64, num_heads=8, num_groups=2, head_dim=16,

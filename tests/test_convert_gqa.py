@@ -15,7 +15,8 @@ from gqla.model import GqlaConfig, random_tokens
 from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
 from gqla.rope import apply_rope
 
-from conftest import dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa
+from conftest import (assert_bitwise_equal, dual_path_bound, loop_gqa_oracle, plant_bandrank1_gqa,
+                      unit_scaled)
 
 CALIB = random_tokens(512, 64, 3)
 
@@ -270,7 +271,8 @@ def sym_eig_rotations(merged, moments):
 
 class TestKeyMoments:
     """The key moments the calibrated stages read through the calibration root,
-    against the Gram matrix route K·S·K^T/N."""
+    against the Gram matrix route K·S·K^T/N, S that of the calibration as the
+    stages read it (unit_scaled)."""
 
     @pytest.mark.parametrize("tokens", [512, 16])  # Cholesky root; eigh root, rank 16
     def test_stage_moments_match_the_gram_matrix(self, desk_gqa, monkeypatch, tokens):
@@ -285,7 +287,7 @@ class TestKeyMoments:
         CG.freqfold_compress(aligned, calib, 16, 4)
         g, d, dm = desk_gqa.num_groups, desk_gqa.head_dim, desk_gqa.model_dim
         assert [rows.shape for rows, _ in read] == [(g * d // 2, 2, dm), (d // 2, 2 * g, dm)]
-        s = gram(calib).second_moment
+        s = gram(unit_scaled(calib)).second_moment
         for rows, moments in read:
             ref = rows @ s @ np.swapaxes(rows, -1, -2) / tokens
             assert np.array_equal(moments, np.swapaxes(moments, -1, -2))
@@ -320,26 +322,15 @@ def test_calibration_batch_checked(stage):
 GQA_STAGES = ("rorope_align", "freqfold_compress", "balance_and_joint_pca")
 
 
-def assert_bitwise_equal(a, b):
-    """Two stage results (dataclasses, tuples of them or arrays) are bitwise equal."""
-    if dataclasses.is_dataclass(a):
-        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
-    if isinstance(a, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert_bitwise_equal(x, y)
-    else:
-        assert np.array_equal(a, b)
-
-
 class TestSingleStagePath:
-    """Each calibrated GQA stage takes the tokens or their accumulator, and
-    convert runs every public stage once on one accumulator."""
+    """Each calibrated GQA stage takes the tokens, read as the accumulator of
+    their unit_scaled form, or an accumulator, and convert runs every public
+    stage once on one accumulator."""
 
     @pytest.mark.parametrize("stage", GQA_STAGES)
     def test_tokens_and_accumulator_agree_bitwise(self, stage):
         run = CALIBRATED_STAGES[stage]
-        assert_bitwise_equal(run(CALIB), run(gram(CALIB)))
+        assert_bitwise_equal(run(CALIB), run(gram(unit_scaled(CALIB))))
 
     def test_joint_pca_with_freqfold_agrees_bitwise(self):
         aligned, _ = CG.rorope_align(_CHECK_MERGED, gram(CALIB))

@@ -10,16 +10,17 @@ from gqla.errors import DegenerateCalibrationError, ParameterError
 from gqla.model import random_tokens
 from gqla.numerics import CovarianceAccumulator, accumulate, pca_factor, root_eig, sym_eig
 
-from conftest import dual_path_bound, plant_group_structured_mla
+from conftest import dual_path_bound, plant_group_structured_mla, unit_scaled
 
 CALIB = random_tokens(2048, 64, 17)
 
 
 def group_moments(weights, up, calib, groups):
     """Referee for calibrate: one accumulator per group of that group's
-    activations calib @ (up_j @ kv_down).T, up_j being its rows of up."""
+    activations c @ (up_j @ kv_down).T, up_j being its rows of up and c the
+    calibration as calibrate reads it (unit_scaled)."""
     return [accumulate(CovarianceAccumulator.empty(len(block)),
-                       calib @ (block @ weights.kv_down).T)
+                       unit_scaled(calib) @ (block @ weights.kv_down).T)
             for block in up.reshape(groups, -1, up.shape[1])]
 
 
@@ -33,7 +34,7 @@ class TestCalibrate:
     def test_single_token_gives_rank_one_moments(self, mla_config, mla_weights):
         token = random_tokens(1, 64, 30)
         stats = CM.calibrate(mla_weights, mla_config, token, 2)
-        latent = mla_weights.kv_down @ token[0]
+        latent = mla_weights.kv_down @ unit_scaled(token)[0]
         for j, root in enumerate(stats.key_root):
             act = mla_weights.k_up[j * 64:(j + 1) * 64] @ latent
             assert np.max(np.abs(root.T @ root - np.outer(act, act))) <= 1e-12
@@ -263,9 +264,8 @@ class TestConvert:
         assert report.latent_elements_per_token == 40
 
 
-# Calibrations whose second moment is all zero: no energy at all, or squares
-# that underflow.
-NO_ENERGY = {"zeros": np.zeros((256, 64)), "underflow": random_tokens(256, 64, 17) * 1e-200}
+# A calibration whose second moment is all zero: no energy at all.
+NO_ENERGY = {"zeros": np.zeros((256, 64))}
 
 
 @pytest.mark.parametrize("calib", NO_ENERGY.values(), ids=NO_ENERGY.keys())
@@ -279,10 +279,9 @@ def test_calibration_without_energy_raises_on_both_routes(route, calib, desk_gqa
             CM.convert(mla_weights, mla_config, calib, 2)
 
 
-# Calibrations whose moment is not finite: squares that overflow, one NaN
-# token, or an accumulator that already holds an infinite moment.
+# Calibrations whose moment is not finite: one NaN token, or an accumulator
+# that already holds an infinite moment.
 NOT_FINITE = {
-    "overflow": (random_tokens(256, 64, 17) * 1e160, "calibration moment is not finite"),
     "nan_token": (np.vstack([random_tokens(255, 64, 17), np.full((1, 64), np.nan)]),
                   "calibration tokens hold non-finite entries"),
     "accumulator": (CovarianceAccumulator(64, np.full((64, 64), np.inf), 256),
@@ -300,6 +299,29 @@ def test_calibration_whose_moment_is_not_finite_raises_on_both_routes(
             CG.convert(desk_gqa, calib, CG.target_config(desk_gqa, 14, 4))
         else:
             CM.convert(mla_weights, mla_config, calib, 2)
+
+
+# Token scales whose squares would underflow to zero, lose most of their
+# bits, or overflow, if the moment were formed at the tokens' own scale.
+EXTREME_SCALES = {"underflow": 1e-200, "subnormal": 1e-160, "overflow": 1e160}
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning may escape either route
+@pytest.mark.parametrize("scale", EXTREME_SCALES.values(), ids=EXTREME_SCALES.keys())
+@pytest.mark.parametrize("route", ["gqa", "mla"])
+def test_calibration_scale_does_not_matter(route, scale, desk_gqa, mla_config, mla_weights):
+    calib, probe = random_tokens(256, 64, 17), random_tokens(10, 64, 77)
+    outputs = []
+    for tokens in (calib, calib * scale):
+        if route == "gqa":
+            target = CG.target_config(desk_gqa, 14, 4)
+            weights, _ = CG.convert(desk_gqa, tokens, target)
+        else:
+            target = CM.target_config(mla_config, 2)
+            weights, _ = CM.convert(mla_weights, mla_config, tokens, 2)
+        outputs.append(M.forward_gqa_path(weights, target, probe, 2)[0])
+    ref, got = outputs
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_calibration_whose_energy_never_reaches_the_latent_raises(mla_config, mla_weights):

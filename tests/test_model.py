@@ -252,11 +252,13 @@ def test_referees_share_no_code_with_the_cores():
     for referee in (M.oracle_mha, sparse.masked_reference, convert_mla.unfused_forward,
                     loop_gqa_oracle):
         assert not names(referee.__code__) & cores
-    # the oracle also keeps its own rotation, softmax, projections and scoring
+    # the oracle, and the MLA absorption's referee that runs it on the factored
+    # weights, also keep their own rotation, softmax, projections and scoring
     # (masked_reference projects queries and normalizes through the model's own)
     shared = {"apply_rope", "apply_folded_rope", "rope_spec", "RopeSpec", "frequencies",
               "_softmax", "_project_queries", "_project_keys", "_cache_rows", "_query_blocks"}
-    assert not names(M.oracle_mha.__code__) & shared
+    for referee in (M.oracle_mha, convert_mla.unfused_forward):
+        assert not names(referee.__code__) & shared
 
 
 @pytest.mark.parametrize("change", [

@@ -21,7 +21,7 @@ from gqla.errors import GqlaError, ParameterError
 from gqla.model import GqlaConfig, random_tokens
 from gqla.numerics import root_eig
 
-from conftest import dual_path_bound, longhand_mha
+from conftest import assert_bitwise_equal, dual_path_bound, longhand_mha
 
 
 @st.composite
@@ -149,6 +149,13 @@ def assert_passes_verify(weights, config):
     return tokens, expanded
 
 
+def normal_shifts(tokens):
+    """The k for which every nonzero entry of 2^k·tokens stays a normal float."""
+    mags = np.abs(tokens[tokens != 0])
+    return st.integers(np.finfo(np.float64).minexp + 1 - int(np.frexp(mags.min())[1]),
+                       np.finfo(np.float64).maxexp - int(np.frexp(mags.max())[1]))
+
+
 @st.composite
 def gqa_conversions(draw):
     """A small GQA source, a target whose kv_rank is drawn up to 2·g·d (above
@@ -172,8 +179,8 @@ def gqa_conversions(draw):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(gqa_conversions())
-def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
+@given(gqa_conversions(), st.data())
+def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case, data):
     src, target, calib = case
     if target.kv_rank + target.rope_head_dim > 2 * src.num_groups * src.head_dim:
         with pytest.raises(ParameterError):
@@ -198,6 +205,10 @@ def test_gqa_conversion_leaves_dead_latent_dims_empty_and_switches(case):
     assert np.all(weights.kv_down[live:] == 0.0)
 
     assert_passes_verify(weights, target)
+    # a power-of-two rescale of the calibration changes no bit
+    assert_bitwise_equal(
+        CG.convert(src, np.ldexp(calib, data.draw(normal_shifts(calib))), target),
+        (weights, report))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -285,14 +296,24 @@ def mla_conversions(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(mla_conversions())
-def test_mla_conversion_raises_only_package_errors_and_keeps_both_paths(case):
+@given(mla_conversions(), st.data())
+def test_mla_conversion_raises_only_package_errors_and_keeps_both_paths(case, data):
     config, weights, calib, groups = case
     try:
-        converted, _ = CM.convert(weights, config, calib, groups)
+        converted, report = CM.convert(weights, config, calib, groups)
     except GqlaError:
         return
-    tokens, expanded = assert_passes_verify(converted, CM.target_config(config, groups))
+    target = CM.target_config(config, groups)
+    tokens, expanded = assert_passes_verify(converted, target)
+    # absorbing the factors adds nothing beyond the factorization itself
+    fact = CM.factor(weights, config, CM.calibrate(weights, config, calib, groups))
+    absorbed, _ = M.forward_gqa_path(CM.absorb_factors(weights, config, fact), target, tokens, 2)
+    ref = CM.unfused_forward(weights, config, fact, tokens, 2)
+    assert np.max(np.abs(absorbed - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
+    # a power-of-two rescale of the calibration changes no bit
+    assert_bitwise_equal(
+        CM.convert(weights, config, np.ldexp(calib, data.draw(normal_shifts(calib))), groups),
+        (converted, report))
     # one head per group is a reparameterization at any calibration rank: past
     # it, each square per-group basis is completed to an orthonormal one
     if groups == config.num_heads:
